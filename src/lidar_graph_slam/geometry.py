@@ -138,6 +138,9 @@ class Pose:
 # ---------------------------------------------------------------------------
 
 _SMALL_ANGLE = 1e-10
+# Below this angle (1 - cos t) / t^2 loses more digits to cancellation than
+# the truncated series drops, so the left Jacobian switches to the series.
+_JACOBIAN_SERIES_ANGLE = 1e-4
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def so3_log(r: np.ndarray) -> np.ndarray:
 def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
     theta = np.linalg.norm(omega)
     w = _hat(omega)
-    if theta < _SMALL_ANGLE:
+    if theta < _JACOBIAN_SERIES_ANGLE:
         return np.eye(3) + 0.5 * w + (w @ w) / 6.0
     a = (1.0 - np.cos(theta)) / theta**2
     b = (theta - np.sin(theta)) / theta**3
@@ -277,17 +280,6 @@ class KdTree:
 
     def __len__(self) -> int:
         return len(self._points)
-
-    def nearest(self, query: np.ndarray, k: int = 1):
-        """Indices and distances of the true k nearest points, ascending."""
-        if k < 1 or k > len(self._points):
-            raise ValueError(f"k={k} out of range for tree of size {len(self._points)}")
-        query = np.asarray(query, dtype=np.float64)
-        dist, idx = self._tree.query(query, k=k)
-        if k == 1:
-            dist = np.atleast_1d(dist)
-            idx = np.atleast_1d(idx)
-        return idx, dist
 
     def query_batch(self, queries: np.ndarray, k: int = 1):
         """Vectorized nearest query; returns (indices, distances) arrays."""

@@ -2,8 +2,7 @@
 
 Velodyne scans are flat binary files of N x 4 little-endian float32
 (x, y, z, intensity).  Ground-truth poses come as rows of 12 values
-(3x4 row-major matrices).  GPS fixes can serve as ground truth for raw
-sequences via a local tangent-plane projection.
+(3x4 row-major matrices).
 """
 
 from __future__ import annotations
@@ -105,26 +104,3 @@ def discover_sequence(dataset_dir: str) -> DatasetSequence:
         gt_times = times[:len(gt)]
     return DatasetSequence(scans, times, gt, gt_times)
 
-
-_EARTH_RADIUS = 6_378_137.0
-
-
-def latlon_to_enu(lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
-                  origin: Optional[np.ndarray] = None) -> np.ndarray:
-    """GPS fixes to local east-north-up meters, tangent plane at ``origin``.
-
-    ``origin`` defaults to the first fix.  Adequate for trajectory-scale
-    extents (a few km); not a full geodetic conversion.
-    """
-    lat = np.radians(np.asarray(lat, dtype=np.float64))
-    lon = np.radians(np.asarray(lon, dtype=np.float64))
-    alt = np.asarray(alt, dtype=np.float64)
-    if origin is None:
-        lat0, lon0, alt0 = lat.flat[0], lon.flat[0], alt.flat[0]
-    else:
-        lat0, lon0, alt0 = (np.radians(origin[0]), np.radians(origin[1]),
-                            origin[2])
-    east = (lon - lon0) * np.cos(lat0) * _EARTH_RADIUS
-    north = (lat - lat0) * _EARTH_RADIUS
-    up = alt - alt0
-    return np.column_stack([east, north, up])

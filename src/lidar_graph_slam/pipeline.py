@@ -1,11 +1,17 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
-Topology: raw scans fan out to the pre-filterer and the pre-tracker on
-separate workers; filtered clouds fan out to the floor detector and the
-tracker; the tracker joins filtered clouds, motion guesses, and floor
-coefficients by timestamp, and runs the backend (pose graph building, loop
-closure, optimization) inline so results are deterministic for a given
-input sequence.
+Each frame runs one fixed sequence.  The front end pre-filters the scan,
+detects the floor in the filtered cloud and pre-tracks the raw cloud; then
+the tracker matches the filtered cloud against the current keyframe, and the
+back end (pose graph, loop closure, optimization) runs inline on each new
+keyframe.  One worker thread runs the front end of frame i+1 while the
+calling thread tracks frame i.  A single worker keeps the stateful
+pre-tracker in frame order, so every module sees the same inputs in the same
+order as a sequential run, and a stage exception propagates to the caller.
+
+``run_realtime_sim`` runs the same loop on a simulated clock (see
+:func:`frame_dropped`); it never sleeps, and every frame is either tracked
+or counted as dropped.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +34,20 @@ from .mapping import build_map, write_ply
 from .pose_graph import PoseGraph, default_information
 from .prefilter import prefilter
 from .pretracker import Pretracker
-from .runtime import CoreWorker, DispatchQueue, Message, Notifier
 from .tracker import Tracker
+
+
+def frame_dropped(arrival: float, starts: Sequence[float],
+                  capacity: int) -> bool:
+    """The realtime-sim drop rule.
+
+    Frame j arrives at a_j = t_j - t_0, starts at s_j = max(a_j, f_prev) and
+    finishes at f_j = s_j + c_j, where c_j is the wall time the loop spent
+    on it.  ``starts`` holds s_j of the frames admitted so far, which never
+    decrease.  A frame arriving at ``arrival`` is dropped when ``capacity``
+    admitted frames have arrived but not yet started.
+    """
+    return len(starts) >= capacity and starts[-capacity] > arrival
 
 
 @dataclass
@@ -46,6 +64,8 @@ class PipelineResult:
     loop_count: int
     dropped_frames: int
     runtime_seconds: float
+    # Seconds per call of each stage.  prefilter, floor and pretrack are
+    # measured on the lookahead thread while track runs, so they overlap it.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
@@ -73,7 +93,6 @@ class SlamPipeline:
         self.loop_count = 0
         self.dropped_frames = 0
         self._kf_since_opt = 0
-        self._floor_by_ts: Dict[float, object] = {}
         self._latencies: Dict[str, List[float]] = {
             "prefilter": [], "pretrack": [], "track": [], "floor": []}
 
@@ -139,106 +158,54 @@ class SlamPipeline:
             kf.pose = pose
         self.tracker.update_keyframe_pose(self.keyframes[-1].pose)
 
+    def _front_end(self, cloud: PointCloud):
+        """Per-scan stages of one frame; runs on the lookahead thread."""
+        filtered = self._do_prefilter(cloud)
+        floor_coeffs = self._do_floor(filtered)
+        pre = self._do_pretrack(cloud)
+        return filtered, pre.guess if pre is not None else None, floor_coeffs
+
+    def _track(self, front_end: Future) -> float:
+        """Track one frame; return the wall time spent waiting and tracking."""
+        t0 = time.perf_counter()
+        self._do_track(*front_end.result())
+        return time.perf_counter() - t0
+
     # -- drivers ------------------------------------------------------------
 
     def run_batch(self, clouds) -> PipelineResult:
-        """Run through the dispatch-queue topology, as fast as consumed."""
-        return self._run(clouds, realtime=False)
+        """Track every cloud in order, as fast as the stages run."""
+        return self._run(clouds, capacity=None)
 
     def run_realtime_sim(self, clouds) -> PipelineResult:
-        """Feed at recorded timestamp rate with bounded queues."""
-        return self._run(clouds, realtime=True)
+        """Track clouds on a simulated clock at their recorded rate, dropping
+        those that arrive while ``streaming_queue_capacity`` frames wait."""
+        if self.cfg.streaming_queue_capacity < 1:
+            raise ValueError("streaming_queue_capacity must be positive")
+        return self._run(clouds, self.cfg.streaming_queue_capacity)
 
-    def _run(self, clouds, realtime: bool) -> PipelineResult:
+    def _run(self, clouds, capacity: Optional[int]) -> PipelineResult:
         started = time.perf_counter()
-        cap = self.cfg.streaming_queue_capacity if realtime else None
-        policy = "drop_oldest" if realtime else "reject"
-
-        q_raw_filter = DispatchQueue(cap, policy, "raw->prefilter")
-        q_raw_pretrack = DispatchQueue(cap, policy, "raw->pretrack")
-        q_filtered = DispatchQueue(name="filtered->tracker")
-        q_guess = DispatchQueue(name="guess->tracker")
-        q_floor = DispatchQueue(name="floor->tracker")
-        filtered_notifier = Notifier("filtered")
-
-        floor_in = DispatchQueue(name="filtered->floor")
-        filtered_notifier.register(lambda m: q_filtered.enqueue(m))
-        filtered_notifier.register(lambda m: floor_in.enqueue(m))
-
-        def prefilter_handler(_q, msg: Message):
-            out = self._do_prefilter(msg.payload)
-            filtered_notifier.publish(out, timestamp=msg.payload.timestamp)
-
-        def pretrack_handler(_q, msg: Message):
-            res = self._do_pretrack(msg.payload)
-            q_guess.put(res, timestamp=msg.payload.timestamp)
-
-        def floor_handler(_q, msg: Message):
-            res = self._do_floor(msg.payload)
-            q_floor.put((msg.payload.timestamp, res))
-
-        # tracker worker: join filtered + guess + floor by timestamp
-        join: Dict[float, dict] = {}
-        ready = deque()
-
-        def _maybe_ready(ts):
-            parts = join.get(ts)
-            need_guess = self.cfg.pretracker_enabled
-            need_floor = self.cfg.floor_enabled
-            if parts is None or "filtered" not in parts:
-                return
-            if need_guess and "guess" not in parts:
-                return
-            if need_floor and "floor" not in parts:
-                return
-            ready.append(ts)
-
-        def tracker_handler(q, msg: Message):
-            if q is q_filtered:
-                ts = msg.payload.timestamp
-                join.setdefault(ts, {})["filtered"] = msg.payload
-            elif q is q_guess:
-                res = msg.payload
-                ts = res.timestamp if res is not None else msg.timestamp
-                join.setdefault(ts, {})["guess"] = res
-            else:
-                ts, coeffs = msg.payload
-                join.setdefault(ts, {})["floor"] = coeffs
-            _maybe_ready(ts)
-            while ready:
-                t = ready.popleft()
-                parts = join.pop(t)
-                pre = parts.get("guess")
-                guess = pre.guess if pre is not None else None
-                self._do_track(parts["filtered"], guess, parts.get("floor"))
-
-        workers = [
-            CoreWorker(q_raw_filter, prefilter_handler, "prefilter").start(),
-            CoreWorker(q_raw_pretrack, pretrack_handler, "pretrack").start(),
-            CoreWorker(floor_in, floor_handler, "floor").start(),
-            CoreWorker([q_filtered, q_guess, q_floor], tracker_handler,
-                       "tracker").start(),
-        ]
-
-        prev_ts = None
-        for cloud in clouds:
-            if realtime and prev_ts is not None:
-                time.sleep(max(cloud.timestamp - prev_ts, 0.0))
-            prev_ts = cloud.timestamp
-            if realtime and (q_raw_filter.capacity is not None
-                             and len(q_raw_filter) >= q_raw_filter.capacity):
-                self.dropped_frames += 1
-                continue
-            if not realtime:
-                # backpressure: do not run unboundedly ahead of the tracker
-                while len(q_filtered) > 8 or len(q_raw_filter) > 8:
-                    time.sleep(0.001)
-            msg = Message(cloud, timestamp=cloud.timestamp)
-            q_raw_filter.enqueue(msg)
-            q_raw_pretrack.enqueue(msg)
-
-        for w in workers:
-            w.stop(drain=True, timeout=600.0)
+        first_ts = None
+        starts: List[float] = []    # simulated start of each admitted frame
+        with ThreadPoolExecutor(max_workers=1) as lookahead:
+            ahead = None
+            for cloud in clouds:
+                if first_ts is None:
+                    first_ts = cloud.timestamp
+                arrival = cloud.timestamp - first_ts
+                if capacity is not None and \
+                        frame_dropped(arrival, starts, capacity):
+                    self.dropped_frames += 1
+                    continue
+                nxt = lookahead.submit(self._front_end, cloud)
+                finish = 0.0
+                if ahead is not None:
+                    finish = starts[-1] + self._track(ahead)
+                starts.append(max(arrival, finish))
+                ahead = nxt
+            if ahead is not None:
+                self._track(ahead)
         self._optimize_and_sync()
 
         trajectory = self._final_trajectory()
@@ -294,13 +261,13 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
         pipeline.graph.export_g2o(os.path.join(out_dir, "graph.g2o"))
     report = {
         "mode": mode,
+        "scans": len(seq),
         "frames": len(result.trajectory),
         "keyframes": result.keyframe_count,
         "loops": result.loop_count,
         "dropped_frames": result.dropped_frames,
         "runtime_seconds": result.runtime_seconds,
         "latency_percentiles": result.latency_percentiles(),
-        "ground_truth_projection": "local tangent plane at first fix",
     }
     with open(os.path.join(out_dir, "report.json"), "w") as f:
         json.dump(report, f, indent=2)

@@ -9,7 +9,6 @@ edges.  The first keyframe node is held fixed to pin the gauge.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -115,64 +114,61 @@ class PoseGraph:
         self._loop_pairs: Set[Tuple[int, int]] = set()
         self._last_floor_normal: Optional[np.ndarray] = None
         self.incline_threshold = incline_threshold
-        self._lock = threading.RLock()
 
     # -- construction -------------------------------------------------------
 
     def add_keyframe(self, kf: Keyframe, odometry_rel: Optional[Pose] = None,
                      information: Optional[np.ndarray] = None) -> int:
         """Append a keyframe node chained to the previous one by odometry."""
-        with self._lock:
-            node_id = self._next_node_id
-            self._next_node_id += 1
-            first = not self._keyframe_node_ids
-            if first:
-                pose = kf.pose
-            else:
-                prev = self.nodes[self._keyframe_node_ids[-1]]
-                rel = odometry_rel if odometry_rel is not None else (
-                    prev.pose.inverse() @ kf.pose)
-                pose = prev.pose @ rel
-            node = GraphNode(node_id, NODE_KEYFRAME, pose=pose, fixed=first)
-            self.nodes[node_id] = node
-            if not first:
-                prev_id = self._keyframe_node_ids[-1]
-                rel = odometry_rel if odometry_rel is not None else (
-                    self.nodes[prev_id].pose.inverse() @ kf.pose)
-                info = information if information is not None else \
-                    default_information(EDGE_ODOMETRY)
-                self.edges.append(GraphEdge(self._next_edge_id, EDGE_ODOMETRY,
-                                            prev_id, node_id, rel, info))
-                self._next_edge_id += 1
-            self._keyframe_node_ids.append(node_id)
-            return node_id
+        node_id = self._next_node_id
+        self._next_node_id += 1
+        first = not self._keyframe_node_ids
+        if first:
+            pose = kf.pose
+        else:
+            prev = self.nodes[self._keyframe_node_ids[-1]]
+            rel = odometry_rel if odometry_rel is not None else (
+                prev.pose.inverse() @ kf.pose)
+            pose = prev.pose @ rel
+        node = GraphNode(node_id, NODE_KEYFRAME, pose=pose, fixed=first)
+        self.nodes[node_id] = node
+        if not first:
+            prev_id = self._keyframe_node_ids[-1]
+            rel = odometry_rel if odometry_rel is not None else (
+                self.nodes[prev_id].pose.inverse() @ kf.pose)
+            info = information if information is not None else \
+                default_information(EDGE_ODOMETRY)
+            self.edges.append(GraphEdge(self._next_edge_id, EDGE_ODOMETRY,
+                                        prev_id, node_id, rel, info))
+            self._next_edge_id += 1
+        self._keyframe_node_ids.append(node_id)
+        return node_id
 
     def add_loop(self, loop: LoopCandidate,
                  information: Optional[np.ndarray] = None) -> Optional[int]:
         """Add a loop edge: measurement maps the query frame into the
         candidate frame.  Duplicates and self-loops are rejected."""
-        with self._lock:
-            if loop.verified_transform is None:
-                raise ValueError("loop candidate is not verified")
-            if loop.query_index == loop.candidate_index:
-                return None
-            pair = (loop.query_index, loop.candidate_index)
-            if pair in self._loop_pairs:
-                return None
-            try:
-                from_id = self._keyframe_node_ids[loop.candidate_index]
-                to_id = self._keyframe_node_ids[loop.query_index]
-            except IndexError:
-                raise ValueError("loop references unknown keyframe index")
-            info = information if information is not None else \
-                default_information(EDGE_LOOP, loop.fitness)
-            edge = GraphEdge(self._next_edge_id, EDGE_LOOP, from_id, to_id,
-                             loop.verified_transform, info,
-                             robust_kernel=KERNEL_HUBER, kernel_scale=1.0)
-            self._next_edge_id += 1
-            self.edges.append(edge)
-            self._loop_pairs.add(pair)
-            return edge.id
+        if loop.verified_transform is None:
+            raise ValueError("loop candidate is not verified")
+        if loop.query_index == loop.candidate_index:
+            return None
+        pair = (loop.query_index, loop.candidate_index)
+        if pair in self._loop_pairs:
+            return None
+        try:
+            from_id = self._keyframe_node_ids[loop.candidate_index]
+            to_id = self._keyframe_node_ids[loop.query_index]
+        except IndexError:
+            raise ValueError("loop references unknown keyframe index")
+        info = information if information is not None else \
+            default_information(EDGE_LOOP, loop.fitness)
+        edge = GraphEdge(self._next_edge_id, EDGE_LOOP, from_id, to_id,
+                         loop.verified_transform, info,
+                         robust_kernel=KERNEL_HUBER, kernel_scale=1.0)
+        self._next_edge_id += 1
+        self.edges.append(edge)
+        self._loop_pairs.add(pair)
+        return edge.id
 
     def add_floor(self, kf_node_id: int, coeffs: FloorCoefficients,
                   information: Optional[np.ndarray] = None) -> Optional[int]:
@@ -182,30 +178,29 @@ class PoseGraph:
         consecutive keyframes indicates a slope transition; the constraint
         is suppressed for that keyframe.
         """
-        with self._lock:
-            if not coeffs.valid:
+        if not coeffs.valid:
+            return None
+        normal = coeffs.normal / np.linalg.norm(coeffs.normal)
+        prev_normal = self._last_floor_normal
+        self._last_floor_normal = normal
+        if prev_normal is not None:
+            angle = np.arccos(np.clip(prev_normal @ normal, -1.0, 1.0))
+            if angle > self.incline_threshold:
                 return None
-            normal = coeffs.normal / np.linalg.norm(coeffs.normal)
-            prev_normal = self._last_floor_normal
-            self._last_floor_normal = normal
-            if prev_normal is not None:
-                angle = np.arccos(np.clip(prev_normal @ normal, -1.0, 1.0))
-                if angle > self.incline_threshold:
-                    return None
-            if self._floor_node_id is None:
-                node_id = self._next_node_id
-                self._next_node_id += 1
-                self.nodes[node_id] = GraphNode(
-                    node_id, NODE_FLOOR_PLANE,
-                    plane=np.array([0.0, 0.0, 1.0, 0.0]))
-                self._floor_node_id = node_id
-            info = information if information is not None else \
-                default_information(EDGE_FLOOR)
-            edge = GraphEdge(self._next_edge_id, EDGE_FLOOR,
-                             kf_node_id, self._floor_node_id, coeffs, info)
-            self._next_edge_id += 1
-            self.edges.append(edge)
-            return edge.id
+        if self._floor_node_id is None:
+            node_id = self._next_node_id
+            self._next_node_id += 1
+            self.nodes[node_id] = GraphNode(
+                node_id, NODE_FLOOR_PLANE,
+                plane=np.array([0.0, 0.0, 1.0, 0.0]))
+            self._floor_node_id = node_id
+        info = information if information is not None else \
+            default_information(EDGE_FLOOR)
+        edge = GraphEdge(self._next_edge_id, EDGE_FLOOR,
+                         kf_node_id, self._floor_node_id, coeffs, info)
+        self._next_edge_id += 1
+        self.edges.append(edge)
+        return edge.id
 
     @property
     def keyframe_node_ids(self) -> List[int]:
@@ -216,8 +211,7 @@ class PoseGraph:
         return self._floor_node_id
 
     def keyframe_poses(self) -> List[Pose]:
-        with self._lock:
-            return [self.nodes[i].pose for i in self._keyframe_node_ids]
+        return [self.nodes[i].pose for i in self._keyframe_node_ids]
 
     # -- residuals and Jacobians -------------------------------------------
 
@@ -379,52 +373,51 @@ class PoseGraph:
                  chi2_rel_tol: float = 1e-6,
                  update_tol: float = 1e-8) -> OptimizationReport:
         """Levenberg-Marquardt with x10 / /10 damping adaptation."""
-        with self._lock:
-            if not self.nodes:
-                raise ValueError("cannot optimize an empty graph")
-            self._check_connectivity()
-            index, dim = self._state_index()
-            if dim == 0 or not self.edges:
-                c = self.chi2() if self.edges else 0.0
-                return OptimizationReport(c, c, 0, True, [c])
+        if not self.nodes:
+            raise ValueError("cannot optimize an empty graph")
+        self._check_connectivity()
+        index, dim = self._state_index()
+        if dim == 0 or not self.edges:
+            c = self.chi2() if self.edges else 0.0
+            return OptimizationReport(c, c, 0, True, [c])
 
-            lam = 1e-6
+        lam = 1e-6
+        hmat, rhs, chi2 = self._build_normal_equations(index, dim)
+        initial_chi2 = chi2
+        trace = [chi2]
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iterations + 1):
+            stepped = False
+            for _ in range(10):
+                damped = (hmat + lam * _sparse_identity(dim)).tocsc()
+                try:
+                    delta = splu(damped).solve(rhs)
+                except RuntimeError as exc:
+                    raise DisconnectedGraphError(list(index)) from exc
+                snapshot = self._snapshot(index)
+                self._apply_update(index, delta)
+                new_chi2 = self.chi2()
+                if new_chi2 <= chi2:
+                    lam = max(lam / 10.0, 1e-12)
+                    stepped = True
+                    break
+                self._restore(snapshot)
+                lam *= 10.0
+            if not stepped:
+                converged = True
+                break
+            prev = chi2
             hmat, rhs, chi2 = self._build_normal_equations(index, dim)
-            initial_chi2 = chi2
-            trace = [chi2]
-            converged = False
-            iterations = 0
-            for iterations in range(1, max_iterations + 1):
-                stepped = False
-                for _ in range(10):
-                    damped = (hmat + lam * _sparse_identity(dim)).tocsc()
-                    try:
-                        delta = splu(damped).solve(rhs)
-                    except RuntimeError as exc:
-                        raise DisconnectedGraphError(list(index)) from exc
-                    snapshot = self._snapshot(index)
-                    self._apply_update(index, delta)
-                    new_chi2 = self.chi2()
-                    if new_chi2 <= chi2:
-                        lam = max(lam / 10.0, 1e-12)
-                        stepped = True
-                        break
-                    self._restore(snapshot)
-                    lam *= 10.0
-                if not stepped:
-                    converged = True
-                    break
-                prev = chi2
-                hmat, rhs, chi2 = self._build_normal_equations(index, dim)
-                trace.append(chi2)
-                if np.linalg.norm(delta) < update_tol:
-                    converged = True
-                    break
-                if prev > 0 and (prev - chi2) / prev < chi2_rel_tol:
-                    converged = True
-                    break
-            return OptimizationReport(initial_chi2, chi2, iterations,
-                                      converged, trace)
+            trace.append(chi2)
+            if np.linalg.norm(delta) < update_tol:
+                converged = True
+                break
+            if prev > 0 and (prev - chi2) / prev < chi2_rel_tol:
+                converged = True
+                break
+        return OptimizationReport(initial_chi2, chi2, iterations,
+                                  converged, trace)
 
     # -- export -------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Fast motion estimation on heavily downsampled clouds.
 
-Runs on the raw cloud, in parallel with the pre-filterer, and produces an
-initial guess for the tracker: one registration at a very coarse scale, and
+Runs on the raw cloud, next to the pre-filterer, and produces an initial
+guess for the tracker: one registration at a very coarse scale, and
 for small clouds a second registration at a finer scale seeded with the
 first result.
 """
@@ -40,7 +40,6 @@ class PretrackResult:
     guess: Pose                 # motion from the previous cloud to this one
     degraded: bool              # fell back to constant velocity
     phases_run: int
-    timestamp: float
 
 
 def downsample_to_fraction(cloud: PointCloud, fraction: float) -> PointCloud:
@@ -87,7 +86,7 @@ class Pretracker:
         if self._prev_phase1 is None:
             self._prev_phase1 = ds1
             self._prev_phase2 = ds2
-            return PretrackResult(Pose.identity(), False, 0, cloud.timestamp)
+            return PretrackResult(Pose.identity(), False, 0)
 
         reg_cfg = self._reg_config()
         degraded = False
@@ -117,4 +116,4 @@ class Pretracker:
             self._last_motion = guess
         self._prev_phase1 = ds1
         self._prev_phase2 = ds2
-        return PretrackResult(guess, degraded, phases, cloud.timestamp)
+        return PretrackResult(guess, degraded, phases)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.kitti import (DatasetSequence, ScanFormatError,
-                                    discover_sequence, latlon_to_enu,
-                                    load_kitti_poses, load_kitti_scan,
-                                    load_timestamps)
+                                    discover_sequence, load_kitti_poses,
+                                    load_kitti_scan, load_timestamps)
 
 
 def write_scan(path, pts):
@@ -118,21 +117,3 @@ class TestDiscoverSequence:
         with pytest.raises(ValueError):
             discover_sequence(str(tmp_path))
 
-
-class TestLatLonToEnu:
-    def test_origin_maps_to_zero(self):
-        out = latlon_to_enu([48.0], [11.0], [500.0])
-        np.testing.assert_allclose(out, np.zeros((1, 3)))
-
-    def test_small_northward_step(self):
-        # 1e-5 degrees of latitude is about 1.11 m of northing
-        out = latlon_to_enu([48.0, 48.00001], [11.0, 11.0], [500.0, 500.0])
-        assert out[1, 1] == pytest.approx(1.113, abs=0.01)
-        assert abs(out[1, 0]) < 1e-9
-        assert out[1, 2] == 0.0
-
-    def test_eastward_step_scales_with_latitude(self):
-        step = 1e-5
-        at_equator = latlon_to_enu([0.0, 0.0], [11.0, 11.0 + step], [0.0, 0.0])
-        at_60 = latlon_to_enu([60.0, 60.0], [11.0, 11.0 + step], [0.0, 0.0])
-        assert at_60[1, 0] == pytest.approx(at_equator[1, 0] * 0.5, rel=1e-6)

@@ -2,15 +2,18 @@
 
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lidar_graph_slam import pipeline as pipeline_module
 from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
                                          read_tum, write_tum)
-from lidar_graph_slam.pipeline import SlamPipeline, run_pipeline
+from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
+                                       run_pipeline)
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory,
                                         write_kitti_sequence)
@@ -26,6 +29,19 @@ def straight_run():
     clouds, truth = render_sequence(world, traj, max_range=30.0)
     truth_tp = [TimedPose(c.timestamp, p) for c, p in zip(clouds, truth)]
     return clouds, truth_tp
+
+
+@pytest.fixture(scope="module")
+def burst_clouds():
+    """69 scans 10 ms apart, far faster than the pipeline tracks them."""
+    traj = straight_then_curve_trajectory(straight=66.0, curve_radius=40.0,
+                                          curve_angle=0.05, step=1.0,
+                                          rate_hz=100.0)
+    xy = np.array([[t.translation[0], t.translation[1]] for _, t in traj])
+    world = make_world(xy, seed=2, corridor=12.0)
+    clouds, _ = render_sequence(world, traj, max_range=30.0)
+    assert len(clouds) == 69
+    return clouds
 
 
 class TestBatchRun:
@@ -70,11 +86,74 @@ class TestRealtimeSim:
     def test_feeds_at_recorded_rate(self, straight_run):
         clouds, _ = straight_run
         subset = clouds[:10]
-        pipeline = SlamPipeline()
-        result = pipeline.run_realtime_sim(subset)
-        # 10 scans at 10 Hz: the run takes at least the sequence duration
-        assert result.runtime_seconds >= 0.8
-        assert len(result.trajectory) + result.dropped_frames == len(subset)
+        result = SlamPipeline().run_realtime_sim(subset)
+        # the queue holds all 10 scans, so none is dropped and the simulated
+        # clock changes nothing: the output is the batch output
+        assert result.dropped_frames == 0
+        batch = SlamPipeline().run_batch(subset)
+        assert [(tp.timestamp, tp.pose.matrix().tobytes())
+                for tp in result.trajectory] == \
+            [(tp.timestamp, tp.pose.matrix().tobytes())
+             for tp in batch.trajectory]
+
+    def test_every_frame_tracked_or_dropped(self, burst_clouds):
+        cfg = PipelineConfig()
+        cfg.streaming_queue_capacity = 2
+        result = SlamPipeline(cfg).run_realtime_sim(burst_clouds)
+        assert result.dropped_frames > 0
+        assert len(result.trajectory) + result.dropped_frames == 69
+
+    def test_drop_rule_on_fixed_costs(self):
+        """Scans 1 s apart, each costing 2.5 s, behind a queue of two.
+
+        Admitted frames start at 0, 2.5, 5, 7.5, 10 and 12.5 s.  Frame 4
+        arrives at 4 s while frames 2 and 3 wait for their starts at 5 and
+        7.5 s, so it is dropped; frame 5 arrives as frame 2 starts and is
+        admitted.
+        """
+        tracked = []
+
+        class FixedCost(SlamPipeline):
+            def _front_end(self, cloud):
+                return cloud.index
+
+            def _track(self, front_end):
+                tracked.append(front_end.result())
+                return 2.5
+
+        cfg = PipelineConfig()
+        cfg.streaming_queue_capacity = 2
+        scans = [SimpleNamespace(index=j, timestamp=100.0 + j)
+                 for j in range(10)]
+        result = FixedCost(cfg).run_realtime_sim(scans)
+        assert tracked == [0, 1, 2, 3, 5, 8]
+        assert result.dropped_frames == 4
+        assert not frame_dropped(5.0, [0.0, 2.5, 5.0], 2)
+        assert frame_dropped(4.0, [0.0, 2.5, 5.0, 7.5], 2)
+
+    def test_capacity_must_be_positive(self, straight_run):
+        cfg = PipelineConfig()
+        cfg.streaming_queue_capacity = 0
+        with pytest.raises(ValueError):
+            SlamPipeline(cfg).run_realtime_sim(straight_run[0][:2])
+
+
+class TestStageErrors:
+    def test_front_end_error_reaches_the_caller(self, straight_run,
+                                               monkeypatch):
+        clouds, _ = straight_run
+        real = pipeline_module.detect_floor
+        calls = []
+
+        def failing_on_fifth(cloud, cfg):
+            calls.append(cloud.timestamp)
+            if len(calls) == 5:
+                raise RuntimeError("floor failed on frame 5")
+            return real(cloud, cfg)
+
+        monkeypatch.setattr(pipeline_module, "detect_floor", failing_on_fifth)
+        with pytest.raises(RuntimeError, match="frame 5"):
+            SlamPipeline().run_batch(clouds[:8])
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +161,13 @@ def dataset_dir(tmp_path_factory, straight_run):
     clouds, truth = straight_run
     root = tmp_path_factory.mktemp("dataset")
     write_kitti_sequence(str(root), clouds, [tp.pose for tp in truth])
+    return str(root)
+
+
+@pytest.fixture(scope="module")
+def burst_dataset_dir(tmp_path_factory, burst_clouds):
+    root = tmp_path_factory.mktemp("burst_dataset")
+    write_kitti_sequence(str(root), burst_clouds)
     return str(root)
 
 
@@ -107,6 +193,14 @@ class TestRunPipeline:
         est = read_tum(str(out / "trajectory.tum"))
         ate = evaluate_trajectories(est, truth)
         assert ate.rmse < 0.3
+
+    def test_realtime_report_accounts_for_every_scan(self, burst_dataset_dir,
+                                                     tmp_path):
+        out = tmp_path / "out_rt"
+        run_pipeline(None, burst_dataset_dir, "realtime-sim", str(out))
+        report = json.loads((out / "report.json").read_text())
+        assert report["scans"] == 69
+        assert report["frames"] + report["dropped_frames"] == report["scans"]
 
     def test_config_file_is_honored(self, dataset_dir, tmp_path):
         conf = tmp_path / "slam.conf"
