@@ -5,16 +5,22 @@ target cloud, starting from an initial guess.  Implemented: point-to-point
 ICP (closed-form SVD step), point-to-plane ICP (linearized least squares),
 and GICP (plane-to-plane, Gauss-Newton on the se(3) twist with analytic
 gradients and a backtracking fallback).
+
+Each GICP iteration forms the per-pair Mahalanobis matrix
+M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
+builds the Gauss-Newton system from it with one matrix product over the
+stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
+Trial steps are judged by their cost alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import (KdTree, PointCloud, Pose, _hat, se3_exp)
+from .geometry import KdTree, PointCloud, Pose, se3_exp, so3_log
 
 ICP_P2P = "ICP_P2P"
 ICP_P2PLANE = "ICP_P2PLANE"
@@ -103,7 +109,8 @@ def compute_gicp_covariances(cloud: PointCloud, k: int = 15,
     """Per-point covariances regularized to eigenvalues (1, 1, epsilon).
 
     The smallest axis of each k-NN covariance is treated as the local
-    surface normal direction, mimicking plane-to-plane GICP.
+    surface normal direction n, mimicking plane-to-plane GICP; the result
+    is I - (1 - epsilon) n n^T.
     """
     k = min(k, len(cloud))
     if k < 3:
@@ -116,12 +123,58 @@ def compute_gicp_covariances(cloud: PointCloud, k: int = 15,
     idx, _ = tree.query_batch(cloud.points, k=k)
     nb = cloud.points[idx]
     centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    cov = np.matmul(centered.transpose(0, 2, 1), centered) / k
     _, vecs = np.linalg.eigh(cov)                # ascending eigenvalues
-    vals = np.array([epsilon, 1.0, 1.0])
-    out = np.einsum("nij,j,nkj->nik", vecs, vals, vecs)
+    normal = vecs[:, :, 0]
+    out = (epsilon - 1.0) * (normal[:, :, None] * normal[:, None, :])
+    out[:, [0, 1, 2], [0, 1, 2]] += 1.0
     cache[key] = out
     return out
+
+
+def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
+    """Batched inverse of symmetric 3x3 matrices by adjugate over determinant.
+
+    Only the upper triangle of ``a`` is read.  A matrix whose determinant is
+    not above 1e-300 gets a zero inverse, so its pair drops out of every
+    GICP sum.
+    """
+    a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
+    a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
+    c00 = a11 * a22 - a12 * a12
+    c01 = a02 * a12 - a01 * a22
+    c02 = a01 * a12 - a02 * a11
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=det > 1e-300)
+    out = np.empty_like(a)
+    out[:, 0, 0] = c00 * inv_det
+    out[:, 0, 1] = out[:, 1, 0] = c01 * inv_det
+    out[:, 0, 2] = out[:, 2, 0] = c02 * inv_det
+    out[:, 1, 1] = (a00 * a22 - a02 * a02) * inv_det
+    out[:, 1, 2] = out[:, 2, 1] = (a01 * a02 - a00 * a12) * inv_det
+    out[:, 2, 2] = (a00 * a11 - a01 * a01) * inv_det
+    return out
+
+
+def _gicp_terms(src, dst, cov_src, cov_dst, transform):
+    """Per-pair GICP quantities at ``transform``.
+
+    Returns p = R s + t, d = p - q, the Mahalanobis matrix
+    M = (C_q + R C_s R^T)^-1 and u = M d.  M and u are zero for pairs whose
+    combined covariance is singular.
+    """
+    r, t = transform.rotation, transform.translation
+    p = src @ r.T + t
+    d = p - dst
+    m = _inverse_symmetric_3x3(cov_dst + np.matmul(r @ cov_src, r.T))
+    u = np.matmul(m, d[..., None])[..., 0]
+    return p, d, m, u
+
+
+def _gicp_cost(src, dst, cov_src, cov_dst, transform) -> float:
+    """GICP objective sum_i d_i^T M_i d_i alone, for trial steps."""
+    _, d, _, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
+    return float(np.einsum("ni,ni->", d, u))
 
 
 def gicp_cost_and_gradient(src: np.ndarray, dst: np.ndarray,
@@ -135,30 +188,26 @@ def gicp_cost_and_gradient(src: np.ndarray, dst: np.ndarray,
     including the rotation dependence of the combined covariance.
     Pairs with a singular combined covariance are skipped.
     """
-    r, t = transform.rotation, transform.translation
-    p = src @ r.T + t                              # transformed source
-    d = p - dst
-    b = np.einsum("ij,njk,lk->nil", r, cov_src, r)  # R C_s R^T
-    a = cov_dst + b
-    dets = np.linalg.det(a)
-    good = dets > 1e-300
-    a, b, d, p = a[good], b[good], d[good], p[good]
-    u = np.linalg.solve(a, d[..., None])[..., 0]   # M d
+    p, d, _, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
     cost = float(np.einsum("ni,ni->", d, u))
     grad = np.zeros(6)
     grad[:3] = 2.0 * u.sum(axis=0)
-    bu = np.einsum("nij,nj->ni", b, u)
+    # R C_s R^T u = d - C_q u, because (C_q + R C_s R^T) u = d; skipped
+    # pairs have u = 0, so their terms vanish whatever bu is
+    bu = d - np.matmul(cov_dst, u[..., None])[..., 0]
     grad[3:] = 2.0 * (np.cross(p, u) - np.cross(bu, u)).sum(axis=0)
     return cost, grad
 
 
 def _gicp_normal_equations(src, dst, cov_src, cov_dst, transform):
-    """Gauss-Newton H, b (and cost) for the GICP objective."""
-    r, t = transform.rotation, transform.translation
-    p = src @ r.T + t
-    d = p - dst
-    a = cov_dst + np.einsum("ij,njk,lk->nil", r, cov_src, r)
-    u = np.linalg.solve(a, d[..., None])[..., 0]
+    """Gauss-Newton H, g (and cost) for the GICP objective.
+
+    With the per-pair Jacobian J = [I | -[p]x] of the residual w.r.t. a
+    left twist, H = sum J^T M J and g = sum J^T u, each one product of the
+    stacked (3n x 6) Jacobians.  Like any Gauss-Newton step it drops the
+    derivative of M with respect to the rotation.
+    """
+    p, d, m, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
     cost = float(np.einsum("ni,ni->", d, u))
     n = len(src)
     jac = np.zeros((n, 3, 6))
@@ -169,9 +218,9 @@ def _gicp_normal_equations(src, dst, cov_src, cov_dst, transform):
     jac[:, 1, 5] = p[:, 0]
     jac[:, 2, 3] = p[:, 1]
     jac[:, 2, 4] = -p[:, 0]
-    m_jac = np.linalg.solve(a, jac)               # M J
-    h = np.einsum("nij,nik->jk", jac, m_jac)
-    g = np.einsum("nij,ni->j", jac, u)
+    jac_flat = jac.reshape(3 * n, 6)
+    h = jac_flat.T @ np.matmul(m, jac).reshape(3 * n, 6)
+    g = jac_flat.T @ u.reshape(3 * n)
     return h, g, cost
 
 
@@ -234,7 +283,7 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
                 return RegistrationResult(transform, np.inf, iterations, False)
             delta = np.concatenate([
                 delta_pose.translation,
-                _rotation_vector(delta_pose.rotation)])
+                so3_log(delta_pose.rotation)])
         elif cfg.method == ICP_P2PLANE:
             n_sel = tgt_normals[idx[mask]]
             delta = _p2plane_step(moved_sel, dst_sel, n_sel)
@@ -250,8 +299,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
                 step = -np.linalg.solve(h, g)
             except np.linalg.LinAlgError:
                 step = -g / max(np.linalg.norm(g), 1e-12)
-            cand = se3_exp(step) @ transform
-            _, _, cost1 = _gicp_normal_equations(src_sel, dst_sel, cs, cd, cand)
+            cost1 = _gicp_cost(src_sel, dst_sel, cs, cd,
+                               se3_exp(step) @ transform)
             if cost1 > cost0:
                 # GN step increased the cost: gradient descent + backtracking
                 _, grad = gicp_cost_and_gradient(src_sel, dst_sel, cs, cd,
@@ -259,9 +308,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
                 alpha = 1.0 / max(np.linalg.norm(grad), 1e-12)
                 step = -alpha * grad
                 for _ in range(20):
-                    cand = se3_exp(step) @ transform
-                    _, _, c = _gicp_normal_equations(src_sel, dst_sel, cs, cd,
-                                                     cand)
+                    c = _gicp_cost(src_sel, dst_sel, cs, cd,
+                                   se3_exp(step) @ transform)
                     if c < cost0:
                         break
                     step *= 0.5
@@ -283,11 +331,6 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     fitness = float(np.mean(np.minimum(dist, max_d) ** 2))
     overlap = float(np.mean(mask))
     return RegistrationResult(transform, fitness, iterations, converged, overlap)
-
-
-def _rotation_vector(r: np.ndarray) -> np.ndarray:
-    from .geometry import so3_log
-    return so3_log(r)
 
 
 def _p2plane_step(moved: np.ndarray, dst: np.ndarray,

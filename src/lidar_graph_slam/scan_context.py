@@ -69,23 +69,21 @@ def descriptor_distance(query: ScanContext,
     """
     q, c = query.grid, candidate.grid
     sectors = q.shape[1]
-    q_norms = np.linalg.norm(q, axis=0)
-    c_norms = np.linalg.norm(c, axis=0)
-    best = (np.inf, 0)
-    # all shifts at once: dot of rolled query columns with candidate columns
-    for shift in range(sectors):
-        rq = np.roll(q, shift, axis=1)
-        rn = np.roll(q_norms, shift)
-        denom = rn * c_norms
-        usable = denom > 0.0
-        if not np.any(usable):
-            dist = 1.0
-        else:
-            cos = np.einsum("ij,ij->j", rq[:, usable], c[:, usable]) / denom[usable]
-            dist = float(np.mean(1.0 - cos))
-        if dist < best[0]:
-            best = (dist, shift)
-    return best
+    # all shifts at once: rolling the query by s puts its column (j - s) mod S
+    # against candidate column j, so every shift's column dots are entries
+    # of the one S x S product q^T c, picked out by a circulant index
+    cols = np.arange(sectors)
+    src_col = (cols[None, :] - cols[:, None]) % sectors   # [shift, column]
+    dots = (q.T @ c)[src_col, cols]
+    denom = np.linalg.norm(q, axis=0)[src_col] * np.linalg.norm(c, axis=0)
+    usable = denom > 0.0
+    count = usable.sum(axis=1)
+    # skipped pairs get cos = 1, so they add nothing to the sum
+    cos = np.divide(dots, denom, out=np.ones_like(denom), where=usable)
+    dist = np.where(count > 0, (1.0 - cos).sum(axis=1) / np.maximum(count, 1),
+                    1.0)
+    best = int(np.argmin(dist))                   # first minimum wins ties
+    return float(dist[best]), best
 
 
 def shift_to_yaw(shift: int, params: ScanContextParams) -> float:

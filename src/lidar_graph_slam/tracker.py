@@ -9,7 +9,7 @@ a cloud that would not become a keyframe, scan matching is skipped entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

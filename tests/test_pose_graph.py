@@ -193,6 +193,40 @@ class TestOptimization:
         assert 99 in err.value.node_ids
 
 
+class TestLoopEdgeNearPi:
+    """A loop edge that contradicts the chain by a half turn about z."""
+
+    @staticmethod
+    def graph_with_twisted_loop(angle):
+        graph, _ = build_drifted_ring()
+        poses = graph.keyframe_poses()
+        twist = Pose(so3_exp([0.0, 0.0, angle]), np.zeros(3))
+        measured = poses[0].inverse() @ poses[19] @ twist
+        graph.add_loop(LoopCandidate(19, 0, 0.0, measured, fitness=0.05))
+        loop = graph.edges[-1]
+        xi = graph.nodes[loop.from_id].pose
+        xj = graph.nodes[loop.to_id].pose
+        err = loop.measurement.inverse() @ xi.inverse() @ xj
+        assert err.rotation_angle() == pytest.approx(angle, abs=1e-9)
+        return graph
+
+    def test_error_rotation_at_pi_raises(self):
+        # the log of a half turn has no unique axis; optimize must refuse
+        # rather than return NaN poses
+        graph = self.graph_with_twisted_loop(np.pi)
+        with pytest.raises(ValueError, match="near pi"):
+            graph.optimize(max_iterations=50)
+
+    def test_error_rotation_just_below_pi_optimizes(self):
+        graph = self.graph_with_twisted_loop(np.pi - 0.05)
+        report = graph.optimize(max_iterations=50)
+        assert np.isfinite(report.final_chi2)
+        assert report.final_chi2 <= report.initial_chi2
+        for pose in graph.keyframe_poses():
+            assert np.isfinite(pose.matrix()).all()
+            assert pose.is_valid()
+
+
 class TestJacobians:
     def test_pose_edge_jacobian_matches_finite_differences(self, rng):
         graph = PoseGraph()

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from lidar_graph_slam.geometry import (PointCloud, Pose, estimate_normals,
-                                       se3_exp, so3_exp)
+from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
+                                       estimate_normals, se3_exp, so3_exp)
 from lidar_graph_slam.registration import (GICP, ICP_P2P, ICP_P2PLANE,
                                            RegistrationConfig,
+                                           _gicp_cost, _gicp_normal_equations,
+                                           _inverse_symmetric_3x3,
                                            compute_gicp_covariances,
                                            gicp_cost_and_gradient, align,
                                            rigid_align_pairs)
 
-from conftest import box_surface_cloud, pose_error, random_pose
+from conftest import (box_surface_cloud, pose_error, random_pose,
+                      random_rotation)
 
 ALL_METHODS = [ICP_P2P, ICP_P2PLANE, GICP]
 
@@ -182,3 +185,113 @@ class TestGicpInternals:
                     se3_exp(-delta) @ transform)
                 fd[j] = (cp - cm) / (2.0 * h)
             assert np.max(np.abs(grad - fd)) < 1e-5 * max(1.0, np.max(np.abs(fd)))
+
+
+def reference_normal_equations(src, dst, cov_src, cov_dst, transform):
+    """GICP H, g, cost by per-pair linear solves, without forming M."""
+    r, t = transform.rotation, transform.translation
+    p = src @ r.T + t
+    d = p - dst
+    a = cov_dst + np.einsum("ij,njk,lk->nil", r, cov_src, r)
+    u = np.linalg.solve(a, d[..., None])[..., 0]
+    cost = float(np.einsum("ni,ni->", d, u))
+    jac = np.zeros((len(src), 3, 6))
+    jac[:, :, :3] = np.eye(3)
+    jac[:, 0, 4] = p[:, 2]
+    jac[:, 0, 5] = -p[:, 1]
+    jac[:, 1, 3] = -p[:, 2]
+    jac[:, 1, 5] = p[:, 0]
+    jac[:, 2, 3] = p[:, 1]
+    jac[:, 2, 4] = -p[:, 0]
+    m_jac = np.linalg.solve(a, jac)
+    h = np.einsum("nij,nik->jk", jac, m_jac)
+    g = np.einsum("nij,ni->j", jac, u)
+    return h, g, cost
+
+
+def noisy_pair(rng, n=300):
+    """Box cloud, a noisy copy, their covariances and a small transform."""
+    cloud_a = box_surface_cloud(rng, n=n)
+    cloud_b = PointCloud(cloud_a.points + rng.normal(scale=0.05, size=(n, 3)))
+    cov_a = compute_gicp_covariances(cloud_a, k=10)
+    cov_b = compute_gicp_covariances(cloud_b, k=10)
+    return (cloud_a.points, cloud_b.points, cov_a, cov_b,
+            random_pose(rng, 0.3, 0.1))
+
+
+def relative_error(a, b):
+    return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
+
+
+class TestGicpKernel:
+    def test_closed_form_inverse_matches_linalg(self, rng):
+        # combined GICP covariances: sums of two rotated (eps, 1, 1) discs
+        discs = []
+        for _ in range(2):
+            rots = np.array([random_rotation(rng, np.pi) for _ in range(200)])
+            discs.append(rots @ np.diag([1e-3, 1.0, 1.0])
+                         @ rots.transpose(0, 2, 1))
+        a = discs[0] + discs[1]
+        inv = _inverse_symmetric_3x3(a)
+        np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-10,
+                                   atol=1e-10)
+
+    def test_singular_matrix_gets_zero_inverse(self):
+        a = np.stack([np.diag([1.0, 1.0, 0.0]), np.eye(3)])
+        inv = _inverse_symmetric_3x3(a)
+        np.testing.assert_array_equal(inv[0], np.zeros((3, 3)))
+        np.testing.assert_allclose(inv[1], np.eye(3))
+
+    def test_covariances_match_eigen_reconstruction(self, rng):
+        # reference: V diag(eps, 1, 1) V^T from the k-NN covariance's
+        # eigenvectors V
+        cloud = box_surface_cloud(rng, n=300)
+        cov = compute_gicp_covariances(cloud, k=10)
+        idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=10)
+        nb = cloud.points[idx]
+        centered = nb - nb.mean(axis=1, keepdims=True)
+        _, vecs = np.linalg.eigh(
+            np.einsum("nki,nkj->nij", centered, centered) / 10)
+        ref = np.einsum("nij,j,nkj->nik", vecs, [1e-3, 1.0, 1.0], vecs)
+        np.testing.assert_allclose(cov, ref, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(cov, cov.transpose(0, 2, 1))
+
+    def test_normal_equations_match_solve_reference(self, rng):
+        for _ in range(5):
+            args = noisy_pair(rng)
+            h, g, cost = _gicp_normal_equations(*args)
+            h_ref, g_ref, cost_ref = reference_normal_equations(*args)
+            assert relative_error(h, h_ref) < 1e-9
+            assert relative_error(g, g_ref) < 1e-9
+            assert cost == pytest.approx(cost_ref, rel=1e-9)
+
+    def test_cost_only_matches_full_evaluations(self, rng):
+        for _ in range(5):
+            args = noisy_pair(rng)
+            _, _, cost = _gicp_normal_equations(*args)
+            assert _gicp_cost(*args) == cost
+            assert gicp_cost_and_gradient(*args)[0] == cost
+
+    def test_translation_gradient_matches_finite_differences(self, rng):
+        """2 g[:3] is the exact translation gradient of the cost.
+
+        Gauss-Newton drops the derivative of M = (C_q + R C_s R^T)^-1 with
+        respect to the rotation, so g[3:] is not the rotation gradient and
+        only the translation block, on which M does not depend, is checked.
+        """
+        for _ in range(5):
+            src, dst, cov_a, cov_b, transform = noisy_pair(rng)
+            _, g, _ = _gicp_normal_equations(src, dst, cov_a, cov_b,
+                                             transform)
+            step = 1e-6
+            fd = np.zeros(3)
+            for j in range(3):
+                delta = np.zeros(6)
+                delta[j] = step
+                plus = _gicp_cost(src, dst, cov_a, cov_b,
+                                  se3_exp(delta) @ transform)
+                minus = _gicp_cost(src, dst, cov_a, cov_b,
+                                   se3_exp(-delta) @ transform)
+                fd[j] = (plus - minus) / (2.0 * step)
+            assert np.max(np.abs(2.0 * g[:3] - fd)) < \
+                1e-5 * max(1.0, np.max(np.abs(fd)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.scan_context import (ScanContextParams,
+from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
                                            descriptor_distance,
                                            make_scan_context, shift_to_yaw)
 
@@ -105,10 +105,7 @@ class TestDescriptorDistance:
         a = np.zeros((20, 60))
         b = np.zeros((20, 60))
         a[:, 0] = 1.0
-        from lidar_graph_slam.scan_context import ScanContext
-        sc_a = ScanContext(a, (a > 0).mean(axis=1), PARAMS)
-        sc_b = ScanContext(b, (b > 0).mean(axis=1), PARAMS)
-        dist, _ = descriptor_distance(sc_a, sc_b)
+        dist, _ = descriptor_distance(from_grid(a), from_grid(b))
         assert dist == 1.0
 
     def test_different_places_are_far(self, rng):
@@ -116,6 +113,64 @@ class TestDescriptorDistance:
         b = make_scan_context(bin_centered_cloud(rng), PARAMS)
         dist, _ = descriptor_distance(a, b)
         assert dist > 0.05
+
+
+def from_grid(grid):
+    return ScanContext(grid, (grid > 0).mean(axis=1), PARAMS)
+
+
+def loop_distance(query, candidate):
+    """Reference: roll the query through every shift, keep the first best."""
+    q, c = query.grid, candidate.grid
+    c_norms = np.linalg.norm(c, axis=0)
+    best = (np.inf, 0)
+    for shift in range(q.shape[1]):
+        rq = np.roll(q, shift, axis=1)
+        denom = np.linalg.norm(rq, axis=0) * c_norms
+        usable = denom > 0.0
+        if not usable.any():
+            dist = 1.0
+        else:
+            dots = (rq[:, usable] * c[:, usable]).sum(axis=0)
+            dist = float(np.mean(1.0 - dots / denom[usable]))
+        if dist < best[0]:
+            best = (dist, shift)
+    return best
+
+
+class TestDistanceAgainstLoop:
+    def test_random_grids_with_empty_columns(self, rng):
+        for _ in range(200):
+            grids = []
+            for _ in range(2):
+                g = rng.uniform(0.0, 4.0, size=(20, 60))
+                g *= rng.random((20, 60)) < rng.uniform(0.05, 1.0)
+                g[:, rng.random(60) < 0.3] = 0.0
+                grids.append(g)
+            a, b = from_grid(grids[0]), from_grid(grids[1])
+            dist, shift = descriptor_distance(a, b)
+            ref_dist, ref_shift = loop_distance(a, b)
+            assert shift == ref_shift
+            assert dist == pytest.approx(ref_dist, abs=1e-12)
+
+    def test_all_empty_grid_is_one_at_shift_zero(self, rng):
+        empty = from_grid(np.zeros((20, 60)))
+        full = from_grid(rng.uniform(0.5, 2.0, size=(20, 60)))
+        assert descriptor_distance(empty, full) == (1.0, 0)
+        assert descriptor_distance(full, empty) == (1.0, 0)
+        assert descriptor_distance(empty, empty) == (1.0, 0)
+
+    def test_exact_ties_keep_lowest_shift(self):
+        # one-hot columns repeating every 20 sectors: shifts 5, 25 and 45
+        # match exactly, with cosines of exactly 0 or 1
+        q = np.zeros((20, 60))
+        for col in range(0, 60, 20):
+            q[0, col] = 1.0
+            q[3, col + 7] = 2.0
+        c = np.roll(q, 5, axis=1)
+        dist, shift = descriptor_distance(from_grid(q), from_grid(c))
+        assert (dist, shift) == loop_distance(from_grid(q), from_grid(c))
+        assert (dist, shift) == (0.0, 5)
 
 
 class TestShiftToYaw:
