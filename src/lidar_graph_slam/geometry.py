@@ -59,12 +59,27 @@ class PointCloud:
 # ---------------------------------------------------------------------------
 
 def _hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    """Skew-symmetric matrix of a 3-vector; leading batch axes allowed."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def orthonormalize(r: np.ndarray) -> np.ndarray:
+    """Nearest rotation matrix by Frobenius norm (leading batch axes)."""
+    u, _, vt = np.linalg.svd(r)
+    out = u @ vt
+    flip = np.linalg.det(out) < 0
+    if np.any(flip):
+        u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
+        out = u @ vt
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,12 +134,7 @@ class Pose:
 
     def orthonormalized(self) -> "Pose":
         """Project the rotation back onto SO(3) (nearest by Frobenius norm)."""
-        u, _, vt = np.linalg.svd(self.rotation)
-        r = u @ vt
-        if np.linalg.det(r) < 0:
-            u[:, -1] = -u[:, -1]
-            r = u @ vt
-        return Pose(r, self.translation)
+        return Pose(orthonormalize(self.rotation), self.translation)
 
     def is_valid(self, tol: float = 1e-9) -> bool:
         r = self.rotation
@@ -136,118 +146,146 @@ class Pose:
 # ---------------------------------------------------------------------------
 # so(3) / se(3) exponential and logarithm
 # ---------------------------------------------------------------------------
+#
+# The helpers below take a leading batch axis: a (..., 3) rotation vector,
+# (..., 6) twist or (..., 3, 3) rotation gives (..., 3, 3), (..., 6, 6) or
+# (..., 3) results, and a single input keeps its unbatched shape.  Each
+# closed form is evaluated at a safe angle of 1 where its series branch
+# applies, so no division by zero is ever computed.
 
 _SMALL_ANGLE = 1e-10
 # Below this angle (1 - cos t) / t^2 loses more digits to cancellation than
 # the truncated series drops, so the left Jacobian switches to the series.
 _JACOBIAN_SERIES_ANGLE = 1e-4
+# so3_log refuses rotations within this margin of pi, where the axis of the
+# logarithm is not unique; the pose graph rejects loop edges in that band.
+SO3_LOG_PI_MARGIN = 1e-6
+
+
+def _angle(omega: np.ndarray):
+    """(..., 1, 1) rotation angle of ``omega`` for broadcasting."""
+    return np.linalg.norm(omega, axis=-1)[..., None, None]
 
 
 def so3_exp(omega: np.ndarray) -> np.ndarray:
     """Rodrigues formula: rotation matrix for a rotation vector."""
     omega = np.asarray(omega, dtype=np.float64)
-    theta = np.linalg.norm(omega)
+    theta = _angle(omega)
+    small = theta < _SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(t) / t)
+    b = np.where(small, 0.5, (1.0 - np.cos(t)) / t**2)
     w = _hat(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + w + 0.5 * (w @ w)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
     return np.eye(3) + a * w + b * (w @ w)
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of a rotation matrix (principal branch, angle < pi)."""
-    c = (np.trace(r) - 1.0) / 2.0
+    """Rotation vector of a rotation matrix (principal branch, angle < pi).
+
+    Raises ValueError if any angle is within ``SO3_LOG_PI_MARGIN`` of pi.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
     theta = np.arccos(np.clip(c, -1.0, 1.0))
-    if theta < _SMALL_ANGLE:
-        return np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]) / 2.0
-    if theta > np.pi - 1e-6:
+    if np.any(theta > np.pi - SO3_LOG_PI_MARGIN):
         raise ValueError("rotation angle at or near pi: log branch is ambiguous")
-    axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return theta / (2.0 * np.sin(theta)) * axis
+    axis = np.stack([r[..., 2, 1] - r[..., 1, 2], r[..., 0, 2] - r[..., 2, 0],
+                     r[..., 1, 0] - r[..., 0, 1]], axis=-1)
+    small = theta < _SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    scale = np.where(small, 0.5, t / (2.0 * np.sin(t)))
+    return scale[..., None] * axis
 
 
 def _so3_left_jacobian(omega: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(omega)
+    theta = _angle(omega)
+    series = theta < _JACOBIAN_SERIES_ANGLE
+    t = np.where(series, 1.0, theta)
+    a = np.where(series, 0.5, (1.0 - np.cos(t)) / t**2)
+    b = np.where(series, 1.0 / 6.0, (t - np.sin(t)) / t**3)
     w = _hat(omega)
-    if theta < _JACOBIAN_SERIES_ANGLE:
-        return np.eye(3) + 0.5 * w + (w @ w) / 6.0
-    a = (1.0 - np.cos(theta)) / theta**2
-    b = (theta - np.sin(theta)) / theta**3
     return np.eye(3) + a * w + b * (w @ w)
 
 
 def _so3_left_jacobian_inv(omega: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(omega)
+    theta = _angle(omega)
+    small = theta < _SMALL_ANGLE
+    t = np.where(small, 1.0, theta)
+    half = t / 2.0
+    b = np.where(small, 1.0 / 12.0, (1.0 - half / np.tan(half)) / t**2)
     w = _hat(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) - 0.5 * w + (w @ w) / 12.0
-    half = theta / 2.0
-    cot = half / np.tan(half)
-    return np.eye(3) - 0.5 * w + (1.0 - cot) / theta**2 * (w @ w)
+    return np.eye(3) - 0.5 * w + b * (w @ w)
+
+
+def _se3_exp_rt(twist: np.ndarray):
+    """:func:`se3_exp` as (rotation, translation) arrays."""
+    twist = np.asarray(twist, dtype=np.float64)
+    rho, omega = twist[..., :3], twist[..., 3:]
+    return (so3_exp(omega),
+            (_so3_left_jacobian(omega) @ rho[..., None])[..., 0])
+
+
+def _se3_log_rt(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """:func:`se3_log` of (rotation, translation) arrays."""
+    omega = so3_log(rotation)
+    rho = _so3_left_jacobian_inv(omega) @ np.asarray(translation)[..., None]
+    return np.concatenate([rho[..., 0], omega], axis=-1)
 
 
 def se3_exp(twist: np.ndarray) -> Pose:
     """Exponential map.  ``twist = (rho, omega)``: translation part first."""
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, omega = twist[:3], twist[3:]
-    r = so3_exp(omega)
-    t = _so3_left_jacobian(omega) @ rho
-    return Pose(r, t)
+    return Pose(*_se3_exp_rt(np.asarray(twist, dtype=np.float64).reshape(6)))
 
 
 def se3_log(pose: Pose) -> np.ndarray:
     """Logarithm map, inverse of :func:`se3_exp`.  Angle must be below pi."""
-    omega = so3_log(pose.rotation)
-    rho = _so3_left_jacobian_inv(omega) @ pose.translation
-    return np.concatenate([rho, omega])
+    return _se3_log_rt(pose.rotation, pose.translation)
 
 
 def _se3_q_matrix(rho: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Top-right block of the SE(3) left Jacobian (closed form)."""
-    theta = np.linalg.norm(omega)
+    theta = _angle(omega)
     rx = _hat(rho)
     wx = _hat(omega)
     wx2 = wx @ wx
-    m2 = wx @ rx + rx @ wx + wx @ rx @ wx
-    m3 = wx2 @ rx + rx @ wx2 - 3.0 * wx @ rx @ wx
-    m4 = wx @ rx @ wx2 + wx2 @ rx @ wx
-    if theta < 1e-4:
-        c2 = 1.0 / 6.0 - theta**2 / 120.0
-        c3 = 1.0 / 24.0 - theta**2 / 720.0
-        c4 = 1.0 / 120.0
-    else:
-        s, c = np.sin(theta), np.cos(theta)
-        c2 = (theta - s) / theta**3
-        c3 = (theta**2 / 2.0 + c - 1.0) / theta**4
-        c4 = 0.5 * (c3 + 3.0 * (theta - s - theta**3 / 6.0) / theta**5)
+    wrw = wx @ rx @ wx
+    m2 = wx @ rx + rx @ wx + wrw
+    m3 = wx2 @ rx + rx @ wx2 - 3.0 * wrw
+    m4 = wrw @ wx + wx @ wrw
+    series = theta < _JACOBIAN_SERIES_ANGLE
+    t = np.where(series, 1.0, theta)
+    s, c = np.sin(t), np.cos(t)
+    c3 = (t**2 / 2.0 + c - 1.0) / t**4
+    c2 = np.where(series, 1.0 / 6.0 - theta**2 / 120.0, (t - s) / t**3)
+    c4 = np.where(series, 1.0 / 120.0,
+                  0.5 * (c3 + 3.0 * (t - s - t**3 / 6.0) / t**5))
+    c3 = np.where(series, 1.0 / 24.0 - theta**2 / 720.0, c3)
     return 0.5 * rx + c2 * m2 + c3 * m3 + c4 * m4
+
+
+def _se3_jacobian(rot: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """6x6 matrices [[rot, q], [0, rot]] (translation block first)."""
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    out[..., :3, :3] = rot
+    out[..., 3:, 3:] = rot
+    out[..., :3, 3:] = q
+    return out
 
 
 def se3_left_jacobian(twist: np.ndarray) -> np.ndarray:
     """Left Jacobian of SE(3) at ``twist`` (6x6, translation block first)."""
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, omega = twist[:3], twist[3:]
-    jl = _so3_left_jacobian(omega)
-    q = _se3_q_matrix(rho, omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jl
-    out[3:, 3:] = jl
-    out[:3, 3:] = q
-    return out
+    twist = np.asarray(twist, dtype=np.float64)
+    rho, omega = twist[..., :3], twist[..., 3:]
+    return _se3_jacobian(_so3_left_jacobian(omega), _se3_q_matrix(rho, omega))
 
 
 def se3_left_jacobian_inv(twist: np.ndarray) -> np.ndarray:
     """Inverse of the SE(3) left Jacobian at ``twist``."""
-    twist = np.asarray(twist, dtype=np.float64).reshape(6)
-    rho, omega = twist[:3], twist[3:]
+    twist = np.asarray(twist, dtype=np.float64)
+    rho, omega = twist[..., :3], twist[..., 3:]
     jli = _so3_left_jacobian_inv(omega)
     q = _se3_q_matrix(rho, omega)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jli
-    out[3:, 3:] = jli
-    out[:3, 3:] = -jli @ q @ jli
-    return out
+    return _se3_jacobian(jli, -jli @ q @ jli)
 
 
 def se3_right_jacobian_inv(twist: np.ndarray) -> np.ndarray:
@@ -255,13 +293,11 @@ def se3_right_jacobian_inv(twist: np.ndarray) -> np.ndarray:
     return se3_left_jacobian_inv(-np.asarray(twist, dtype=np.float64))
 
 
-def se3_adjoint(pose: Pose) -> np.ndarray:
-    """Adjoint matrix mapping twists between frames (translation block first)."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = pose.rotation
-    out[3:, 3:] = pose.rotation
-    out[:3, 3:] = _hat(pose.translation) @ pose.rotation
-    return out
+def se3_adjoint(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """Adjoint of the transform (rotation, translation), mapping twists
+    between frames (translation block first)."""
+    rotation = np.asarray(rotation, dtype=np.float64)
+    return _se3_jacobian(rotation, _hat(translation) @ rotation)
 
 
 # ---------------------------------------------------------------------------

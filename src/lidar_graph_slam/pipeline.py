@@ -138,14 +138,17 @@ class SlamPipeline:
         self.keyframes.append(kf)
         if floor_coeffs is not None and floor_coeffs.valid:
             self.graph.add_floor(node_id, floor_coeffs)
-        loop = None
+        loop_added = False
         if len(self.keyframes) > 1:
             loop = self.loop_detector.detect(kf, self.keyframes)
-        if loop is not None:
-            self.graph.add_loop(loop, default_information("LOOP", loop.fitness))
+            # the graph refuses duplicates and half-turn errors it cannot
+            # optimize; only an edge it took counts and forces a re-solve
+            loop_added = loop is not None and self.graph.add_loop(
+                loop, default_information("LOOP", loop.fitness)) is not None
+        if loop_added:
             self.loop_count += 1
         self._kf_since_opt += 1
-        if loop is not None or self._kf_since_opt >= \
+        if loop_added or self._kf_since_opt >= \
                 self.cfg.optimize_every_n_keyframes:
             self._optimize_and_sync()
             self._kf_since_opt = 0

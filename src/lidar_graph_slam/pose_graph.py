@@ -5,20 +5,34 @@ The floor constraints share one global plane node.  The solver works on
 se(3) increments (right multiplication) with analytic Jacobians, sparse
 normal equations, adaptive damping, and optional Huber weighting on loop
 edges.  The first keyframe node is held fixed to pin the gauge.
+
+Each ``optimize`` call stacks node states and edge measurements into arrays
+once (:class:`_EdgeBatch`), together with the sparse position of every
+Hessian block.  Each LM iteration then evaluates the residuals and
+Jacobians of all edges in a fixed number of numpy operations and scatters
+the per-edge blocks into the sparse Hessian through those positions; a
+trial step is judged by the cost alone.  Optimized poses are written back
+to the nodes when the call returns.
+
+The logarithm of a half turn has no unique axis, so a loop edge whose error
+rotation lies within ``SO3_LOG_PI_MARGIN`` of pi is rejected when it is
+added; a node moved into that band later makes ``optimize`` raise
+``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Union
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, identity
 from scipy.sparse.linalg import splu
 
 from .floor import FloorCoefficients
-from .geometry import (Pose, se3_adjoint, se3_exp, se3_log,
-                       se3_right_jacobian_inv, _hat)
+from .geometry import (SO3_LOG_PI_MARGIN, Pose, _hat, _se3_exp_rt,
+                       _se3_log_rt, orthonormalize, se3_adjoint,
+                       se3_right_jacobian_inv)
 from .loop_closure import LoopCandidate
 from .tracker import Keyframe
 
@@ -72,29 +86,29 @@ class DisconnectedGraphError(RuntimeError):
 
 
 def _plane_tangent_basis(normal: np.ndarray) -> np.ndarray:
-    """3x2 orthonormal basis of the plane orthogonal to ``normal``."""
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(normal[0]) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
+    """(..., 3, 2) orthonormal bases of the planes orthogonal to ``normal``."""
+    normal = np.asarray(normal, dtype=np.float64)
+    ref = np.where(np.abs(normal[..., :1]) > 0.9,
+                   [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
     b1 = np.cross(normal, ref)
-    b1 /= np.linalg.norm(b1)
+    b1 /= np.linalg.norm(b1, axis=-1, keepdims=True)
     b2 = np.cross(normal, b1)
-    return np.column_stack([b1, b2])
+    return np.stack([b1, b2], axis=-1)
 
 
 def default_information(kind: str, fitness: Optional[float] = None) -> np.ndarray:
     """Edge information matrices (inverse covariances).
 
     Odometry: diag(100 m^-2, 400 rad^-2) blocks.  Loop edges are scaled by
-    1/fitness (capped at 4x) so cleaner matches constrain harder.  Floor:
-    diag(100, 100, 25) over (2 normal angles, offset).
+    1/fitness, capped at 4x (reached at fitness 0.25 and below, a perfect
+    match of 0 included), so cleaner matches constrain harder; without a
+    fitness the scale is 1.  Floor: diag(100, 100, 25) over (2 normal
+    angles, offset).
     """
     if kind == EDGE_ODOMETRY:
         return np.diag([100.0, 100.0, 100.0, 400.0, 400.0, 400.0])
     if kind == EDGE_LOOP:
-        scale = 1.0
-        if fitness is not None and fitness > 0:
-            scale = min(1.0 / fitness, 4.0)
+        scale = 1.0 if fitness is None else 1.0 / max(fitness, 0.25)
         return scale * np.diag([100.0, 100.0, 100.0, 400.0, 400.0, 400.0])
     if kind == EDGE_FLOOR:
         return np.diag([100.0, 100.0, 25.0])
@@ -123,31 +137,30 @@ class PoseGraph:
         node_id = self._next_node_id
         self._next_node_id += 1
         first = not self._keyframe_node_ids
-        if first:
-            pose = kf.pose
-        else:
-            prev = self.nodes[self._keyframe_node_ids[-1]]
-            rel = odometry_rel if odometry_rel is not None else (
-                prev.pose.inverse() @ kf.pose)
-            pose = prev.pose @ rel
-        node = GraphNode(node_id, NODE_KEYFRAME, pose=pose, fixed=first)
-        self.nodes[node_id] = node
+        pose = kf.pose
         if not first:
             prev_id = self._keyframe_node_ids[-1]
+            prev = self.nodes[prev_id].pose
             rel = odometry_rel if odometry_rel is not None else (
-                self.nodes[prev_id].pose.inverse() @ kf.pose)
+                prev.inverse() @ kf.pose)
+            pose = prev @ rel
             info = information if information is not None else \
                 default_information(EDGE_ODOMETRY)
             self.edges.append(GraphEdge(self._next_edge_id, EDGE_ODOMETRY,
                                         prev_id, node_id, rel, info))
             self._next_edge_id += 1
+        self.nodes[node_id] = GraphNode(node_id, NODE_KEYFRAME, pose=pose,
+                                        fixed=first)
         self._keyframe_node_ids.append(node_id)
         return node_id
 
     def add_loop(self, loop: LoopCandidate,
                  information: Optional[np.ndarray] = None) -> Optional[int]:
         """Add a loop edge: measurement maps the query frame into the
-        candidate frame.  Duplicates and self-loops are rejected."""
+        candidate frame.  Returns the edge id, or None for a rejected edge:
+        a duplicate, a self-loop, or one whose error rotation at the current
+        estimate lies within ``SO3_LOG_PI_MARGIN`` of pi, where the
+        logarithm the solver needs is ambiguous."""
         if loop.verified_transform is None:
             raise ValueError("loop candidate is not verified")
         if loop.query_index == loop.candidate_index:
@@ -160,6 +173,10 @@ class PoseGraph:
             to_id = self._keyframe_node_ids[loop.query_index]
         except IndexError:
             raise ValueError("loop references unknown keyframe index")
+        err = (loop.verified_transform.inverse()
+               @ self.nodes[from_id].pose.inverse() @ self.nodes[to_id].pose)
+        if err.rotation_angle() > np.pi - SO3_LOG_PI_MARGIN:
+            return None
         info = information if information is not None else \
             default_information(EDGE_LOOP, loop.fitness)
         edge = GraphEdge(self._next_edge_id, EDGE_LOOP, from_id, to_id,
@@ -213,66 +230,10 @@ class PoseGraph:
     def keyframe_poses(self) -> List[Pose]:
         return [self.nodes[i].pose for i in self._keyframe_node_ids]
 
-    # -- residuals and Jacobians -------------------------------------------
-
-    def _pose_edge_terms(self, edge: GraphEdge):
-        xi = self.nodes[edge.from_id].pose
-        xj = self.nodes[edge.to_id].pose
-        m: Pose = edge.measurement
-        err_pose = m.inverse() @ xi.inverse() @ xj
-        r = se3_log(err_pose)
-        jr_inv = se3_right_jacobian_inv(r)
-        jj = jr_inv
-        ji = -jr_inv @ se3_adjoint(xj.inverse() @ xi)
-        return r, ji, jj
-
-    def _floor_edge_terms(self, edge: GraphEdge):
-        node = self.nodes[edge.from_id]
-        plane_node = self.nodes[edge.to_id]
-        r_mat, t = node.pose.rotation, node.pose.translation
-        n_w = plane_node.plane[:3]
-        d_w = plane_node.plane[3]
-        meas: FloorCoefficients = edge.measurement
-        n_m = meas.normal / np.linalg.norm(meas.normal)
-        d_m = meas.d
-        n_s = r_mat.T @ n_w
-        d_s = n_w @ t + d_w
-        b_m = _plane_tangent_basis(n_m)
-        resid = np.empty(3)
-        resid[:2] = b_m.T @ (n_s - n_m)
-        resid[2] = d_s - d_m
-        # pose perturbation (right): rho, phi
-        j_pose = np.zeros((3, 6))
-        j_pose[:2, 3:] = b_m.T @ _hat(n_s)
-        j_pose[2, :3] = n_s
-        # plane perturbation: 2 tangent + offset
-        b_w = _plane_tangent_basis(n_w)
-        j_plane = np.zeros((3, 3))
-        j_plane[:2, :2] = b_m.T @ (r_mat.T @ b_w)
-        j_plane[2, :2] = t @ b_w
-        j_plane[2, 2] = 1.0
-        return resid, j_pose, j_plane
-
-    @staticmethod
-    def _huber_weight(chi2: float, delta: float) -> Tuple[float, float]:
-        """Returns (robust chi2, IRLS weight) for squared error chi2."""
-        if chi2 <= delta * delta:
-            return chi2, 1.0
-        s = np.sqrt(chi2)
-        return 2.0 * delta * s - delta * delta, delta / s
-
     def chi2(self) -> float:
-        total = 0.0
-        for edge in self.edges:
-            if edge.kind in (EDGE_ODOMETRY, EDGE_LOOP):
-                r, _, _ = self._pose_edge_terms(edge)
-            else:
-                r, _, _ = self._floor_edge_terms(edge)
-            c = float(r @ edge.information @ r)
-            if edge.robust_kernel == KERNEL_HUBER:
-                c, _ = self._huber_weight(c, edge.kernel_scale)
-            total += c
-        return total
+        """Total robust chi2 of all edges at the current node states."""
+        batch = _EdgeBatch(self, self._state_index()[0])
+        return batch.cost(batch.initial)
 
     # -- optimization -------------------------------------------------------
 
@@ -309,66 +270,6 @@ class PoseGraph:
         if missing:
             raise DisconnectedGraphError(missing)
 
-    def _apply_update(self, index, delta):
-        for node_id, (off, dof) in index.items():
-            node = self.nodes[node_id]
-            if node.kind == NODE_KEYFRAME:
-                inc = delta[off:off + 6]
-                node.pose = (node.pose @ se3_exp(inc)).orthonormalized()
-            else:
-                inc = delta[off:off + 3]
-                n = node.plane[:3]
-                b = _plane_tangent_basis(n)
-                n_new = n + b @ inc[:2]
-                n_new /= np.linalg.norm(n_new)
-                node.plane = np.concatenate([n_new, [node.plane[3] + inc[2]]])
-
-    def _snapshot(self, index):
-        return {nid: (self.nodes[nid].pose if self.nodes[nid].kind == NODE_KEYFRAME
-                      else self.nodes[nid].plane.copy())
-                for nid in index}
-
-    def _restore(self, snapshot):
-        for nid, state in snapshot.items():
-            node = self.nodes[nid]
-            if node.kind == NODE_KEYFRAME:
-                node.pose = state
-            else:
-                node.plane = state
-
-    def _build_normal_equations(self, index, dim):
-        rows, cols, vals = [], [], []
-        rhs = np.zeros(dim)
-        chi2 = 0.0
-        for edge in self.edges:
-            if edge.kind in (EDGE_ODOMETRY, EDGE_LOOP):
-                r, ji, jj = self._pose_edge_terms(edge)
-            else:
-                r, ji, jj = self._floor_edge_terms(edge)
-            omega = edge.information
-            c = float(r @ omega @ r)
-            w = 1.0
-            if edge.robust_kernel == KERNEL_HUBER:
-                c, w = self._huber_weight(c, edge.kernel_scale)
-            chi2 += c
-            omega_w = w * omega
-            blocks = []
-            if edge.from_id in index:
-                blocks.append((index[edge.from_id][0], ji))
-            if edge.to_id in index:
-                blocks.append((index[edge.to_id][0], jj))
-            for off_a, ja in blocks:
-                rhs[off_a:off_a + ja.shape[1]] -= ja.T @ omega_w @ r
-                for off_b, jb in blocks:
-                    h = ja.T @ omega_w @ jb
-                    for a in range(h.shape[0]):
-                        for b in range(h.shape[1]):
-                            rows.append(off_a + a)
-                            cols.append(off_b + b)
-                            vals.append(h[a, b])
-        hmat = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsc()
-        return hmat, rhs, chi2
-
     def optimize(self, max_iterations: int = 20,
                  chi2_rel_tol: float = 1e-6,
                  update_tol: float = 1e-8) -> OptimizationReport:
@@ -377,12 +278,15 @@ class PoseGraph:
             raise ValueError("cannot optimize an empty graph")
         self._check_connectivity()
         index, dim = self._state_index()
+        batch = _EdgeBatch(self, index)
+        state = batch.initial
         if dim == 0 or not self.edges:
-            c = self.chi2() if self.edges else 0.0
+            c = batch.cost(state)
             return OptimizationReport(c, c, 0, True, [c])
 
+        eye = identity(dim, format="csc")
         lam = 1e-6
-        hmat, rhs, chi2 = self._build_normal_equations(index, dim)
+        hmat, rhs, chi2 = batch.normal_equations(state)
         initial_chi2 = chi2
         trace = [chi2]
         converged = False
@@ -390,25 +294,22 @@ class PoseGraph:
         for iterations in range(1, max_iterations + 1):
             stepped = False
             for _ in range(10):
-                damped = (hmat + lam * _sparse_identity(dim)).tocsc()
                 try:
-                    delta = splu(damped).solve(rhs)
+                    delta = splu((hmat + lam * eye).tocsc()).solve(rhs)
                 except RuntimeError as exc:
                     raise DisconnectedGraphError(list(index)) from exc
-                snapshot = self._snapshot(index)
-                self._apply_update(index, delta)
-                new_chi2 = self.chi2()
-                if new_chi2 <= chi2:
+                trial = batch.step(state, delta)
+                if batch.cost(trial) <= chi2:
+                    state = trial
                     lam = max(lam / 10.0, 1e-12)
                     stepped = True
                     break
-                self._restore(snapshot)
                 lam *= 10.0
             if not stepped:
                 converged = True
                 break
             prev = chi2
-            hmat, rhs, chi2 = self._build_normal_equations(index, dim)
+            hmat, rhs, chi2 = batch.normal_equations(state)
             trace.append(chi2)
             if np.linalg.norm(delta) < update_tol:
                 converged = True
@@ -416,6 +317,7 @@ class PoseGraph:
             if prev > 0 and (prev - chi2) / prev < chi2_rel_tol:
                 converged = True
                 break
+        batch.write_back(self, state)
         return OptimizationReport(initial_chi2, chi2, iterations,
                                   converged, trace)
 
@@ -450,6 +352,228 @@ class PoseGraph:
             f.write("\n".join(lines) + "\n")
 
 
-def _sparse_identity(dim):
-    from scipy.sparse import identity
-    return identity(dim, format="csc")
+class _State(NamedTuple):
+    """Node states of one optimize call, rows in sorted node-id order."""
+
+    rot: np.ndarray      # (K, 3, 3) keyframe rotations
+    trans: np.ndarray    # (K, 3) keyframe translations
+    planes: np.ndarray   # (P, 4) floor planes (a, b, c, d)
+
+
+class _EdgeWeights(NamedTuple):
+    """Information and robust kernel of each edge of one kind."""
+
+    info: np.ndarray     # (N, d, d) information matrices
+    huber: np.ndarray    # (N,) Huber kernel flags
+    delta: np.ndarray    # (N,) Huber thresholds on the error norm
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _edge_weights(edges: Sequence[GraphEdge], d: int) -> _EdgeWeights:
+    return _EdgeWeights(
+        np.array([e.information for e in edges], dtype=np.float64)
+        .reshape(-1, d, d),
+        np.array([e.robust_kernel == KERNEL_HUBER for e in edges], dtype=bool),
+        np.array([e.kernel_scale for e in edges], dtype=np.float64))
+
+
+def _columns(*blocks) -> np.ndarray:
+    """(N, sum of dofs) state index of each Jacobian column of N edges, given
+    (node offsets, dof) per endpoint; -1 marks the columns of a fixed node."""
+    cols = [np.where(off[:, None] >= 0, off[:, None] + np.arange(dof), -1)
+            for off, dof in blocks]
+    return np.concatenate(cols, axis=1)
+
+
+def _sq_errors(r: np.ndarray, info: np.ndarray):
+    """Per-edge r^T info r and info r (as (N, d, 1))."""
+    info_r = info @ r[..., None]
+    return (r[:, None, :] @ info_r)[:, 0, 0], info_r
+
+
+def _robust(c: np.ndarray, w: _EdgeWeights):
+    """Per-edge (robust chi2, IRLS weight) for squared errors ``c``."""
+    outside = w.huber & (c > w.delta * w.delta)
+    s = np.sqrt(np.where(outside, c, 1.0))
+    return (np.where(outside, 2.0 * w.delta * s - w.delta * w.delta, c),
+            np.where(outside, w.delta / s, 1.0))
+
+
+def _weighted_blocks(r: np.ndarray, j: np.ndarray, w: _EdgeWeights):
+    """Robust costs, J^T W J blocks and -J^T W r gradients of stacked edges."""
+    c, info_r = _sq_errors(r, w.info)
+    cost, weight = _robust(c, w)
+    jt = _swap(j)
+    h = weight[:, None, None] * (jt @ w.info @ j)
+    g = -weight[:, None] * (jt @ info_r)[..., 0]
+    return cost, h, g
+
+
+class _EdgeBatch:
+    """A pose graph's nodes and edges stacked into arrays for one optimize.
+
+    Pose edges (odometry and loop) and floor edges each keep their order in
+    ``graph.edges``.  A pose edge's Jacobian columns are (from node, to node),
+    a floor edge's (keyframe, plane).  ``index`` is the free-node layout of
+    ``PoseGraph._state_index``; the COO position of every Hessian entry and
+    gradient entry that touches a free node is computed here once.
+    """
+
+    def __init__(self, graph: PoseGraph, index):
+        nodes = graph.nodes
+        self.kf_ids = [i for i in sorted(nodes)
+                       if nodes[i].kind == NODE_KEYFRAME]
+        self.plane_ids = [i for i in sorted(nodes)
+                          if nodes[i].kind == NODE_FLOOR_PLANE]
+        row = {nid: k for k, nid in enumerate(self.kf_ids)}
+        row.update({nid: p for p, nid in enumerate(self.plane_ids)})
+        self.initial = _State(
+            np.array([nodes[i].pose.rotation for i in self.kf_ids])
+            .reshape(-1, 3, 3),
+            np.array([nodes[i].pose.translation for i in self.kf_ids])
+            .reshape(-1, 3),
+            np.array([nodes[i].plane for i in self.plane_ids],
+                     dtype=np.float64).reshape(-1, 4))
+        kf_off = np.array([index[i][0] if i in index else -1
+                           for i in self.kf_ids], dtype=np.intp)
+        plane_off = np.array([index[i][0] if i in index else -1
+                              for i in self.plane_ids], dtype=np.intp)
+        self.kf_free = np.flatnonzero(kf_off >= 0)
+        self.kf_cols = kf_off[self.kf_free, None] + np.arange(6)
+        self.plane_free = np.flatnonzero(plane_off >= 0)
+        self.plane_cols = plane_off[self.plane_free, None] + np.arange(3)
+
+        pose = [e for e in graph.edges if e.kind in (EDGE_ODOMETRY, EDGE_LOOP)]
+        self.pose_i = np.array([row[e.from_id] for e in pose], dtype=np.intp)
+        self.pose_j = np.array([row[e.to_id] for e in pose], dtype=np.intp)
+        self.meas_rot_t = _swap(np.array(
+            [e.measurement.rotation for e in pose]).reshape(-1, 3, 3))
+        self.meas_trans = np.array(
+            [e.measurement.translation for e in pose]).reshape(-1, 3)
+        self.pose_weights = _edge_weights(pose, 6)
+
+        floor = [e for e in graph.edges if e.kind == EDGE_FLOOR]
+        self.floor_k = np.array([row[e.from_id] for e in floor], dtype=np.intp)
+        self.floor_p = np.array([row[e.to_id] for e in floor], dtype=np.intp)
+        normals = np.array([e.measurement.normal for e in floor]) \
+            .reshape(-1, 3)
+        self.floor_normal = normals / np.linalg.norm(normals, axis=-1,
+                                                     keepdims=True)
+        self.floor_d = np.array([e.measurement.d for e in floor],
+                                dtype=np.float64)
+        self.floor_basis_t = _swap(_plane_tangent_basis(self.floor_normal))
+        self.floor_weights = _edge_weights(floor, 3)
+
+        # Hessian and gradient entries are taken, in this order, from the
+        # flattened pose-edge blocks followed by the flattened floor blocks.
+        cols = [_columns((kf_off[self.pose_i], 6), (kf_off[self.pose_j], 6)),
+                _columns((kf_off[self.floor_k], 6),
+                         (plane_off[self.floor_p], 3))]
+        blocks = [c.shape + c.shape[1:] for c in cols]
+        h_rows = np.concatenate([np.broadcast_to(c[:, :, None], b).ravel()
+                                 for c, b in zip(cols, blocks)])
+        h_cols = np.concatenate([np.broadcast_to(c[:, None, :], b).ravel()
+                                 for c, b in zip(cols, blocks)])
+        self.h_take = np.flatnonzero((h_rows >= 0) & (h_cols >= 0))
+        self.h_rows, self.h_cols = h_rows[self.h_take], h_cols[self.h_take]
+        g_rows = np.concatenate([c.ravel() for c in cols])
+        self.g_take = np.flatnonzero(g_rows >= 0)
+        self.g_rows = g_rows[self.g_take]
+        self.dim = sum(dof for _, dof in index.values())
+
+    def pose_terms(self, s: _State, jacobians: bool):
+        """Residuals (E, 6) of the pose edges and, if asked, their
+        Jacobians (E, 6, 12) with respect to both endpoints."""
+        ri, ti = s.rot[self.pose_i], s.trans[self.pose_i]
+        rj, tj = s.rot[self.pose_j], s.trans[self.pose_j]
+        ri_t = _swap(ri)
+        # error pose m^-1 xi^-1 xj
+        err_rot = self.meas_rot_t @ ri_t @ rj
+        err_t = self.meas_rot_t @ (ri_t @ (tj - ti)[..., None]
+                                   - self.meas_trans[..., None])
+        r = _se3_log_rt(err_rot, err_t[..., 0])
+        if not jacobians:
+            return r, None
+        jr_inv = se3_right_jacobian_inv(r)
+        rj_t = _swap(rj)
+        # d r / d xi = -Jr^-1 Ad(xj^-1 xi);  d r / d xj = Jr^-1
+        ji = -jr_inv @ se3_adjoint(rj_t @ ri,
+                                   (rj_t @ (ti - tj)[..., None])[..., 0])
+        return r, np.concatenate([ji, jr_inv], axis=-1)
+
+    def floor_terms(self, s: _State, jacobians: bool):
+        """Residuals (F, 3) of the floor edges, (2 tangent components of the
+        normal error, offset error) and, if asked, their Jacobians (F, 3, 9)
+        with respect to (keyframe rho, phi; plane tangent, offset)."""
+        rk_t = _swap(s.rot[self.floor_k])
+        tk = s.trans[self.floor_k]
+        plane = s.planes[self.floor_p]
+        n_w = plane[:, :3]
+        n_s = (rk_t @ n_w[..., None])[..., 0]
+        d_s = np.sum(n_w * tk, axis=-1) + plane[:, 3]
+        bt = self.floor_basis_t
+        r = np.concatenate(
+            [(bt @ (n_s - self.floor_normal)[..., None])[..., 0],
+             (d_s - self.floor_d)[:, None]], axis=-1)
+        if not jacobians:
+            return r, None
+        b_w = _plane_tangent_basis(n_w)
+        j = np.zeros((len(r), 3, 9))
+        j[:, :2, 3:6] = bt @ _hat(n_s)
+        j[:, 2, :3] = n_s
+        j[:, :2, 6:8] = bt @ (rk_t @ b_w)
+        j[:, 2, 6:8] = (tk[:, None, :] @ b_w)[:, 0]
+        j[:, 2, 8] = 1.0
+        return r, j
+
+    def cost(self, s: _State) -> float:
+        """Total robust chi2 of all edges."""
+        total = 0.0
+        for (r, _), w in ((self.pose_terms(s, False), self.pose_weights),
+                          (self.floor_terms(s, False), self.floor_weights)):
+            total += _robust(_sq_errors(r, w.info)[0], w)[0].sum()
+        return float(total)
+
+    def normal_equations(self, s: _State):
+        """Sparse Gauss-Newton Hessian (CSC), right-hand side -J^T W r and
+        total robust chi2 over the free nodes."""
+        cp, hp, gp = _weighted_blocks(*self.pose_terms(s, True),
+                                      self.pose_weights)
+        cf, hf, gf = _weighted_blocks(*self.floor_terms(s, True),
+                                      self.floor_weights)
+        vals = np.concatenate([hp.ravel(), hf.ravel()])[self.h_take]
+        hmat = coo_matrix((vals, (self.h_rows, self.h_cols)),
+                          shape=(self.dim, self.dim)).tocsc()
+        rhs = np.zeros(self.dim)
+        np.add.at(rhs, self.g_rows,
+                  np.concatenate([gp.ravel(), gf.ravel()])[self.g_take])
+        return hmat, rhs, float(cp.sum() + cf.sum())
+
+    def step(self, s: _State, delta: np.ndarray) -> _State:
+        """State after the increment ``delta``: x exp(inc) for keyframes,
+        re-orthonormalized; a tangent step on the unit normal for planes."""
+        rot, trans, planes = s.rot.copy(), s.trans.copy(), s.planes.copy()
+        k = self.kf_free
+        d_rot, d_trans = _se3_exp_rt(delta[self.kf_cols])
+        trans[k] += (rot[k] @ d_trans[..., None])[..., 0]
+        rot[k] = orthonormalize(rot[k] @ d_rot)
+        p = self.plane_free
+        inc = delta[self.plane_cols]
+        n = planes[p, :3]
+        n_new = n + (_plane_tangent_basis(n) @ inc[:, :2, None])[..., 0]
+        planes[p, :3] = n_new / np.linalg.norm(n_new, axis=-1, keepdims=True)
+        planes[p, 3] += inc[:, 2]
+        return _State(rot, trans, planes)
+
+    def write_back(self, graph: PoseGraph, s: _State):
+        """Store the free nodes' states in ``graph``; fixed nodes keep
+        theirs untouched."""
+        for k in self.kf_free:
+            graph.nodes[self.kf_ids[k]].pose = Pose(s.rot[k].copy(),
+                                                    s.trans[k].copy())
+        for p in self.plane_free:
+            graph.nodes[self.plane_ids[p]].plane = s.planes[p].copy()

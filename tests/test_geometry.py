@@ -6,9 +6,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
-                                       estimate_normals, se3_adjoint, se3_exp,
+                                       _se3_exp_rt, _se3_log_rt,
+                                       _so3_left_jacobian,
+                                       _so3_left_jacobian_inv, _se3_q_matrix,
+                                       estimate_normals, orthonormalize,
+                                       se3_adjoint, se3_exp,
                                        se3_left_jacobian,
-                                       se3_left_jacobian_inv, se3_log,
+                                       se3_left_jacobian_inv,
+                                       se3_right_jacobian_inv, se3_log,
                                        so3_exp, so3_log)
 
 from conftest import random_pose
@@ -140,9 +145,70 @@ class TestSe3:
         # exp(Ad_T x) = T exp(x) T^-1
         pose = random_pose(rng, 3.0, 1.0)
         twist = rng.normal(scale=0.3, size=6)
-        lhs = se3_exp(se3_adjoint(pose) @ twist).matrix()
+        lhs = se3_exp(se3_adjoint(pose.rotation, pose.translation)
+                      @ twist).matrix()
         rhs = (pose @ se3_exp(twist) @ pose.inverse()).matrix()
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+class TestBatchedHelpers:
+    """Each SE(3) helper on a stack equals the helper called row by row."""
+
+    @staticmethod
+    def twists(rng):
+        # rotation angles on every branch: exactly 0, below the 1e-10 small
+        # angle, below the 1e-4 series switch, and the closed forms up to
+        # just short of pi
+        angles = [0.0, 1e-12, 1e-7, 1e-3, 0.5, 2.0, np.pi - 1e-3]
+        out = []
+        for angle in angles:
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            out.append(np.concatenate([rng.normal(scale=2.0, size=3),
+                                       angle * axis]))
+        return np.array(out)
+
+    @staticmethod
+    def assert_rows_match(batched, single, rows):
+        assert batched.shape == (len(rows),) + np.shape(single(rows[0]))
+        for row, value in zip(rows, batched):
+            np.testing.assert_array_equal(value, single(row))
+
+    def test_twist_helpers(self, rng):
+        x = self.twists(rng)
+        for fn in (se3_left_jacobian, se3_left_jacobian_inv,
+                   se3_right_jacobian_inv):
+            self.assert_rows_match(fn(x), fn, x)
+        w = x[:, 3:]
+        for fn in (so3_exp, _so3_left_jacobian, _so3_left_jacobian_inv):
+            self.assert_rows_match(fn(w), fn, w)
+        self.assert_rows_match(_se3_q_matrix(x[:, :3], w),
+                               lambda t: _se3_q_matrix(t[:3], t[3:]), x)
+        rot, trans = _se3_exp_rt(x)
+        self.assert_rows_match(rot, lambda t: se3_exp(t).rotation, x)
+        self.assert_rows_match(trans, lambda t: se3_exp(t).translation, x)
+        self.assert_rows_match(
+            _se3_log_rt(rot, trans), lambda t: se3_log(se3_exp(t)), x)
+
+    def test_rotation_helpers(self, rng):
+        x = self.twists(rng)
+        rot = so3_exp(x[:, 3:])
+        self.assert_rows_match(so3_log(rot), so3_log, rot)
+        self.assert_rows_match(se3_adjoint(rot, x[:, :3]),
+                               lambda t: se3_adjoint(so3_exp(t[3:]), t[:3]),
+                               x)
+        # one reflection among the rows takes the determinant fix
+        noisy = rot + rng.normal(scale=1e-3, size=rot.shape)
+        noisy[2] = -noisy[2]
+        self.assert_rows_match(orthonormalize(noisy), orthonormalize, noisy)
+        for r in orthonormalize(noisy):
+            assert np.linalg.det(r) == pytest.approx(1.0)
+
+    def test_log_raises_if_any_row_is_near_pi(self, rng):
+        rot = so3_exp(self.twists(rng)[:, 3:])
+        rot[3] = so3_exp([0.0, 0.0, np.pi])
+        with pytest.raises(ValueError, match="near pi"):
+            so3_log(rot)
 
 
 class TestPointCloud:

@@ -12,6 +12,8 @@ from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
                                          read_tum, write_tum)
+from lidar_graph_slam.geometry import Pose, so3_exp
+from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
                                        run_pipeline)
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
@@ -154,6 +156,33 @@ class TestStageErrors:
         monkeypatch.setattr(pipeline_module, "detect_floor", failing_on_fifth)
         with pytest.raises(RuntimeError, match="frame 5"):
             SlamPipeline().run_batch(clouds[:8])
+
+
+class TestRejectedLoop:
+    def test_half_turn_loop_is_not_counted(self, straight_run):
+        # a verified loop whose rotation contradicts the graph by a half
+        # turn cannot be optimized; the graph refuses it and the run goes on
+        clouds, _ = straight_run
+        pipeline = SlamPipeline()
+        real = pipeline.loop_detector.detect
+        offered = []
+
+        def half_turn_once(kf, keyframes):
+            if offered:
+                return real(kf, keyframes)
+            poses = pipeline.graph.keyframe_poses()
+            half_turn = Pose(so3_exp([0.0, 0.0, np.pi]), np.zeros(3))
+            offered.append(LoopCandidate(
+                kf.index, 0, 0.0,
+                poses[0].inverse() @ poses[-1] @ half_turn, fitness=0.01))
+            return offered[-1]
+
+        pipeline.loop_detector.detect = half_turn_once
+        result = pipeline.run_batch(clouds[:12])
+        assert len(offered) == 1
+        assert result.loop_count == 0
+        assert len(result.trajectory) == 12
+        assert not [e for e in pipeline.graph.edges if e.kind == "LOOP"]
 
 
 @pytest.fixture(scope="module")

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from lidar_graph_slam.floor import FloorCoefficients
-from lidar_graph_slam.geometry import PointCloud, Pose, se3_exp, so3_exp
+from lidar_graph_slam.geometry import (PointCloud, Pose, _hat, se3_adjoint,
+                                       se3_exp, se3_log,
+                                       se3_right_jacobian_inv, so3_exp)
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pose_graph import (EDGE_FLOOR, EDGE_LOOP, EDGE_ODOMETRY,
-                                         DisconnectedGraphError, PoseGraph,
+                                         KERNEL_HUBER, DisconnectedGraphError,
+                                         PoseGraph, _EdgeBatch,
+                                         _plane_tangent_basis,
                                          default_information)
 from lidar_graph_slam.tracker import Keyframe
 
@@ -111,6 +116,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             default_information("MYSTERY")
 
+    @pytest.mark.parametrize("fitness, scale", [
+        (None, 1.0),     # no fitness: the plain loop weight
+        (0.0, 4.0),      # a perfect match gets the cap, not the plain weight
+        (0.05, 4.0), (0.25, 4.0), (0.5, 2.0), (2.0, 0.5)])
+    def test_loop_information_scale(self, fitness, scale):
+        odo = default_information(EDGE_ODOMETRY)
+        np.testing.assert_array_equal(
+            default_information(EDGE_LOOP, fitness=fitness), scale * odo)
+
 
 class TestOptimization:
     def test_ring_closes_after_loop_edge(self):
@@ -197,34 +211,271 @@ class TestLoopEdgeNearPi:
     """A loop edge that contradicts the chain by a half turn about z."""
 
     @staticmethod
-    def graph_with_twisted_loop(angle):
-        graph, _ = build_drifted_ring()
+    def twisted_loop(graph, angle):
         poses = graph.keyframe_poses()
         twist = Pose(so3_exp([0.0, 0.0, angle]), np.zeros(3))
         measured = poses[0].inverse() @ poses[19] @ twist
-        graph.add_loop(LoopCandidate(19, 0, 0.0, measured, fitness=0.05))
-        loop = graph.edges[-1]
-        xi = graph.nodes[loop.from_id].pose
-        xj = graph.nodes[loop.to_id].pose
-        err = loop.measurement.inverse() @ xi.inverse() @ xj
+        err = measured.inverse() @ poses[0].inverse() @ poses[19]
         assert err.rotation_angle() == pytest.approx(angle, abs=1e-9)
-        return graph
+        return LoopCandidate(19, 0, 0.0, measured, fitness=0.05)
+
+    def test_loop_at_pi_is_rejected(self):
+        # the log of a half turn has no unique axis; the edge stays out of
+        # the graph, which then optimizes as if it had never been offered
+        graph, _ = build_drifted_ring()
+        assert graph.add_loop(self.twisted_loop(graph, np.pi)) is None
+        assert not [e for e in graph.edges if e.kind == EDGE_LOOP]
+        report = graph.optimize(max_iterations=50)
+        assert np.isfinite(report.final_chi2)
 
     def test_error_rotation_at_pi_raises(self):
-        # the log of a half turn has no unique axis; optimize must refuse
-        # rather than return NaN poses
-        graph = self.graph_with_twisted_loop(np.pi)
+        # an edge that was fine when added can still reach pi if a node is
+        # moved; optimize refuses rather than return NaN poses
+        graph, _ = build_drifted_ring()
+        assert graph.add_loop(self.twisted_loop(graph, 0.0)) is not None
+        node = graph.nodes[graph.keyframe_node_ids[19]]
+        node.pose = node.pose @ Pose(so3_exp([0.0, 0.0, np.pi]), np.zeros(3))
         with pytest.raises(ValueError, match="near pi"):
             graph.optimize(max_iterations=50)
 
     def test_error_rotation_just_below_pi_optimizes(self):
-        graph = self.graph_with_twisted_loop(np.pi - 0.05)
+        graph, _ = build_drifted_ring()
+        assert graph.add_loop(self.twisted_loop(graph, np.pi - 0.05)) \
+            is not None
         report = graph.optimize(max_iterations=50)
         assert np.isfinite(report.final_chi2)
         assert report.final_chi2 <= report.initial_chi2
         for pose in graph.keyframe_poses():
             assert np.isfinite(pose.matrix()).all()
             assert pose.is_valid()
+
+
+# -- per-edge reference -------------------------------------------------------
+#
+# The solver evaluates all edges at once.  These are the per-edge formulas
+# and the scalar-by-scalar assembly it replaced, kept as the reference.
+
+def ref_tangent_basis(normal):
+    ref = np.array([1.0, 0.0, 0.0])
+    if abs(normal[0]) > 0.9:
+        ref = np.array([0.0, 1.0, 0.0])
+    b1 = np.cross(normal, ref)
+    b1 /= np.linalg.norm(b1)
+    b2 = np.cross(normal, b1)
+    return np.column_stack([b1, b2])
+
+
+def ref_pose_edge_terms(graph, edge):
+    xi = graph.nodes[edge.from_id].pose
+    xj = graph.nodes[edge.to_id].pose
+    m = edge.measurement
+    r = se3_log(m.inverse() @ xi.inverse() @ xj)
+    jr_inv = se3_right_jacobian_inv(r)
+    rel = xj.inverse() @ xi
+    return r, -jr_inv @ se3_adjoint(rel.rotation, rel.translation), jr_inv
+
+
+def ref_floor_edge_terms(graph, edge):
+    node = graph.nodes[edge.from_id]
+    plane = graph.nodes[edge.to_id].plane
+    r_mat, t = node.pose.rotation, node.pose.translation
+    n_w, d_w = plane[:3], plane[3]
+    meas = edge.measurement
+    n_m = meas.normal / np.linalg.norm(meas.normal)
+    n_s = r_mat.T @ n_w
+    b_m = ref_tangent_basis(n_m)
+    resid = np.empty(3)
+    resid[:2] = b_m.T @ (n_s - n_m)
+    resid[2] = n_w @ t + d_w - meas.d
+    j_pose = np.zeros((3, 6))
+    j_pose[:2, 3:] = b_m.T @ _hat(n_s)
+    j_pose[2, :3] = n_s
+    b_w = ref_tangent_basis(n_w)
+    j_plane = np.zeros((3, 3))
+    j_plane[:2, :2] = b_m.T @ (r_mat.T @ b_w)
+    j_plane[2, :2] = t @ b_w
+    j_plane[2, 2] = 1.0
+    return resid, j_pose, j_plane
+
+
+def ref_terms(graph, edge):
+    if edge.kind == EDGE_FLOOR:
+        return ref_floor_edge_terms(graph, edge)
+    return ref_pose_edge_terms(graph, edge)
+
+
+def ref_huber(chi2, delta):
+    if chi2 <= delta * delta:
+        return chi2, 1.0
+    s = np.sqrt(chi2)
+    return 2.0 * delta * s - delta * delta, delta / s
+
+
+def ref_normal_equations(graph):
+    index, dim = graph._state_index()
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(dim)
+    chi2 = 0.0
+    for edge in graph.edges:
+        r, ji, jj = ref_terms(graph, edge)
+        omega = edge.information
+        c = float(r @ omega @ r)
+        w = 1.0
+        if edge.robust_kernel == KERNEL_HUBER:
+            c, w = ref_huber(c, edge.kernel_scale)
+        chi2 += c
+        omega_w = w * omega
+        blocks = []
+        if edge.from_id in index:
+            blocks.append((index[edge.from_id][0], ji))
+        if edge.to_id in index:
+            blocks.append((index[edge.to_id][0], jj))
+        for off_a, ja in blocks:
+            rhs[off_a:off_a + ja.shape[1]] -= ja.T @ omega_w @ r
+            for off_b, jb in blocks:
+                h = ja.T @ omega_w @ jb
+                for a in range(h.shape[0]):
+                    for b in range(h.shape[1]):
+                        rows.append(off_a + a)
+                        cols.append(off_b + b)
+                        vals.append(h[a, b])
+    hmat = coo_matrix((vals, (rows, cols)), shape=(dim, dim)).toarray()
+    return hmat, rhs, chi2
+
+
+def batch_terms(graph):
+    """Batched (pose residuals, Jacobians), (floor residuals, Jacobians)."""
+    batch = _EdgeBatch(graph, graph._state_index()[0])
+    return (batch.pose_terms(batch.initial, True),
+            batch.floor_terms(batch.initial, True))
+
+
+def kernel_graph(rng):
+    """Eight keyframes with odometry, Huber loop and floor edges.
+
+    Odometry error rotations are 0, 1e-7, 1e-3 and 0.2 rad, so every branch
+    of the log, the inverse left Jacobian and the Q matrix is taken.  One
+    loop's robust cost lies inside the Huber threshold and one outside.  The
+    plane node is free and tilted; node 0 is fixed and carries an
+    odometry, a loop and a floor edge.
+    """
+    truth = [random_pose(rng, 5.0, 1.0) for _ in range(8)]
+
+    def error(angle, trans):
+        axis = rng.normal(size=3)
+        return se3_exp(np.concatenate([rng.normal(scale=trans, size=3),
+                                       angle * axis / np.linalg.norm(axis)]))
+
+    graph = PoseGraph()
+    graph.add_keyframe(dummy_kf(0, truth[0]))
+    odometry = [(0.0, 0.0), (1e-7, 0.0), (1e-3, 0.01), (0.2, 0.1),
+                (0.0, 0.05), (1e-7, 1e-7), (1e-3, 0.0)]
+    for i, (angle, trans) in enumerate(odometry, start=1):
+        rel = truth[i - 1].inverse() @ truth[i]
+        graph.add_keyframe(dummy_kf(i, Pose.identity()),
+                           odometry_rel=rel @ error(angle, trans))
+        graph.nodes[graph.keyframe_node_ids[i]].pose = truth[i]
+    for query, cand, angle, trans in ((5, 0, 1e-3, 1e-3), (7, 2, 0.3, 0.5)):
+        rel = truth[cand].inverse() @ truth[query]
+        assert graph.add_loop(LoopCandidate(query, cand, 0.0,
+                                            rel @ error(angle, trans),
+                                            fitness=0.05)) is not None
+    ids = graph.keyframe_node_ids
+    for node, tilt in ((0, 0.0), (2, 0.01), (3, 0.02), (6, -0.02)):
+        n = np.array([np.sin(tilt), 0.5 * tilt, np.cos(tilt)])
+        assert graph.add_floor(ids[node],
+                               FloorCoefficients(*n, 1.6 + tilt)) is not None
+    tilted = np.array([0.03, -0.02, 1.0])
+    graph.nodes[graph.floor_node_id].plane = np.append(
+        tilted / np.linalg.norm(tilted), 1.55)
+    return graph
+
+
+def rel_err(actual, expected):
+    return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
+
+
+class TestBatchedKernel:
+    """The batched solver against the per-edge reference above."""
+
+    def test_graph_covers_every_case(self, rng):
+        graph = kernel_graph(rng)
+        residuals = [(ref_terms(graph, e)[0], e.information)
+                     for e in graph.edges if e.kind == EDGE_LOOP]
+        costs = [r @ info @ r for r, info in residuals]
+        assert min(costs) < 1.0 < max(costs)      # Huber inside and outside
+        angles = [se3_log(e.measurement.inverse()
+                          @ graph.nodes[e.from_id].pose.inverse()
+                          @ graph.nodes[e.to_id].pose)[3:]
+                  for e in graph.edges if e.kind == EDGE_ODOMETRY]
+        angles = np.linalg.norm(angles, axis=1)
+        assert angles.min() < 1e-10
+        assert ((angles > 1e-10) & (angles < 1e-4)).any()
+        assert ((angles > 1e-4) & (angles < 1e-2)).any()
+        fixed = graph.keyframe_node_ids[0]
+        assert {e.kind for e in graph.edges if fixed in (e.from_id, e.to_id)} \
+            == {EDGE_ODOMETRY, EDGE_LOOP, EDGE_FLOOR}
+
+    def test_residuals_and_jacobians(self, rng):
+        graph = kernel_graph(rng)
+        (rp, jp), (rf, jf) = batch_terms(graph)
+        pose_edges = [e for e in graph.edges if e.kind != EDGE_FLOOR]
+        floor_edges = [e for e in graph.edges if e.kind == EDGE_FLOOR]
+        ref_p = [ref_terms(graph, e) for e in pose_edges]
+        ref_f = [ref_terms(graph, e) for e in floor_edges]
+        assert rel_err(rp, np.array([r for r, _, _ in ref_p])) < 1e-9
+        assert rel_err(rf, np.array([r for r, _, _ in ref_f])) < 1e-9
+        for j, (_, ja, jb) in zip(list(jp) + list(jf), ref_p + ref_f):
+            assert rel_err(j, np.hstack([ja, jb])) < 1e-9
+
+    def test_normal_equations_and_chi2(self, rng):
+        graph = kernel_graph(rng)
+        h_ref, rhs_ref, chi2_ref = ref_normal_equations(graph)
+        batch = _EdgeBatch(graph, graph._state_index()[0])
+        hmat, rhs, chi2 = batch.normal_equations(batch.initial)
+        assert rel_err(hmat.toarray(), h_ref) < 1e-9
+        assert rel_err(rhs, rhs_ref) < 1e-9
+        assert chi2 == pytest.approx(chi2_ref, rel=1e-9)
+        assert batch.cost(batch.initial) == pytest.approx(chi2_ref, rel=1e-9)
+        assert graph.chi2() == pytest.approx(chi2_ref, rel=1e-9)
+
+    def test_tangent_basis_matches_per_row(self, rng):
+        normals = rng.normal(size=(50, 3))
+        normals[:5] = [[1.0, 0.1, 0.0], [-0.95, 0.0, 0.3], [0.0, 0.0, 1.0],
+                       [0.0, 1.0, 0.0], [0.91, 0.4, 0.0]]
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        batched = _plane_tangent_basis(normals)
+        for n, b in zip(normals, batched):
+            np.testing.assert_allclose(b, ref_tangent_basis(n), atol=1e-15)
+
+    def test_optimize_matches_reference_step(self, rng):
+        # the first LM step (accepted at the initial damping) equals the
+        # reference solution applied node by node: x exp(inc) for keyframes,
+        # a tangent step on the unit normal for the plane
+        graph = kernel_graph(rng)
+        h_ref, rhs_ref, chi2_ref = ref_normal_equations(graph)
+        delta = np.linalg.solve(h_ref + 1e-6 * np.eye(len(rhs_ref)), rhs_ref)
+        index, _ = graph._state_index()
+        expected = {}
+        for nid, (off, dof) in index.items():
+            node = graph.nodes[nid]
+            inc = delta[off:off + dof]
+            if dof == 6:
+                expected[nid] = (node.pose @ se3_exp(inc)).orthonormalized() \
+                    .matrix()
+            else:
+                n = node.plane[:3] + ref_tangent_basis(node.plane[:3]) \
+                    @ inc[:2]
+                expected[nid] = np.append(n / np.linalg.norm(n),
+                                          node.plane[3] + inc[2])
+        report = graph.optimize(max_iterations=1)
+        assert report.iterations == 1
+        assert report.final_chi2 < chi2_ref
+        for nid, value in expected.items():
+            node = graph.nodes[nid]
+            actual = node.pose.matrix() if node.pose is not None \
+                else node.plane
+            np.testing.assert_allclose(actual, value, atol=1e-9)
 
 
 class TestJacobians:
@@ -235,10 +486,9 @@ class TestJacobians:
         graph.add_keyframe(dummy_kf(1, Pose.identity()),
                            odometry_rel=random_pose(rng, 1.0, 0.3))
         graph.nodes[graph.keyframe_node_ids[1]].pose = pb
-        edge = graph.edges[0]
-        r0, ji, jj = graph._pose_edge_terms(edge)
+        (r0, jac), _ = batch_terms(graph)
         h = 1e-7
-        for node_idx, jac in ((0, ji), (1, jj)):
+        for node_idx in (0, 1):
             node = graph.nodes[graph.keyframe_node_ids[node_idx]]
             base = node.pose
             num = np.zeros((6, 6))
@@ -246,10 +496,11 @@ class TestJacobians:
                 delta = np.zeros(6)
                 delta[col] = h
                 node.pose = base @ se3_exp(delta)
-                r1, _, _ = graph._pose_edge_terms(edge)
-                num[:, col] = (r1 - r0) / h
+                (r1, _), _ = batch_terms(graph)
+                num[:, col] = (r1[0] - r0[0]) / h
                 node.pose = base
-            np.testing.assert_allclose(jac, num, atol=1e-5)
+            np.testing.assert_allclose(
+                jac[0][:, 6 * node_idx:6 * node_idx + 6], num, atol=1e-5)
 
     def test_floor_edge_jacobian_matches_finite_differences(self, rng):
         graph = PoseGraph()
@@ -258,8 +509,7 @@ class TestJacobians:
         coeffs = FloorCoefficients(0.05, -0.02, 0.998, 1.6)
         node_id = graph.keyframe_node_ids[1]
         graph.add_floor(node_id, coeffs)
-        edge = [e for e in graph.edges if e.kind == EDGE_FLOOR][0]
-        r0, j_pose, j_plane = graph._floor_edge_terms(edge)
+        _, (r0, jac) = batch_terms(graph)
         node = graph.nodes[node_id]
         base = node.pose
         h = 1e-7
@@ -268,10 +518,10 @@ class TestJacobians:
             delta = np.zeros(6)
             delta[col] = h
             node.pose = base @ se3_exp(delta)
-            r1, _, _ = graph._floor_edge_terms(edge)
-            num[:, col] = (r1 - r0) / h
+            _, (r1, _) = batch_terms(graph)
+            num[:, col] = (r1[0] - r0[0]) / h
             node.pose = base
-        np.testing.assert_allclose(j_pose, num, atol=1e-5)
+        np.testing.assert_allclose(jac[0][:, :6], num, atol=1e-5)
 
 
 class TestExport:
