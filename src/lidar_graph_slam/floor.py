@@ -19,6 +19,9 @@ from .geometry import PointCloud, estimate_normals
 MODE_PLANAR = "PLANAR"
 MODE_ROUGH = "ROUGH"
 
+# RANSAC scoring holds at most about this many point-plane distances at once
+_SCORE_CHUNK = 1 << 20
+
 
 @dataclass
 class FloorCoefficients:
@@ -79,6 +82,49 @@ def _invalid(timestamp: float, mode: str) -> FloorCoefficients:
     return FloorCoefficients(0.0, 0.0, 1.0, 0.0, timestamp, mode, valid=False)
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products as stacked 1x3 @ 3x1 products, which numpy
+    rounds exactly as the 1-D ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _ground_hypotheses(samples: np.ndarray, cos_max: float):
+    """Planes through (H, 3, 3) point triples that are ground-like.
+
+    Collinear triples and planes tilted more than ``arccos(cos_max)`` from
+    horizontal are dropped.  Returns the survivors' unit normals (c > 0)
+    and offsets, in draw order.
+    """
+    normals = np.cross(samples[:, 1] - samples[:, 0],
+                       samples[:, 2] - samples[:, 0])
+    norms = np.sqrt(_rowdot(normals, normals))
+    keep = norms >= 1e-12
+    normals = normals[keep] / norms[keep, None]
+    origins = samples[keep, 0]
+    normals[normals[:, 2] < 0] *= -1.0
+    ground = normals[:, 2] >= cos_max
+    normals, origins = normals[ground], origins[ground]
+    return normals, -_rowdot(normals, origins)
+
+
+def _inlier_counts(points: np.ndarray, normals: np.ndarray,
+                   offsets: np.ndarray, threshold: float) -> np.ndarray:
+    """Points within ``threshold`` of each plane.
+
+    One matrix-vector product per plane, so every distance rounds as
+    ``points @ normal + offset`` does; chunked over planes so at most
+    about ``_SCORE_CHUNK`` distances are held at once.
+    """
+    counts = np.empty(len(normals), dtype=np.int64)
+    step = max(1, _SCORE_CHUNK // len(points))
+    for lo in range(0, len(normals), step):
+        dist = (points @ normals[lo:lo + step, :, None])[:, :, 0]
+        dist += offsets[lo:lo + step, None]
+        counts[lo:lo + step] = np.count_nonzero(
+            np.abs(dist, out=dist) <= threshold, axis=1)
+    return counts
+
+
 def detect_floor_planar(cloud: PointCloud,
                         cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
     """Clip, normal-filter, and RANSAC-fit the ground plane."""
@@ -100,32 +146,21 @@ def detect_floor_planar(cloud: PointCloud,
         # points and let the axis-constrained model fit sort them out
         candidates = clipped
 
-    rng = np.random.default_rng(cfg.seed)
-    best_count = 0
-    best_inliers = None
     n_pts = len(candidates)
-    for _ in range(cfg.ransac_iterations):
-        sample = candidates[rng.choice(n_pts, size=3, replace=False)]
-        v1 = sample[1] - sample[0]
-        v2 = sample[2] - sample[0]
-        normal = np.cross(v1, v2)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
-            continue
-        normal /= norm
-        if normal[2] < 0:
-            normal = -normal
-        if normal[2] < cos_max:        # candidate plane is not ground-like
-            continue
-        d = -normal @ sample[0]
-        dist = np.abs(candidates @ normal + d)
-        count = int((dist <= cfg.ransac_inlier_threshold).sum())
-        if count > best_count:
-            best_count = count
-            best_inliers = dist <= cfg.ransac_inlier_threshold
-
-    if best_inliers is None or best_count < n_pts * cfg.min_inlier_fraction:
+    rng = np.random.default_rng(cfg.seed)
+    draws = [rng.choice(n_pts, size=3, replace=False)
+             for _ in range(cfg.ransac_iterations)]
+    normals, offsets = _ground_hypotheses(
+        candidates[np.array(draws, dtype=np.intp).reshape(-1, 3)], cos_max)
+    counts = _inlier_counts(candidates, normals, offsets,
+                            cfg.ransac_inlier_threshold)
+    if not np.any(counts):
         return _invalid(cloud.timestamp, MODE_PLANAR)
+    best = int(np.argmax(counts))       # the first with the most inliers
+    if counts[best] < n_pts * cfg.min_inlier_fraction:
+        return _invalid(cloud.timestamp, MODE_PLANAR)
+    best_inliers = np.abs(candidates @ normals[best] + offsets[best]) \
+        <= cfg.ransac_inlier_threshold
 
     n, d = fit_plane_lsq(candidates[best_inliers])
     if n[2] < cos_max:

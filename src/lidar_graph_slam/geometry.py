@@ -318,16 +318,15 @@ class KdTree:
         return len(self._points)
 
     def query_batch(self, queries: np.ndarray, k: int = 1):
-        """Vectorized nearest query; returns (indices, distances) arrays."""
-        dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64),
-                                     k=k, workers=-1)
-        return idx, dist
+        """Vectorized k-nearest query; returns (indices, distances) arrays.
 
-    def radius_counts(self, queries: np.ndarray, radius: float) -> np.ndarray:
-        """Number of stored points within ``radius`` of each query."""
-        return np.asarray(
-            self._tree.query_ball_point(np.asarray(queries, dtype=np.float64),
-                                        radius, return_length=True))
+        Runs on the calling thread: cKDTree's ``workers=-1`` starts threads
+        on every call, which costs more than it saves on scan-sized
+        queries.
+        """
+        dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64),
+                                     k=k)
+        return idx, dist
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,11 @@ class PoseGraph:
                  information: Optional[np.ndarray] = None) -> Optional[int]:
         """Add a loop edge: measurement maps the query frame into the
         candidate frame.  Returns the edge id, or None for a rejected edge:
-        a duplicate, a self-loop, or one whose error rotation at the current
-        estimate lies within ``SO3_LOG_PI_MARGIN`` of pi, where the
-        logarithm the solver needs is ambiguous."""
+        a duplicate, or one whose error rotation at the current estimate
+        lies within ``SO3_LOG_PI_MARGIN`` of pi, where the logarithm the
+        solver needs is ambiguous."""
         if loop.verified_transform is None:
             raise ValueError("loop candidate is not verified")
-        if loop.query_index == loop.candidate_index:
-            return None
         pair = (loop.query_index, loop.candidate_index)
         if pair in self._loop_pairs:
             return None

@@ -1,13 +1,12 @@
 """Cloud pre-filtering: voxel-grid downsampling and radius outlier removal.
 
-Outlier removal optionally fans out over four spatial partitions (octant
-pairs) in parallel; partitions are padded at their boundaries so the result
-is identical to filtering the whole cloud at once.
+Outlier removal builds one kd-tree over the cloud and asks each point for
+its ``min_neighbors + 1`` nearest neighbours (the point itself included);
+the point is kept iff the farthest of them lies within the radius.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ class PrefilterConfig:
     outlier_method: str = OUTLIER_RADIUS
     radius: float = 0.4
     min_neighbors: int = 2
-    parallel: bool = True
 
     def __post_init__(self):
         if self.downsample_resolution <= 0:
@@ -68,57 +66,27 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     return PointCloud(centroids[order], None, cloud.timestamp, cloud.frame_id)
 
 
-def _neighbor_counts(owned: np.ndarray, reference: np.ndarray,
-                     radius: float) -> np.ndarray:
-    """Neighbors of each owned point among reference points (self included)."""
-    tree = KdTree(reference)
-    return tree.radius_counts(owned, radius)
-
-
-def remove_outliers(cloud: PointCloud, radius: float, min_neighbors: int,
-                    parallel: bool = True) -> PointCloud:
+def remove_outliers(cloud: PointCloud, radius: float,
+                    min_neighbors: int) -> PointCloud:
     """Keep points having >= min_neighbors other points within radius.
 
-    Neighbor counts are always taken over the full cloud; the 4-way spatial
-    partitioning is purely an execution strategy.  Retained points keep
-    their coordinates and relative order.
+    A point passes iff its (min_neighbors + 1)-th nearest neighbour, counting
+    the point itself, is within ``radius``.  The squared distance is summed
+    as cKDTree sums it and compared with ``radius**2``, so the rule equals a
+    closed-ball neighbour count even for points an ulp from the radius.  A
+    cloud of at most ``min_neighbors`` points keeps nothing.  Retained
+    points keep their coordinates and relative order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if min_neighbors < 1:
         raise ValueError("min_neighbors must be >= 1")
-    n = len(cloud)
-    if n == 0:
-        return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
-
     pts = cloud.points
-    if not parallel or n < 4096:
-        counts = _neighbor_counts(pts, pts, radius)
-        keep = counts - 1 >= min_neighbors
-    else:
-        # Octants paired across the z plane -> 4 partitions keyed by the
-        # signs of x and y.  Each partition's reference set is padded with
-        # every point within `radius` of its quadrant so boundary counts
-        # match the whole-cloud counts exactly.
-        x, y = pts[:, 0], pts[:, 1]
-        part = (x >= 0).astype(np.int8) * 2 + (y >= 0).astype(np.int8)
-        keep = np.empty(n, dtype=bool)
-        jobs = []
-        for pid in range(4):
-            owned_mask = part == pid
-            if not np.any(owned_mask):
-                continue
-            sx = 1.0 if pid >= 2 else -1.0
-            sy = 1.0 if pid % 2 == 1 else -1.0
-            dx = np.maximum(0.0, -sx * x)   # distance to the quadrant in x
-            dy = np.maximum(0.0, -sy * y)
-            ref_mask = (dx <= radius) & (dy <= radius)
-            jobs.append((owned_mask, pts[owned_mask], pts[ref_mask]))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = pool.map(
-                lambda j: _neighbor_counts(j[1], j[2], radius), jobs)
-            for (owned_mask, _, _), counts in zip(jobs, results):
-                keep[owned_mask] = counts - 1 >= min_neighbors
+    if len(pts) <= min_neighbors:
+        return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
+    idx, _ = KdTree(pts).query_batch(pts, k=min_neighbors + 1)
+    diff = pts[idx[:, min_neighbors]] - pts
+    keep = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2 <= radius * radius
     return PointCloud(pts[keep], None, cloud.timestamp, cloud.frame_id)
 
 
@@ -128,6 +96,5 @@ def prefilter(cloud: PointCloud, cfg: PrefilterConfig) -> PointCloud:
     if cfg.downsample_method == DOWNSAMPLE_VOXELGRID:
         out = voxel_downsample(out, cfg.downsample_resolution)
     if cfg.outlier_method == OUTLIER_RADIUS:
-        out = remove_outliers(out, cfg.radius, cfg.min_neighbors,
-                              parallel=cfg.parallel)
+        out = remove_outliers(out, cfg.radius, cfg.min_neighbors)
     return PointCloud(out.points, out.normals, cloud.timestamp, cloud.frame_id)

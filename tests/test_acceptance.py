@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, compute_ate,
@@ -289,17 +290,18 @@ class TestScanContextProperties:
 
 
 class TestFilterEquivalence:
-    def test_parallel_outlier_removal_matches_sequential(self):
+    def test_outlier_removal_matches_ball_count(self):
         rng = np.random.default_rng(31)
-        for _ in range(10):
+        for i in range(10):
             pts = np.vstack([
                 rng.normal(scale=8.0, size=(60_000, 3)),
                 rng.uniform(-50.0, 50.0, size=(40_000, 3)),
             ])
-            cloud = PointCloud(pts)
-            seq = remove_outliers(cloud, 0.5, 2, parallel=False)
-            par = remove_outliers(cloud, 0.5, 2, parallel=True)
-            np.testing.assert_array_equal(par.points, seq.points)
+            m = (1, 2, 3, 5)[i % 4]
+            counts = cKDTree(pts).query_ball_point(pts, 0.5, return_length=True)
+            np.testing.assert_array_equal(
+                remove_outliers(PointCloud(pts), 0.5, m).points,
+                pts[counts - 1 >= m])
 
     def test_voxel_downsample_idempotent(self):
         rng = np.random.default_rng(32)

@@ -249,12 +249,6 @@ class TestKdTree:
         with pytest.raises(ValueError):
             KdTree(np.empty((0, 3)))
 
-    def test_radius_counts(self):
-        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [3.0, 0, 0]])
-        tree = KdTree(pts)
-        counts = tree.radius_counts(pts, 1.0)
-        np.testing.assert_array_equal(counts, [2, 2, 1])
-
 
 class TestNormals:
     def test_flat_plane_gives_vertical_normals(self, rng):

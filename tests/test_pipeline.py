@@ -2,6 +2,7 @@
 
 import json
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,14 @@ from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
                                          read_tum, write_tum)
+from lidar_graph_slam.floor import detect_floor
 from lidar_graph_slam.geometry import Pose, so3_exp
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
                                        run_pipeline)
+from lidar_graph_slam.prefilter import prefilter
+from lidar_graph_slam.pretracker import Pretracker
+from lidar_graph_slam.registration import GICP, RegistrationConfig, align
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory,
                                         write_kitti_sequence)
@@ -287,3 +292,27 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestFrontEndStartsNoThreads:
+    """The front end shares the lookahead worker with nothing else, and the
+    tracker runs on the caller: neither may start threads of its own."""
+
+    def test_front_end_and_gicp_run_on_the_calling_thread(self, straight_run,
+                                                           monkeypatch):
+        clouds = straight_run[0][:2]
+        cfg = PipelineConfig()
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        filtered = [prefilter(c, cfg.prefilter) for c in clouds]
+        assert detect_floor(filtered[1], cfg.floor).valid
+        pretracker = Pretracker(cfg.pretracker)
+        pretracker.pretrack(clouds[0])
+        pre = pretracker.pretrack(clouds[1])
+        assert pre.phases_run == 2 and not pre.degraded
+        res = align(filtered[1], filtered[0], pre.guess,
+                    RegistrationConfig(method=GICP))
+        assert np.isfinite(res.fitness)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from lidar_graph_slam.geometry import PointCloud
 from lidar_graph_slam.prefilter import (PrefilterConfig, prefilter,
@@ -63,6 +64,12 @@ class TestVoxelDownsample:
         np.testing.assert_array_equal(twice.points, once.points)
 
 
+def ball_count_reference(pts, radius, min_neighbors):
+    """Points with at least ``min_neighbors`` others in the closed ball."""
+    counts = cKDTree(pts).query_ball_point(pts, radius, return_length=True)
+    return pts[counts - 1 >= min_neighbors]
+
+
 class TestRemoveOutliers:
     def test_isolated_point_removed(self):
         cluster = np.zeros((5, 3)) + np.linspace(0, 0.1, 5)[:, None]
@@ -86,16 +93,47 @@ class TestRemoveOutliers:
         positions = [np.flatnonzero((pts == p).all(axis=1))[0] for p in kept]
         assert positions == sorted(positions)
 
-    def test_parallel_matches_sequential(self, rng):
-        for _ in range(5):
+    def test_matches_ball_count_rule(self, rng):
+        for m in (1, 2, 3, 5):
             pts = np.vstack([
-                rng.normal(scale=5.0, size=(6000, 3)),       # straddles axes
+                rng.normal(scale=5.0, size=(6000, 3)),
                 rng.uniform(-30, 30, size=(3000, 3)),
             ])
-            cloud = PointCloud(pts)
-            seq = remove_outliers(cloud, 0.6, 2, parallel=False)
-            par = remove_outliers(cloud, 0.6, 2, parallel=True)
-            np.testing.assert_array_equal(par.points, seq.points)
+            np.testing.assert_array_equal(
+                remove_outliers(PointCloud(pts), 0.6, m).points,
+                ball_count_reference(pts, 0.6, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_lattice_spacing_equal_to_radius(self, rng, m):
+        # every lattice neighbour sits at (about) exactly the radius
+        for radius in (0.25, 0.4, 0.6, 1.0 / 3.0):
+            axes = [np.arange(n) * radius for n in (14, 9, 5)]
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+            for offset in (np.zeros(3), rng.uniform(-20.0, 20.0, size=3)):
+                pts = grid + offset
+                pts = pts[rng.random(len(pts)) < 0.6]   # vary the counts
+                np.testing.assert_array_equal(
+                    remove_outliers(PointCloud(pts), radius, m).points,
+                    ball_count_reference(pts, radius, m))
+
+    def test_neighbours_an_ulp_from_the_radius(self, rng):
+        # pairs whose distance is the radius give or take a few ulps: the
+        # closed ball decides, not a rounded square root
+        for _ in range(20):
+            radius = rng.uniform(0.05, 2.0)
+            a = rng.uniform(-50.0, 50.0, size=(2000, 3))
+            u = rng.normal(size=a.shape)
+            b = a + u / np.linalg.norm(u, axis=1, keepdims=True) * radius
+            b += rng.integers(-3, 4, size=b.shape) * np.spacing(b)
+            pts = np.vstack([a, b])
+            np.testing.assert_array_equal(
+                remove_outliers(PointCloud(pts), radius, 1).points,
+                ball_count_reference(pts, radius, 1))
+
+    def test_fewer_points_than_neighbours_keeps_none(self):
+        pts = np.zeros((3, 3))
+        assert len(remove_outliers(PointCloud(pts), 1.0, 3)) == 0
+        assert len(remove_outliers(PointCloud(pts), 1.0, 2)) == 3
 
     def test_empty_cloud(self):
         out = remove_outliers(PointCloud(np.empty((0, 3))), 1.0, 1)
