@@ -17,7 +17,7 @@ from .pipeline import PipelineResult, SlamPipeline, run_pipeline
 from .pose_graph import OptimizationReport, PoseGraph
 from .prefilter import PrefilterConfig, prefilter, remove_outliers, voxel_downsample
 from .pretracker import Pretracker, PretrackerConfig
-from .registration import (GICP, ICP_P2P, ICP_P2PLANE, RegistrationConfig,
+from .registration import (GICP, ICP_P2P, RegistrationConfig,
                            RegistrationResult, align)
 from .scan_context import ScanContext, ScanContextParams, make_scan_context
 from .tracker import Keyframe, KeyframeCriteria, Tracker, is_new_keyframe
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AteReport", "FloorCoefficients", "FloorConfig", "GICP", "ICP_P2P",
-    "ICP_P2PLANE", "KdTree", "Keyframe", "KeyframeCriteria", "LoopCandidate",
+    "KdTree", "Keyframe", "KeyframeCriteria", "LoopCandidate",
     "LoopConfig", "LoopDetector", "OptimizationReport", "PipelineConfig",
     "PipelineResult",
     "PointCloud", "Pose", "PoseGraph", "PrefilterConfig", "Pretracker",

@@ -1,4 +1,8 @@
-"""Command-line entry points: run, eval, export-graph."""
+"""Command-line entry points: run and eval.
+
+``slam run --out D`` writes D/trajectory.tum, D/map.ply, D/graph.g2o (the
+pose graph as g2o text) and D/report.json.
+"""
 
 from __future__ import annotations
 
@@ -34,21 +38,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_export_graph(args) -> int:
-    from .config import PipelineConfig
-    from .pipeline import SlamPipeline, run_pipeline
-
-    result = run_pipeline(args.config, args.dataset, "batch", args.workdir,
-                          export_graph=True)
-    import os
-    import shutil
-    src = os.path.join(args.workdir, "graph.g2o")
-    if os.path.abspath(src) != os.path.abspath(args.out):
-        shutil.copyfile(src, args.out)
-    print(f"wrote {args.out} ({result.keyframe_count} vertices)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slam",
@@ -73,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--max-dt", type=float, default=0.05,
                     help="association timestamp tolerance in seconds")
     ev.set_defaults(func=_cmd_eval)
-
-    ex = sub.add_parser("export-graph",
-                        help="run SLAM and export the pose graph as g2o text")
-    ex.add_argument("--config", default=None)
-    ex.add_argument("--dataset", required=True)
-    ex.add_argument("--workdir", default="slam_export_workdir",
-                    help="directory for intermediate run outputs")
-    ex.add_argument("--out", required=True, help="output .g2o path")
-    ex.set_defaults(func=_cmd_export_graph)
     return parser
 
 

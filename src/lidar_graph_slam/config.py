@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -53,59 +53,19 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(kv: Dict[str, str]) -> "PipelineConfig":
-        cfg = PipelineConfig()
-        b = _Binder(kv)
-        # pre-filterer
-        b.str("downsample_method", cfg.prefilter, "downsample_method")
-        b.flt("downsample_resolution", cfg.prefilter, "downsample_resolution")
-        b.str("outlier_removal_method", cfg.prefilter, "outlier_method")
-        b.flt("radius", cfg.prefilter, "radius")
-        b.int("min_neighbors", cfg.prefilter, "min_neighbors")
-        # scan matching
-        b.str("registration_method", cfg.registration, "method")
-        b.int("max_iterations", cfg.registration, "max_iterations")
-        b.flt("transformation_epsilon", cfg.registration, "transformation_epsilon")
-        b.flt("max_correspondence_distance", cfg.registration,
-              "max_correspondence_distance")
-        # pre-tracker
-        if "pretracker_enabled" in kv:
-            cfg.pretracker_enabled = _parse_bool(kv["pretracker_enabled"])
-        b.flt("phase1_keep_fraction", cfg.pretracker, "phase1_keep_fraction")
-        b.flt("phase2_keep_fraction", cfg.pretracker, "phase2_keep_fraction")
-        b.int("large_cloud_threshold", cfg.pretracker, "large_cloud_threshold")
-        # tracker
-        b.flt("keyframe_delta_trans", cfg.keyframes, "delta_trans")
-        b.flt("keyframe_delta_angle", cfg.keyframes, "delta_angle")
-        b.flt("keyframe_delta_time", cfg.keyframes, "delta_time")
-        # floor detector
-        if "floor_enabled" in kv:
-            cfg.floor_enabled = _parse_bool(kv["floor_enabled"])
-        b.str("floor_mode", cfg.floor, "mode")
-        b.flt("floor_clip_min_z", cfg.floor, "clip_min_z")
-        b.flt("floor_clip_max_z", cfg.floor, "clip_max_z")
-        if "floor_normal_max_angle" in kv:  # degrees in the file
-            cfg.floor.normal_vertical_max_angle = np.deg2rad(
-                float(kv["floor_normal_max_angle"]))
-        b.flt("floor_ransac_threshold", cfg.floor, "ransac_inlier_threshold")
-        b.flt("floor_min_inlier_fraction", cfg.floor, "min_inlier_fraction")
-        b.flt("floor_rough_clip_radius", cfg.floor, "rough_clip_radius")
-        # loop detector
-        b.flt("loop_search_radius", cfg.loop, "search_radius")
-        b.flt("loop_min_accum_distance", cfg.loop, "min_accumulated_distance")
-        b.int("loop_top_k", cfg.loop, "top_k")
-        b.flt("loop_fitness_threshold", cfg.loop, "fitness_accept_threshold")
-        b.int("sc_rings", cfg.scan_context, "rings")
-        b.int("sc_sectors", cfg.scan_context, "sectors")
-        b.flt("sc_max_range", cfg.scan_context, "max_range")
-        # graph
-        if "optimize_every_n_keyframes" in kv:
-            cfg.optimize_every_n_keyframes = int(kv["optimize_every_n_keyframes"])
-        if "incline_threshold_deg" in kv:
-            cfg.incline_threshold_deg = float(kv["incline_threshold_deg"])
-        if "map_resolution" in kv:
-            cfg.map_resolution = float(kv["map_resolution"])
-        b.check_consumed()
-        return cfg
+        """Build a config from file keys; every section is rebuilt through
+        its constructor, so its checks apply to values from a file too."""
+        unknown = set(kv) - set(_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        fields: Dict[Optional[str], Dict[str, object]] = {}
+        for key, value in kv.items():
+            section, name, convert = _KEYS[key]
+            fields.setdefault(section, {})[name] = convert(value)
+        default = PipelineConfig()
+        sections = {section: replace(getattr(default, section), **values)
+                    for section, values in fields.items() if section}
+        return PipelineConfig(**fields.get(None, {}), **sections)
 
 
 def _parse_bool(value: str) -> bool:
@@ -117,30 +77,53 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-class _Binder:
-    """Applies known keys onto config objects and tracks unknown ones."""
+def _degrees(value: str) -> float:
+    return np.deg2rad(float(value))
 
-    def __init__(self, kv: Dict[str, str]):
-        self.kv = kv
-        self.consumed = {"pretracker_enabled", "floor_enabled",
-                         "optimize_every_n_keyframes", "incline_threshold_deg",
-                         "floor_normal_max_angle", "map_resolution"}
 
-    def _set(self, key, obj, attr, conv):
-        self.consumed.add(key)
-        if key in self.kv:
-            setattr(obj, attr, conv(self.kv[key]))
-
-    def str(self, key, obj, attr):
-        self._set(key, obj, attr, lambda v: v)
-
-    def flt(self, key, obj, attr):
-        self._set(key, obj, attr, float)
-
-    def int(self, key, obj, attr):
-        self._set(key, obj, attr, int)
-
-    def check_consumed(self):
-        unknown = set(self.kv) - self.consumed
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+# file key -> (PipelineConfig section, or None for a top-level field,
+#              field name, converter from the file's string)
+_KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
+    # pre-filterer
+    "downsample_method": ("prefilter", "downsample_method", str),
+    "downsample_resolution": ("prefilter", "downsample_resolution", float),
+    "outlier_removal_method": ("prefilter", "outlier_method", str),
+    "radius": ("prefilter", "radius", float),
+    "min_neighbors": ("prefilter", "min_neighbors", int),
+    # scan matching
+    "registration_method": ("registration", "method", str),
+    "max_iterations": ("registration", "max_iterations", int),
+    "transformation_epsilon": ("registration", "transformation_epsilon", float),
+    "max_correspondence_distance": ("registration",
+                                    "max_correspondence_distance", float),
+    # pre-tracker
+    "pretracker_enabled": (None, "pretracker_enabled", _parse_bool),
+    "phase1_keep_fraction": ("pretracker", "phase1_keep_fraction", float),
+    "phase2_keep_fraction": ("pretracker", "phase2_keep_fraction", float),
+    "large_cloud_threshold": ("pretracker", "large_cloud_threshold", int),
+    # tracker
+    "keyframe_delta_trans": ("keyframes", "delta_trans", float),
+    "keyframe_delta_angle": ("keyframes", "delta_angle", float),
+    "keyframe_delta_time": ("keyframes", "delta_time", float),
+    # floor detector
+    "floor_enabled": (None, "floor_enabled", _parse_bool),
+    "floor_mode": ("floor", "mode", str),
+    "floor_clip_min_z": ("floor", "clip_min_z", float),
+    "floor_clip_max_z": ("floor", "clip_max_z", float),
+    "floor_normal_max_angle": ("floor", "normal_vertical_max_angle", _degrees),
+    "floor_ransac_threshold": ("floor", "ransac_inlier_threshold", float),
+    "floor_min_inlier_fraction": ("floor", "min_inlier_fraction", float),
+    "floor_rough_clip_radius": ("floor", "rough_clip_radius", float),
+    # loop detector
+    "loop_search_radius": ("loop", "search_radius", float),
+    "loop_min_accum_distance": ("loop", "min_accumulated_distance", float),
+    "loop_top_k": ("loop", "top_k", int),
+    "loop_fitness_threshold": ("loop", "fitness_accept_threshold", float),
+    "sc_rings": ("scan_context", "rings", int),
+    "sc_sectors": ("scan_context", "sectors", int),
+    "sc_max_range": ("scan_context", "max_range", float),
+    # graph
+    "optimize_every_n_keyframes": (None, "optimize_every_n_keyframes", int),
+    "incline_threshold_deg": (None, "incline_threshold_deg", float),
+    "map_resolution": (None, "map_resolution", float),
+}

@@ -56,6 +56,8 @@ class FloorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in (MODE_PLANAR, MODE_ROUGH):
+            raise ValueError(f"unknown floor mode {self.mode!r}")
         if self.clip_min_z >= self.clip_max_z:
             raise ValueError("clip_min_z must be below clip_max_z")
         if not 0.0 < self.normal_vertical_max_angle < np.pi / 2:

@@ -7,7 +7,6 @@ Velodyne scans are flat binary files of N x 4 little-endian float32
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -15,8 +14,6 @@ from typing import List, Optional
 import numpy as np
 
 from .geometry import PointCloud, Pose
-
-log = logging.getLogger(__name__)
 
 
 class ScanFormatError(ValueError):
@@ -46,17 +43,12 @@ class DatasetSequence:
 
 
 def load_kitti_scan(path: str, timestamp: float = 0.0) -> PointCloud:
-    """Read one velodyne .bin scan; intensity is discarded."""
+    """Read one velodyne .bin scan; intensity is discarded, NaN rows kept."""
     raw = np.fromfile(path, dtype="<f4")
     if raw.size % 4 != 0:
         raise ScanFormatError(
             f"{path}: size {raw.size * 4} bytes is not a multiple of 16")
     pts = raw.reshape(-1, 4)[:, :3].astype(np.float64)
-    finite = np.isfinite(pts).all(axis=1)
-    dropped = int(len(pts) - finite.sum())
-    if dropped:
-        log.warning("%s: dropped %d non-finite points", path, dropped)
-        pts = pts[finite]
     return PointCloud(pts, None, timestamp, frame_id=os.path.basename(path))
 
 

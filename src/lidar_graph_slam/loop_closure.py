@@ -10,7 +10,7 @@ at most k registrations run per query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -95,7 +95,8 @@ def rank_candidates(query_sc: ScanContext,
 
 
 class LoopDetector:
-    """Stateful detector caching descriptors and emitted constraints."""
+    """Three-phase detector; descriptors are cached on the keyframes.  The
+    pose graph, not the detector, refuses a loop pair it already holds."""
 
     def __init__(self, cfg: Optional[LoopConfig] = None,
                  reg_cfg: Optional[RegistrationConfig] = None,
@@ -103,7 +104,6 @@ class LoopDetector:
         self.cfg = cfg or LoopConfig()
         self.reg_cfg = reg_cfg or RegistrationConfig()
         self.sc_params = sc_params or ScanContextParams()
-        self._emitted: Set[Tuple[int, int]] = set()
         self.registration_calls = 0
 
     def descriptor_for(self, kf: Keyframe) -> ScanContext:
@@ -151,15 +151,10 @@ class LoopDetector:
                keyframes: Sequence[Keyframe]) -> Optional[LoopCandidate]:
         """Run all three phases for one query keyframe."""
         gated_idx = gate_candidates(query, keyframes, self.cfg)
-        gated_idx = [i for i in gated_idx
-                     if (query.index, keyframes[i].index) not in self._emitted]
         if not gated_idx:
             return None
         gated = [(i, self.descriptor_for(keyframes[i])) for i in gated_idx]
         query_sc = self.descriptor_for(query)
         ranked = rank_candidates(query_sc, gated, self.cfg.top_k,
                                  self.cfg.ring_key_preselect)
-        loop = self.verify(query, keyframes, ranked)
-        if loop is not None:
-            self._emitted.add((loop.query_index, loop.candidate_index))
-        return loop
+        return self.verify(query, keyframes, ranked)

@@ -1,13 +1,14 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
-Each frame runs one fixed sequence.  The front end pre-filters the scan,
-detects the floor in the filtered cloud and pre-tracks the raw cloud; then
-the tracker matches the filtered cloud against the current keyframe, and the
-back end (pose graph, loop closure, optimization) runs inline on each new
-keyframe.  One worker thread runs the front end of frame i+1 while the
-calling thread tracks frame i.  A single worker keeps the stateful
-pre-tracker in frame order, so every module sees the same inputs in the same
-order as a sequential run, and a stage exception propagates to the caller.
+Each frame runs one fixed sequence.  The front end drops non-finite points,
+pre-filters the scan, detects the floor in the filtered cloud and pre-tracks
+the raw cloud; then the tracker matches the filtered cloud against the
+current keyframe, and the back end (pose graph, loop closure, optimization)
+runs inline on each new keyframe.  One worker thread runs the front end of
+frame i+1 while the calling thread tracks frame i.  A single worker keeps
+the stateful pre-tracker in frame order, so every module sees the same
+inputs in the same order as a sequential run, and a stage exception
+propagates to the caller.
 
 ``run_realtime_sim`` runs the same loop on a simulated clock (see
 :func:`frame_dropped`); it never sleeps, and every frame is either tracked
@@ -17,6 +18,7 @@ or counted as dropped.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -36,6 +38,8 @@ from .prefilter import prefilter
 from .pretracker import Pretracker
 from .tracker import Tracker
 
+log = logging.getLogger(__name__)
+
 
 def frame_dropped(arrival: float, starts: Sequence[float],
                   capacity: int) -> bool:
@@ -48,6 +52,19 @@ def frame_dropped(arrival: float, starts: Sequence[float],
     admitted frames have arrived but not yet started.
     """
     return len(starts) >= capacity and starts[-capacity] > arrival
+
+
+def finite_points(cloud: PointCloud) -> PointCloud:
+    """The cloud without its NaN or infinite points, logged as a warning;
+    a cloud whose points are all finite is returned as it is."""
+    finite = np.isfinite(cloud.points).all(axis=1)
+    if finite.all():
+        return cloud
+    log.warning("scan %r at t=%.3f: dropped %d non-finite points",
+                cloud.frame_id, cloud.timestamp, len(finite) - finite.sum())
+    normals = None if cloud.normals is None else cloud.normals[finite]
+    return PointCloud(cloud.points[finite], normals, cloud.timestamp,
+                      cloud.frame_id)
 
 
 @dataclass
@@ -163,6 +180,7 @@ class SlamPipeline:
 
     def _front_end(self, cloud: PointCloud):
         """Per-scan stages of one frame; runs on the lookahead thread."""
+        cloud = finite_points(cloud)
         filtered = self._do_prefilter(cloud)
         floor_coeffs = self._do_floor(filtered)
         pre = self._do_pretrack(cloud)
@@ -227,7 +245,7 @@ class SlamPipeline:
 
 
 def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
-                 out_dir: str, export_graph: bool = True) -> PipelineResult:
+                 out_dir: str) -> PipelineResult:
     """Load a dataset directory, run SLAM, and write all outputs."""
     from .kitti import discover_sequence, load_kitti_scan
 
@@ -260,7 +278,6 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
                               [kf.pose for kf in pipeline.keyframes],
                               cfg.map_resolution)
         write_ply(os.path.join(out_dir, "map.ply"), world_map)
-    if export_graph and pipeline.keyframes:
         pipeline.graph.export_g2o(os.path.join(out_dir, "graph.g2o"))
     report = {
         "mode": mode,

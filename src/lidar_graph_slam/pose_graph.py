@@ -23,7 +23,7 @@ added; a node moved into that band later makes ``optimize`` raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity

@@ -28,6 +28,12 @@ class PrefilterConfig:
     min_neighbors: int = 2
 
     def __post_init__(self):
+        if self.downsample_method not in (DOWNSAMPLE_VOXELGRID, DOWNSAMPLE_NONE):
+            raise ValueError(
+                f"unknown downsample method {self.downsample_method!r}")
+        if self.outlier_method not in (OUTLIER_RADIUS, OUTLIER_NONE):
+            raise ValueError(
+                f"unknown outlier removal method {self.outlier_method!r}")
         if self.downsample_resolution <= 0:
             raise ValueError("downsample_resolution must be positive")
         if self.radius <= 0:

@@ -1,10 +1,10 @@
 """Scan matching backends behind one interface.
 
-All methods estimate the rigid transform mapping the source cloud onto the
-target cloud, starting from an initial guess.  Implemented: point-to-point
-ICP (closed-form SVD step), point-to-plane ICP (linearized least squares),
-and GICP (plane-to-plane, Gauss-Newton on the se(3) twist with analytic
-gradients and a backtracking fallback).
+Both methods estimate the rigid transform mapping the source cloud onto the
+target cloud, starting from an initial guess: point-to-point ICP
+(closed-form SVD step; the pre-tracker's matcher) and GICP (plane-to-plane,
+Gauss-Newton on the se(3) twist with analytic gradients and a backtracking
+fallback; the tracker's and the loop verifier's matcher).
 
 Each GICP iteration forms the per-pair Mahalanobis matrix
 M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
@@ -23,8 +23,8 @@ import numpy as np
 from .geometry import KdTree, PointCloud, Pose, se3_exp, so3_log
 
 ICP_P2P = "ICP_P2P"
-ICP_P2PLANE = "ICP_P2PLANE"
 GICP = "GICP"
+METHODS = (ICP_P2P, GICP)
 
 MIN_CORRESPONDENCES = 10
 GICP_EPSILON = 1e-3
@@ -39,6 +39,9 @@ class RegistrationConfig:
     covariance_knn: int = 15
 
     def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown registration method {self.method!r}; "
+                             f"expected one of {METHODS}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.transformation_epsilon <= 0:
@@ -251,16 +254,9 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     max_d = cfg.max_correspondence_distance
 
     cov_src = cov_dst = None
-    tgt_normals = None
     if cfg.method == GICP:
         cov_src = compute_gicp_covariances(source, cfg.covariance_knn)
         cov_dst = compute_gicp_covariances(target, cfg.covariance_knn)
-    elif cfg.method == ICP_P2PLANE:
-        if target.normals is None:
-            raise ValueError("point-to-plane ICP requires target normals")
-        tgt_normals = target.normals
-    elif cfg.method != ICP_P2P:
-        raise ValueError(f"unknown registration method {cfg.method!r}")
 
     converged = False
     iterations = 0
@@ -268,8 +264,6 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
         moved = source.points @ transform.rotation.T + transform.translation
         idx, dist = tree.query_batch(moved)
         mask = dist <= max_d
-        if cfg.method == ICP_P2PLANE:
-            mask &= np.isfinite(tgt_normals[idx]).all(axis=1)
         if int(mask.sum()) < MIN_CORRESPONDENCES:
             return RegistrationResult(transform, np.inf, iterations, False)
         src_sel = source.points[mask]
@@ -284,12 +278,6 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
             delta = np.concatenate([
                 delta_pose.translation,
                 so3_log(delta_pose.rotation)])
-        elif cfg.method == ICP_P2PLANE:
-            n_sel = tgt_normals[idx[mask]]
-            delta = _p2plane_step(moved_sel, dst_sel, n_sel)
-            if delta is None:
-                return RegistrationResult(transform, np.inf, iterations, False)
-            delta_pose = se3_exp(delta)
         else:  # GICP
             cs = cov_src[mask]
             cd = cov_dst[idx[mask]]
@@ -332,17 +320,3 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     overlap = float(np.mean(mask))
     return RegistrationResult(transform, fitness, iterations, converged, overlap)
 
-
-def _p2plane_step(moved: np.ndarray, dst: np.ndarray,
-                  normals: np.ndarray) -> Optional[np.ndarray]:
-    """Linearized point-to-plane least squares; returns a 6-twist or None."""
-    res = np.einsum("ni,ni->n", normals, moved - dst)
-    a = np.empty((len(moved), 6))
-    a[:, :3] = normals
-    a[:, 3:] = np.cross(moved, normals)
-    h = a.T @ a
-    g = a.T @ res
-    try:
-        return -np.linalg.solve(h, g)
-    except np.linalg.LinAlgError:
-        return None

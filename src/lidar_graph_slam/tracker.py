@@ -3,8 +3,8 @@
 Every filtered cloud is registered against the current keyframe's cloud, so
 error accumulates per keyframe transition rather than per frame.  A cloud
 becomes a new keyframe when its relative motion or elapsed time crosses any
-of the configured thresholds.  When pre-computed odometry is available for
-a cloud that would not become a keyframe, scan matching is skipped entirely.
+of the configured thresholds.  Every cloud is scan-matched; the motion
+guess (from the pre-tracker, else constant motion) only seeds the match.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class TrackResult:
     new_keyframe: Optional[Keyframe]
     odometry_from_previous_keyframe: Optional[Pose]
     degraded: bool
-    skipped: bool
 
 
 class Tracker:
@@ -71,36 +70,24 @@ class Tracker:
         self._keyframe_count = 0
         self.registration_calls = 0
 
-    def track(self, filtered: PointCloud, guess: Optional[Pose] = None,
-              precomputed_rel: Optional[Pose] = None) -> TrackResult:
+    def track(self, filtered: PointCloud,
+              guess: Optional[Pose] = None) -> TrackResult:
         """Process one filtered cloud.
 
         ``guess`` is the estimated motion since the previous cloud (from the
-        pre-tracker or external odometry).  ``precomputed_rel``, when given,
-        is trusted keyframe-relative odometry enabling frame skipping.
+        pre-tracker); without it the last step is repeated.
         """
         if self.keyframe is None:
             kf = Keyframe(filtered, Pose.identity(), filtered.timestamp, 0.0, 0)
             self.keyframe = kf
             self._keyframe_count = 1
             self._prev_rel = Pose.identity()
-            return TrackResult(kf.pose, Pose.identity(), kf, None, False, False)
+            return TrackResult(kf.pose, Pose.identity(), kf, None, False)
 
         kf = self.keyframe
         dt = filtered.timestamp - kf.timestamp
-
-        if precomputed_rel is not None and not is_new_keyframe(
-                precomputed_rel, dt, self.criteria):
-            # below every threshold: trust the precomputed motion, skip matching
-            pose = kf.pose @ precomputed_rel
-            self._last_step = self._prev_rel.inverse() @ precomputed_rel
-            self._prev_rel = precomputed_rel
-            return TrackResult(pose, precomputed_rel, None, None, False, True)
-
         if guess is not None:
             guess_rel = self._prev_rel @ guess
-        elif precomputed_rel is not None:
-            guess_rel = precomputed_rel
         else:
             guess_rel = self._prev_rel @ self._last_step
 
@@ -111,7 +98,7 @@ class Tracker:
             rel = guess_rel
             pose = kf.pose @ rel
             self._prev_rel = rel
-            return TrackResult(pose, rel, None, None, True, False)
+            return TrackResult(pose, rel, None, None, True)
 
         rel = result.transform
         pose = kf.pose @ rel
@@ -119,7 +106,7 @@ class Tracker:
         self._prev_rel = rel
 
         if not is_new_keyframe(rel, dt, self.criteria):
-            return TrackResult(pose, rel, None, None, False, False)
+            return TrackResult(pose, rel, None, None, False)
 
         new_kf = Keyframe(
             cloud=filtered,
@@ -131,7 +118,7 @@ class Tracker:
         self._keyframe_count += 1
         self.keyframe = new_kf
         self._prev_rel = Pose.identity()
-        return TrackResult(pose, rel, new_kf, rel, False, False)
+        return TrackResult(pose, rel, new_kf, rel, False)
 
     def update_keyframe_pose(self, pose: Pose):
         """Adopt an optimized pose for the current keyframe."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import (PipelineConfig, _parse_bool,
                                      parse_config_text)
 
@@ -100,3 +101,35 @@ class TestBinding:
         path.write_text("keyframe_delta_trans = 1.25\n")
         cfg = PipelineConfig.from_file(str(path))
         assert cfg.keyframes.delta_trans == 1.25
+
+
+# each value breaks a check of the section it belongs to
+BAD_VALUES = [
+    ("max_iterations", "0"),
+    ("downsample_resolution", "-1"),
+    ("min_neighbors", "0"),
+    ("loop_top_k", "0"),
+    ("floor_clip_min_z", "5"),
+    ("registration_method", "FOO"),
+    ("registration_method", "ICP_P2PLANE"),
+    ("downsample_method", "VOXELGRIDD"),
+    ("floor_mode", "BANANA"),
+]
+
+
+class TestRejection:
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_from_dict_raises(self, key, value):
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", BAD_VALUES)
+    def test_cli_exits_with_code_2(self, key, value, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{key} = {value}\n")
+        # the dataset directory is empty: the config must fail first
+        code = cli_main(["run", "--config", str(conf), "--dataset",
+                         str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "velodyne" not in err

@@ -27,18 +27,6 @@ class TestLoadScan:
         assert cloud.timestamp == 1.5
         assert cloud.frame_id == "000000.bin"
 
-    def test_non_finite_points_dropped_with_warning(self, tmp_path, rng,
-                                                    caplog):
-        pts = rng.normal(size=(10, 3))
-        pts[3, 1] = np.nan
-        pts[7, 0] = np.inf
-        path = tmp_path / "scan.bin"
-        write_scan(path, pts)
-        with caplog.at_level("WARNING"):
-            cloud = load_kitti_scan(str(path))
-        assert len(cloud) == 8
-        assert any("non-finite" in rec.message for rec in caplog.records)
-
     def test_truncated_file_raises(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 10)   # not a multiple of 16 bytes

@@ -119,12 +119,6 @@ class TestDetector:
         assert terr < 0.5
         assert rerr < 3.0
 
-    def test_duplicate_pairs_not_reemitted(self, revisit_scene):
-        keyframes, query = self._keyframes(revisit_scene)
-        detector = LoopDetector()
-        assert detector.detect(query, keyframes) is not None
-        assert detector.detect(query, keyframes) is None
-
     def test_registration_budget_per_query(self, revisit_scene):
         scan_a, _ = revisit_scene
         cfg = LoopConfig(top_k=3, descriptor_distance_threshold=1.1)

@@ -14,7 +14,7 @@ from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
                                          read_tum, write_tum)
 from lidar_graph_slam.floor import detect_floor
-from lidar_graph_slam.geometry import Pose, so3_exp
+from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
                                        run_pipeline)
@@ -163,6 +163,49 @@ class TestStageErrors:
             SlamPipeline().run_batch(clouds[:8])
 
 
+def _assert_every_frame_tracked(result, n_frames):
+    assert result.dropped_frames == 0
+    assert len(result.trajectory) == n_frames
+    assert all(np.isfinite(tp.pose.matrix()).all()
+               for tp in result.trajectory)
+
+
+class TestDegenerateScans:
+    """Degenerate input in scan 5 of a 12-scan run: every frame is still
+    tracked.  Scan 4 is not a keyframe, so even a timestamp before it
+    comes after the current keyframe's."""
+
+    @pytest.mark.parametrize("case", ["empty", "five_points",
+                                      "duplicate_timestamp",
+                                      "50ms_before_previous"])
+    def test_run_completes(self, straight_run, case):
+        clouds = straight_run[0][:12]
+        scan, prev = clouds[5], clouds[4]
+        points, timestamp = {
+            "empty": (np.empty((0, 3)), scan.timestamp),
+            "five_points": (scan.points[:5], scan.timestamp),
+            "duplicate_timestamp": (scan.points, prev.timestamp),
+            "50ms_before_previous": (scan.points, prev.timestamp - 0.05),
+        }[case]
+        clouds[5] = PointCloud(points, None, timestamp, scan.frame_id)
+        _assert_every_frame_tracked(SlamPipeline().run_batch(clouds), 12)
+
+    def test_non_finite_points_dropped_with_warning(self, straight_run,
+                                                    caplog):
+        clouds = straight_run[0][:12]
+        pts = clouds[5].points.copy()
+        pts[::50, 1] = np.nan
+        pts[7, 0] = np.inf
+        n_bad = len(pts[::50]) + 1
+        clouds[5] = PointCloud(pts, None, clouds[5].timestamp)
+        with caplog.at_level("WARNING", logger="lidar_graph_slam.pipeline"):
+            result = SlamPipeline().run_batch(clouds)
+        _assert_every_frame_tracked(result, 12)
+        warnings = [rec.getMessage() for rec in caplog.records]
+        assert len(warnings) == 1
+        assert f"dropped {n_bad} non-finite points" in warnings[0]
+
+
 class TestRejectedLoop:
     def test_half_turn_loop_is_not_counted(self, straight_run):
         # a verified loop whose rotation contradicts the graph by a half
@@ -263,6 +306,7 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert (out / "trajectory.tum").exists()
+        assert "VERTEX_SE3:QUAT" in (out / "graph.g2o").read_text()
         assert "keyframes:" in capsys.readouterr().out
 
     def test_eval_subcommand(self, straight_run, tmp_path, capsys):
@@ -277,15 +321,6 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["rmse"] < 1e-6
         assert report["pairs"] == len(truth)
-
-    def test_export_graph_subcommand(self, short_dataset_dir, tmp_path,
-                                     capsys):
-        out = tmp_path / "exported.g2o"
-        code = cli_main(["export-graph", "--dataset", short_dataset_dir,
-                         "--workdir", str(tmp_path / "wd"),
-                         "--out", str(out)])
-        assert code == 0
-        assert "VERTEX_SE3:QUAT" in out.read_text()
 
     def test_errors_exit_with_code_2(self, tmp_path, capsys):
         code = cli_main(["run", "--dataset", str(tmp_path / "missing"),

@@ -92,32 +92,6 @@ class TestTracker:
         assert tracker.keyframe.index >= 1
         assert tracker.keyframe.accumulated_distance > 0.0
 
-    def test_precomputed_relative_skips_registration(self, rng):
-        scene = self._scene(rng)
-        tracker = Tracker(reg_cfg())
-        tracker.track(PointCloud(scene.points, timestamp=0.0))
-        rel = Pose(np.eye(3), np.array([0.3, 0.0, 0.0]))
-        res = tracker.track(PointCloud(scene.points, timestamp=0.1),
-                            precomputed_rel=rel)
-        assert res.skipped
-        assert tracker.registration_calls == 0
-        terr, _ = pose_error(res.pose, rel)
-        assert terr == 0.0
-
-    def test_precomputed_relative_over_threshold_still_matches(self, rng):
-        scene = self._scene(rng)
-        crit = KeyframeCriteria(delta_trans=1.0, delta_angle=1.0,
-                                delta_time=100.0)
-        tracker = Tracker(reg_cfg(), crit)
-        tracker.track(PointCloud(scene.points, timestamp=0.0))
-        rel = Pose(np.eye(3), np.array([2.0, 0.0, 0.0]))
-        moved = scene.transformed(rel.inverse())
-        res = tracker.track(PointCloud(moved.points, timestamp=0.1),
-                            precomputed_rel=rel)
-        assert not res.skipped
-        assert res.new_keyframe is not None
-        assert tracker.registration_calls == 1
-
     def test_failed_registration_degrades(self, rng):
         tracker = Tracker(reg_cfg())
         tracker.track(PointCloud(self._scene(rng).points, timestamp=0.0))
