@@ -46,6 +46,10 @@ class PipelineConfig:
     map_resolution: float = 0.25
     streaming_queue_capacity: int = 32
 
+    def __post_init__(self):
+        if self.map_resolution <= 0:
+            raise ValueError("map_resolution must be positive")
+
     @staticmethod
     def from_file(path: str) -> "PipelineConfig":
         with open(path) as f:

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import PointCloud, estimate_normals
+from .geometry import PointCloud, eigen_symmetric_3x3, estimate_normals
 
 MODE_PLANAR = "PLANAR"
 MODE_ROUGH = "ROUGH"
@@ -71,9 +71,8 @@ def fit_plane_lsq(points: np.ndarray) -> Tuple[np.ndarray, float]:
     pts = np.asarray(points, dtype=np.float64)
     centroid = pts.mean(axis=0)
     centered = pts - centroid
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    n = vecs[:, 0]
+    _, vecs = eigen_symmetric_3x3((centered.T @ centered)[None])
+    n = vecs[0]
     if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
         n = -n
     d = -float(n @ centroid)

@@ -317,21 +317,118 @@ class KdTree:
     def __len__(self) -> int:
         return len(self._points)
 
-    def query_batch(self, queries: np.ndarray, k: int = 1):
+    def query_batch(self, queries: np.ndarray, k: int = 1,
+                    distance_upper_bound: float = np.inf):
         """Vectorized k-nearest query; returns (indices, distances) arrays.
 
-        Runs on the calling thread: cKDTree's ``workers=-1`` starts threads
-        on every call, which costs more than it saves on scan-sized
-        queries.
+        Neighbours at ``distance_upper_bound`` or beyond are not searched
+        for; a missing one has index ``len(self)`` and distance inf.  Runs
+        on the calling thread: cKDTree's ``workers=-1`` starts threads on
+        every call, which costs more than it saves on scan-sized queries.
         """
         dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64),
-                                     k=k)
+                                     k=k,
+                                     distance_upper_bound=distance_upper_bound)
         return idx, dist
 
 
 # ---------------------------------------------------------------------------
-# Normal estimation
+# Symmetric 3x3 eigenproblems and normal estimation
 # ---------------------------------------------------------------------------
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of (3, N) column stacks."""
+    return np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def eigen_symmetric_3x3(a: np.ndarray):
+    """Eigenvalues and smallest eigenvector of (N, 3, 3) symmetric matrices.
+
+    Returns the (N, 3) eigenvalues in ascending order and an (N, 3) unit
+    eigenvector of the smallest one, of arbitrary sign.  Only the upper
+    triangle of ``a`` is read.
+
+    Closed form: with q = tr(A) / 3 and p the scale of A - qI, the
+    eigenvalues of B = (A - qI) / p are 2 cos(phi + 2 pi j / 3),
+    phi = arccos(det(B) / 2) / 3 (the trigonometric method).  The one
+    farthest from the other two (the smallest when det(B) < 0, else the
+    largest) is insensitive to rounding in phi and lies at least sqrt(3)
+    from them, so its eigenvector is the longest cross product of two rows
+    of B - beta I.  The other two come from the 2x2 restriction of B to the
+    plane orthogonal to it, so a pair of nearly equal eigenvalues (line-
+    and disc-shaped neighborhoods) keeps full precision.  A multiple of
+    the identity gets its eigenvalue three times.
+    """
+    a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
+    a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
+    q = (a00 + a11 + a22) / 3.0
+    d0, d1, d2 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    inv_p = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0)
+    b00, b11, b22 = d0 * inv_p, d1 * inv_p, d2 * inv_p      # B = (A - qI) / p
+    b01, b02, b12 = a01 * inv_p, a02 * inv_p, a12 * inv_p
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12)
+                      - b01 * (b01 * b22 - b12 * b02)
+                      + b02 * (b01 * b12 - b11 * b02))
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    low = half_det < 0.0                 # the smallest is the lone one
+    beta = 2.0 * np.cos(np.where(low, phi + 2.0 * np.pi / 3.0, phi))
+
+    r0 = np.stack([b00 - beta, b01, b02])        # rows of B - beta I
+    r1 = np.stack([b01, b11 - beta, b12])
+    r2 = np.stack([b02, b12, b22 - beta])
+    crosses = np.stack([_cross(r0, r1), _cross(r0, r2), _cross(r1, r2)])
+    lengths = (crosses * crosses).sum(axis=1)
+    best, cols = lengths.argmax(axis=0), np.arange(len(a))
+    lone = crosses[best, :, cols].T / np.sqrt(lengths[best, cols])
+
+    # orthonormal basis (u, w) of the plane orthogonal to the lone vector
+    x, y, z = lone
+    x_big = np.abs(x) > np.abs(y)
+    u = np.stack([np.where(x_big, -z, 0.0), np.where(x_big, 0.0, z),
+                  np.where(x_big, x, -y)])
+    u /= np.sqrt((u * u).sum(axis=0))
+    w = _cross(lone, u)
+    # B u and B w from the rows of B - beta I (B is symmetric)
+    bu = r0 * u[0] + r1 * u[1] + r2 * u[2] + beta * u
+    bw = r0 * w[0] + r1 * w[1] + r2 * w[2] + beta * w
+    c00 = (u * bu).sum(axis=0)
+    c01 = (w * bu).sum(axis=0)
+    c11 = (w * bw).sum(axis=0)
+    mean = 0.5 * (c00 + c11)
+    half_diff = 0.5 * (c00 - c11)
+    radius = np.hypot(half_diff, c01)
+    theta = 0.5 * np.arctan2(c01, half_diff)     # larger pair eigenvector
+    pair_small = np.cos(theta) * w - np.sin(theta) * u
+
+    betas = np.where(low, [beta, mean - radius, mean + radius],
+                     [mean - radius, mean + radius, beta])
+    values = (q + p * betas).T
+    vector = np.where(low, lone, pair_small).T
+    return values, vector
+
+
+def neighborhood_covariances(points: np.ndarray,
+                             idx: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) covariances (divided by k) of the point sets
+    ``points[idx[i]]`` for an (N, k) index array.
+
+    Each coordinate is gathered into a (k, N) array, so centering and the six
+    distinct products are whole-array operations rather than N small
+    matrix products.
+    """
+    k = idx.shape[1]
+    centered = np.take(np.ascontiguousarray(points.T),
+                       np.ascontiguousarray(idx.T), axis=1)   # (3, k, N)
+    centered -= centered.mean(axis=1, keepdims=True)
+    x, y, z = centered
+    xx, xy, xz, yy, yz, zz = (np.einsum("kn,kn->n", a, b) for a, b in
+                              ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
+    return np.stack([xx, xy, xz, xy, yy, yz, xz, yz, zz],
+                    axis=1).reshape(-1, 3, 3) / k
+
 
 def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
     """Per-point normals from the smallest eigenvector of the k-NN covariance.
@@ -346,11 +443,8 @@ def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
         raise ValueError(f"cloud of {len(cloud)} points is smaller than k={k}")
     tree = KdTree(cloud.points)
     idx, _ = tree.query_batch(cloud.points, k=k)
-    neighborhoods = cloud.points[idx]                       # (N, k, 3)
-    centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    eigvals, eigvecs = np.linalg.eigh(cov)                  # ascending
-    normals = eigvecs[:, :, 0].copy()
+    eigvals, normals = eigen_symmetric_3x3(
+        neighborhood_covariances(cloud.points, idx))        # ascending
     # rank < 2: the two largest eigenvalues must be clearly nonzero
     scale = np.maximum(eigvals[:, 2], 1e-300)
     degenerate = eigvals[:, 1] / scale < 1e-9

@@ -1,14 +1,18 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
 Each frame runs one fixed sequence.  The front end drops non-finite points,
-pre-filters the scan, detects the floor in the filtered cloud and pre-tracks
-the raw cloud; then the tracker matches the filtered cloud against the
-current keyframe, and the back end (pose graph, loop closure, optimization)
-runs inline on each new keyframe.  One worker thread runs the front end of
-frame i+1 while the calling thread tracks frame i.  A single worker keeps
-the stateful pre-tracker in frame order, so every module sees the same
-inputs in the same order as a sequential run, and a stage exception
-propagates to the caller.
+pre-filters the scan, detects the floor in the filtered cloud and computes
+the filtered cloud's kd-tree and GICP covariances; then the pre-tracker
+estimates the motion from the raw cloud, the tracker matches the filtered
+cloud against the current keyframe, and the back end (pose graph, loop
+closure, optimization) runs inline on each new keyframe.
+
+The front end keeps no state from one frame to the next, so one lookahead
+worker thread runs it for frame i+1 while the calling thread pre-tracks,
+tracks and runs the back end of frame i.  The stateful stages (pre-tracker,
+tracker, back end) all run on the calling thread in frame order, so every
+module sees the same inputs in the same order as a sequential run, and a
+stage exception propagates to the caller.
 
 ``run_realtime_sim`` runs the same loop on a simulated clock (see
 :func:`frame_dropped`); it never sleeps, and every frame is either tracked
@@ -36,6 +40,7 @@ from .mapping import build_map, write_ply
 from .pose_graph import PoseGraph, default_information
 from .prefilter import prefilter
 from .pretracker import Pretracker
+from .registration import prepare_alignment
 from .tracker import Tracker
 
 log = logging.getLogger(__name__)
@@ -81,8 +86,10 @@ class PipelineResult:
     loop_count: int
     dropped_frames: int
     runtime_seconds: float
-    # Seconds per call of each stage.  prefilter, floor and pretrack are
-    # measured on the lookahead thread while track runs, so they overlap it.
+    # Seconds per call of each stage.  prefilter, floor and prepare (the
+    # kd-tree and GICP covariances) are measured on the lookahead thread,
+    # pretrack and track (which includes the back end) on the calling
+    # thread, so the two groups overlap.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
@@ -111,7 +118,8 @@ class SlamPipeline:
         self.dropped_frames = 0
         self._kf_since_opt = 0
         self._latencies: Dict[str, List[float]] = {
-            "prefilter": [], "pretrack": [], "track": [], "floor": []}
+            "prefilter": [], "floor": [], "prepare": [], "pretrack": [],
+            "track": []}
 
     # -- per-stage handlers -------------------------------------------------
 
@@ -134,6 +142,11 @@ class SlamPipeline:
             else None
         self._latencies["floor"].append(time.perf_counter() - t0)
         return res
+
+    def _do_prepare(self, filtered: PointCloud):
+        t0 = time.perf_counter()
+        prepare_alignment(filtered, self.cfg.registration)
+        self._latencies["prepare"].append(time.perf_counter() - t0)
 
     def _do_track(self, filtered: PointCloud, guess: Optional[Pose],
                   floor_coeffs):
@@ -179,17 +192,25 @@ class SlamPipeline:
         self.tracker.update_keyframe_pose(self.keyframes[-1].pose)
 
     def _front_end(self, cloud: PointCloud):
-        """Per-scan stages of one frame; runs on the lookahead thread."""
+        """The stateless stages of one frame; runs on the lookahead thread.
+
+        Returns the finite cloud, the filtered cloud with its alignment
+        state cached on it, and the floor.
+        """
         cloud = finite_points(cloud)
         filtered = self._do_prefilter(cloud)
         floor_coeffs = self._do_floor(filtered)
-        pre = self._do_pretrack(cloud)
-        return filtered, pre.guess if pre is not None else None, floor_coeffs
+        self._do_prepare(filtered)
+        return cloud, filtered, floor_coeffs
 
     def _track(self, front_end: Future) -> float:
-        """Track one frame; return the wall time spent waiting and tracking."""
+        """Pre-track and track one frame on the calling thread; return the
+        wall time spent waiting for its front end and tracking it."""
         t0 = time.perf_counter()
-        self._do_track(*front_end.result())
+        cloud, filtered, floor_coeffs = front_end.result()
+        pre = self._do_pretrack(cloud)
+        self._do_track(filtered, pre.guess if pre is not None else None,
+                       floor_coeffs)
         return time.perf_counter() - t0
 
     # -- drivers ------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Cloud pre-filtering: voxel-grid downsampling and radius outlier removal.
 
 Outlier removal builds one kd-tree over the cloud and asks each point for
-its ``min_neighbors + 1`` nearest neighbours (the point itself included);
-the point is kept iff the farthest of them lies within the radius.
+its ``min_neighbors + 1`` nearest neighbours (the point itself included),
+searching no farther than just past the radius; the point is kept iff the
+farthest of them lies within the radius.
 """
 
 from __future__ import annotations
@@ -90,9 +91,16 @@ def remove_outliers(cloud: PointCloud, radius: float,
     pts = cloud.points
     if len(pts) <= min_neighbors:
         return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
-    idx, _ = KdTree(pts).query_batch(pts, k=min_neighbors + 1)
-    diff = pts[idx[:, min_neighbors]] - pts
-    keep = (diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2 <= radius * radius
+    # the bound only prunes the search: it sits far enough past the radius
+    # that every point the exact test below accepts is still found, and a
+    # neighbour the search did not find (index n) is beyond the radius
+    idx, _ = KdTree(pts).query_batch(pts, k=min_neighbors + 1,
+                                     distance_upper_bound=radius * (1 + 1e-9))
+    far = idx[:, min_neighbors]
+    found = far < len(pts)
+    diff = pts[np.where(found, far, 0)] - pts
+    keep = found & ((diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
+                    <= radius * radius)
     return PointCloud(pts[keep], None, cloud.timestamp, cloud.frame_id)
 
 

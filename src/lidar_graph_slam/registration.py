@@ -11,6 +11,12 @@ M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
 builds the Gauss-Newton system from it with one matrix product over the
 stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
 Trial steps are judged by their cost alone.
+
+As in fast_gicp, each cloud's kd-tree and GICP covariances are computed
+once, outside the matching loop, and cached on the cloud; the covariance's
+normal comes from a closed-form 3x3 eigensolver.  The pipeline computes
+them with :func:`prepare_alignment` on its lookahead worker thread, so the
+tracker and the loop verifier on the calling thread only read them.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import KdTree, PointCloud, Pose, se3_exp, so3_log
+from .geometry import (KdTree, PointCloud, Pose, eigen_symmetric_3x3,
+                       neighborhood_covariances, se3_exp, so3_log)
 
 ICP_P2P = "ICP_P2P"
 GICP = "GICP"
@@ -124,15 +131,23 @@ def compute_gicp_covariances(cloud: PointCloud, k: int = 15,
         return cache[key]
     tree = cloud_kdtree(cloud)
     idx, _ = tree.query_batch(cloud.points, k=k)
-    nb = cloud.points[idx]
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.matmul(centered.transpose(0, 2, 1), centered) / k
-    _, vecs = np.linalg.eigh(cov)                # ascending eigenvalues
-    normal = vecs[:, :, 0]
+    _, normal = eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
+                                                             idx))
     out = (epsilon - 1.0) * (normal[:, :, None] * normal[:, None, :])
     out[:, [0, 1, 2], [0, 1, 2]] += 1.0
     cache[key] = out
     return out
+
+
+def prepare_alignment(cloud: PointCloud, cfg: RegistrationConfig) -> None:
+    """Compute and cache what :func:`align` reads of ``cloud`` under ``cfg``:
+    its kd-tree and, for GICP, its covariances.  A cloud too small for
+    ``align`` to match is left alone."""
+    if len(cloud) < MIN_CORRESPONDENCES:
+        return
+    cloud_kdtree(cloud)
+    if cfg.method == GICP:
+        compute_gicp_covariances(cloud, cfg.covariance_knn)
 
 
 def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
@@ -159,6 +174,18 @@ def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rotate_covariances(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """R C R^T for each (3, 3) matrix C of ``cov``, as one contraction: the
+    row-major flattening of R C R^T is (R kron R) times that of C.
+
+    einsum rather than ``@``: OpenBLAS runs an (n x 9) GEMM on several
+    threads, whose spin-waiting then takes the core the lookahead worker
+    needs (process CPU time about twice the wall time on 2 cores).
+    """
+    return np.einsum("ni,ji->nj", cov.reshape(-1, 9),
+                     np.kron(r, r)).reshape(-1, 3, 3)
+
+
 def _gicp_terms(src, dst, cov_src, cov_dst, transform):
     """Per-pair GICP quantities at ``transform``.
 
@@ -169,7 +196,7 @@ def _gicp_terms(src, dst, cov_src, cov_dst, transform):
     r, t = transform.rotation, transform.translation
     p = src @ r.T + t
     d = p - dst
-    m = _inverse_symmetric_3x3(cov_dst + np.matmul(r @ cov_src, r.T))
+    m = _inverse_symmetric_3x3(cov_dst + _rotate_covariances(cov_src, r))
     u = np.matmul(m, d[..., None])[..., 0]
     return p, d, m, u
 
@@ -241,12 +268,14 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
 
     Returns the relative transform (source frame -> target frame), the mean
     squared correspondence distance at the final estimate, and convergence
-    status.  Fewer than 10 usable correspondences at any iteration yields a
-    non-converged result with infinite fitness.
+    status.  A cloud of fewer than ``MIN_CORRESPONDENCES`` points, or fewer
+    usable correspondences at any iteration, yields a non-converged result
+    with infinite fitness; the tiny-cloud case returns the guess before any
+    covariance is computed.
     """
     cfg = cfg or RegistrationConfig()
     guess = guess or Pose.identity()
-    if len(source) == 0 or len(target) == 0:
+    if min(len(source), len(target)) < MIN_CORRESPONDENCES:
         return RegistrationResult(guess, np.inf, 0, False)
 
     tree = cloud_kdtree(target)

@@ -24,6 +24,12 @@ class ScanContextParams:
     max_range: float = 80.0
     height_offset: float = 2.0
 
+    def __post_init__(self):
+        if self.rings < 1 or self.sectors < 1:
+            raise ValueError("scan context needs at least one ring and sector")
+        if self.max_range <= 0:
+            raise ValueError("scan context max_range must be positive")
+
     @property
     def sector_width(self) -> float:
         return 2.0 * np.pi / self.sectors

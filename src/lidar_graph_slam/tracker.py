@@ -75,7 +75,8 @@ class Tracker:
         """Process one filtered cloud.
 
         ``guess`` is the estimated motion since the previous cloud (from the
-        pre-tracker); without it the last step is repeated.
+        pre-tracker); without it the last step is repeated.  A cloud stamped
+        before the current keyframe counts as no time elapsed.
         """
         if self.keyframe is None:
             kf = Keyframe(filtered, Pose.identity(), filtered.timestamp, 0.0, 0)
@@ -85,7 +86,7 @@ class Tracker:
             return TrackResult(kf.pose, Pose.identity(), kf, None, False)
 
         kf = self.keyframe
-        dt = filtered.timestamp - kf.timestamp
+        dt = max(filtered.timestamp - kf.timestamp, 0.0)
         if guess is not None:
             guess_rel = self._prev_rel @ guess
         else:

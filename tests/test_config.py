@@ -114,6 +114,10 @@ BAD_VALUES = [
     ("registration_method", "ICP_P2PLANE"),
     ("downsample_method", "VOXELGRIDD"),
     ("floor_mode", "BANANA"),
+    ("sc_rings", "0"),
+    ("sc_sectors", "0"),
+    ("sc_max_range", "-1"),
+    ("map_resolution", "0"),
 ]
 
 

@@ -9,6 +9,7 @@ from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
                                        _se3_exp_rt, _se3_log_rt,
                                        _so3_left_jacobian,
                                        _so3_left_jacobian_inv, _se3_q_matrix,
+                                       eigen_symmetric_3x3,
                                        estimate_normals, orthonormalize,
                                        se3_adjoint, se3_exp,
                                        se3_left_jacobian,
@@ -16,7 +17,7 @@ from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
                                        se3_right_jacobian_inv, se3_log,
                                        so3_exp, so3_log)
 
-from conftest import random_pose
+from conftest import random_pose, random_rotation
 
 
 finite_twists = st.lists(
@@ -248,6 +249,65 @@ class TestKdTree:
     def test_empty_cloud_raises(self):
         with pytest.raises(ValueError):
             KdTree(np.empty((0, 3)))
+
+
+def neighbourhood_covariances(rng, spread, scale=1.0, n=300, k=15):
+    """Covariances of n k-point neighbourhoods drawn with axis standard
+    deviations ``spread``, each rotated at random and moved off the origin,
+    all scaled by ``scale``."""
+    pts = rng.normal(size=(n, k, 3)) * np.asarray(spread, dtype=float)
+    rots = np.array([random_rotation(rng, np.pi) for _ in range(n)])
+    pts = (pts @ rots.transpose(0, 2, 1) + rng.normal(size=(n, 1, 3)) * 10.0)
+    centered = (pts - pts.mean(axis=1, keepdims=True)) * scale
+    return np.einsum("nki,nkj->nij", centered, centered) / k
+
+
+class TestEigenSymmetric3x3:
+    """The closed-form solver against LAPACK's ``eigh``."""
+
+    SHAPES = {"planar": [1.0, 1.0, 0.0], "linear": [1.0, 0.0, 0.0],
+              "isotropic": [1.0, 1.0, 1.0], "disc": [1.0, 1.0, 1e-3],
+              "needle": [1.0, 1e-3, 1e-3], "zero": [0.0, 0.0, 0.0],
+              "elongated_plane": [1.0, 0.3, 0.01]}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_eigh(self, rng, shape, scale):
+        cov = neighbourhood_covariances(rng, self.SHAPES[shape], scale)
+        values, vector = eigen_symmetric_3x3(cov)
+        ref_values, ref_vectors = np.linalg.eigh(cov)
+        size = np.maximum(np.abs(ref_values).max(axis=1, keepdims=True),
+                          np.finfo(float).tiny)
+        np.testing.assert_allclose((values - ref_values) / size, 0.0,
+                                   atol=1e-14)
+        np.testing.assert_allclose(np.linalg.norm(vector, axis=1), 1.0,
+                                   atol=1e-15)
+        # an eigenvector of the smallest eigenvalue, whatever its multiplicity
+        residual = (cov @ vector[:, :, None])[:, :, 0] - values[:, :1] * vector
+        np.testing.assert_allclose(np.linalg.norm(residual, axis=1)
+                                   / size[:, 0], 0.0, atol=1e-14)
+        # where it is simple, the same vector as eigh's up to sign
+        simple = ref_values[:, 1] - ref_values[:, 0] > 1e-6 * size[:, 0]
+        dots = np.abs(np.einsum("ni,ni->n", vector, ref_vectors[:, :, 0]))
+        np.testing.assert_allclose(dots[simple], 1.0, rtol=0, atol=1e-14)
+
+    def test_repeated_eigenvalues(self):
+        cov = np.array([np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 1.0, 1.0]),
+                        np.diag([1.0, 2.0, 2.0]), 3.0 * np.eye(3),
+                        np.zeros((3, 3)), np.diag([0.0, 0.0, 1.0])])
+        values, vector = eigen_symmetric_3x3(cov)
+        np.testing.assert_allclose(values, np.sort(np.diagonal(
+            cov, axis1=1, axis2=2), axis=1), rtol=0, atol=1e-15)
+        residual = (cov @ vector[:, :, None])[:, :, 0] - values[:, :1] * vector
+        np.testing.assert_allclose(residual, 0.0, atol=1e-15)
+        np.testing.assert_allclose(np.abs(vector[2]), [1.0, 0.0, 0.0],
+                                   atol=1e-15)
+
+    def test_reads_only_the_upper_triangle(self, rng):
+        cov = neighbourhood_covariances(rng, [1.0, 0.5, 0.1], n=20)
+        upper = np.triu(cov)
+        for a, b in zip(eigen_symmetric_3x3(cov), eigen_symmetric_3x3(upper)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNormals:

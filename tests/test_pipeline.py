@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam import pipeline as pipeline_module
+from lidar_graph_slam import registration as registration_module
 from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
@@ -176,6 +177,7 @@ class TestDegenerateScans:
     comes after the current keyframe's."""
 
     @pytest.mark.parametrize("case", ["empty", "five_points",
+                                      "one_point_after_outlier_removal",
                                       "duplicate_timestamp",
                                       "50ms_before_previous"])
     def test_run_completes(self, straight_run, case):
@@ -184,11 +186,24 @@ class TestDegenerateScans:
         points, timestamp = {
             "empty": (np.empty((0, 3)), scan.timestamp),
             "five_points": (scan.points[:5], scan.timestamp),
+            "one_point_after_outlier_removal": (
+                [[5.0, 0.0, 0.0], [5.3, 0.0, 0.0], [4.7, 0.0, 0.0]],
+                scan.timestamp),
             "duplicate_timestamp": (scan.points, prev.timestamp),
             "50ms_before_previous": (scan.points, prev.timestamp - 0.05),
         }[case]
         clouds[5] = PointCloud(points, None, timestamp, scan.frame_id)
         _assert_every_frame_tracked(SlamPipeline().run_batch(clouds), 12)
+
+    def test_scan_before_the_current_keyframe(self, straight_run):
+        # keyframes at 0.0 and 0.6 s; scan 7 comes back to 0.55 s
+        clouds = straight_run[0][:12]
+        scan = clouds[7]
+        clouds[7] = PointCloud(scan.points, None, 0.55, scan.frame_id)
+        pipeline = SlamPipeline()
+        _assert_every_frame_tracked(pipeline.run_batch(clouds), 12)
+        assert [kf.timestamp for kf in pipeline.keyframes][:2] == \
+            pytest.approx([0.0, 0.6])
 
     def test_non_finite_points_dropped_with_warning(self, straight_run,
                                                     caplog):
@@ -327,6 +342,53 @@ class TestCli:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestStagePlacement:
+    """The lookahead worker builds each filtered cloud's kd-tree and GICP
+    covariances; the calling thread only reads them, and pre-tracks every
+    frame in order."""
+
+    def test_alignment_state_is_built_on_the_worker(self, straight_run,
+                                                    monkeypatch):
+        clouds = straight_run[0][:8]
+        filtered, trees, eigen_threads, pretracked = [], [], [], []
+        real_prefilter = pipeline_module.prefilter
+        real_eigen = registration_module.eigen_symmetric_3x3
+        real_pretrack = Pretracker.pretrack
+
+        def recording_prefilter(cloud, cfg):
+            filtered.append(real_prefilter(cloud, cfg))
+            return filtered[-1]
+
+        class RecordingTree(registration_module.KdTree):
+            def __init__(self, points):
+                trees.append((threading.get_ident(), points))
+                super().__init__(points)
+
+        def recording_eigen(a):
+            eigen_threads.append(threading.get_ident())
+            return real_eigen(a)
+
+        def recording_pretrack(pretracker, cloud):
+            pretracked.append((threading.get_ident(), cloud.timestamp))
+            return real_pretrack(pretracker, cloud)
+
+        monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+        monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
+        monkeypatch.setattr(registration_module, "eigen_symmetric_3x3",
+                            recording_eigen)
+        monkeypatch.setattr(Pretracker, "pretrack", recording_pretrack)
+        SlamPipeline().run_batch(clouds)
+
+        caller = threading.get_ident()
+        tracked_trees = [thread for thread, points in trees
+                         if any(points is f.points for f in filtered)]
+        assert len(tracked_trees) == len(clouds)
+        assert caller not in tracked_trees
+        assert len(eigen_threads) == len(clouds)
+        assert caller not in eigen_threads
+        assert pretracked == [(caller, c.timestamp) for c in clouds]
 
 
 class TestFrontEndStartsNoThreads:

@@ -8,6 +8,7 @@ from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
 from lidar_graph_slam.registration import (GICP, ICP_P2P, RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
                                            _inverse_symmetric_3x3,
+                                           _rotate_covariances,
                                            compute_gicp_covariances,
                                            gicp_cost_and_gradient, align,
                                            rigid_align_pairs)
@@ -109,6 +110,21 @@ class TestAlign:
         full = PointCloud(rng.normal(size=(30, 3)))
         res = align(empty, full)
         assert not res.converged and np.isinf(res.fitness)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("n_points", [1, 2, 9])
+    def test_cloud_below_min_correspondences_fails(self, rng, method,
+                                                   n_points):
+        # the guess comes back, before any covariance is computed
+        tiny = PointCloud(rng.normal(size=(n_points, 3)))
+        full = PointCloud(rng.normal(size=(30, 3)))
+        guess = random_pose(rng, 0.5, 0.1)
+        for source, target in ((tiny, full), (full, tiny)):
+            res = align(source, target, guess,
+                        RegistrationConfig(method=method))
+            assert not res.converged and np.isinf(res.fitness)
+            assert res.transform is guess and res.iterations_used == 0
+        assert not hasattr(tiny, "_derived_cache")
 
     def test_unknown_method_raises(self):
         for method in ("WHAT", "ICP_P2PLANE"):
@@ -227,6 +243,15 @@ class TestGicpKernel:
         inv = _inverse_symmetric_3x3(a)
         np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-10,
                                    atol=1e-10)
+
+    def test_rotated_covariances_match_matmul(self, rng):
+        cov = compute_gicp_covariances(box_surface_cloud(rng, n=300), k=10)
+        cov = cov * rng.uniform(0.1, 10.0, size=(len(cov), 1, 1))
+        for _ in range(5):
+            r = random_rotation(rng, np.pi)
+            np.testing.assert_allclose(_rotate_covariances(cov, r),
+                                       np.matmul(r @ cov, r.T),
+                                       rtol=0, atol=1e-14)
 
     def test_singular_matrix_gets_zero_inverse(self):
         a = np.stack([np.diag([1.0, 1.0, 0.0]), np.eye(3)])
