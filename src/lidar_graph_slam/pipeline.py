@@ -72,6 +72,11 @@ def finite_points(cloud: PointCloud) -> PointCloud:
                       cloud.frame_id)
 
 
+def _off(*_args):
+    """Stands in for a stage the configuration switches off."""
+    return None
+
+
 @dataclass
 class FrameRecord:
     timestamp: float
@@ -123,34 +128,15 @@ class SlamPipeline:
 
     # -- per-stage handlers -------------------------------------------------
 
-    def _do_prefilter(self, cloud: PointCloud) -> PointCloud:
+    def _timed(self, stage: str, fn, *args):
+        """``fn(*args)``, with its wall time added to ``stage``'s latencies."""
         t0 = time.perf_counter()
-        out = prefilter(cloud, self.cfg.prefilter)
-        self._latencies["prefilter"].append(time.perf_counter() - t0)
+        out = fn(*args)
+        self._latencies[stage].append(time.perf_counter() - t0)
         return out
-
-    def _do_pretrack(self, cloud: PointCloud):
-        t0 = time.perf_counter()
-        res = self.pretracker.pretrack(cloud) if self.cfg.pretracker_enabled \
-            else None
-        self._latencies["pretrack"].append(time.perf_counter() - t0)
-        return res
-
-    def _do_floor(self, filtered: PointCloud):
-        t0 = time.perf_counter()
-        res = detect_floor(filtered, self.cfg.floor) if self.cfg.floor_enabled \
-            else None
-        self._latencies["floor"].append(time.perf_counter() - t0)
-        return res
-
-    def _do_prepare(self, filtered: PointCloud):
-        t0 = time.perf_counter()
-        prepare_alignment(filtered, self.cfg.registration)
-        self._latencies["prepare"].append(time.perf_counter() - t0)
 
     def _do_track(self, filtered: PointCloud, guess: Optional[Pose],
                   floor_coeffs):
-        t0 = time.perf_counter()
         result = self.tracker.track(filtered, guess)
         self.frames.append(FrameRecord(
             filtered.timestamp,
@@ -161,7 +147,6 @@ class SlamPipeline:
             self._on_keyframe(result.new_keyframe,
                               result.odometry_from_previous_keyframe,
                               floor_coeffs)
-        self._latencies["track"].append(time.perf_counter() - t0)
 
     def _on_keyframe(self, kf, odometry_rel, floor_coeffs):
         node_id = self.graph.add_keyframe(kf, odometry_rel)
@@ -198,9 +183,13 @@ class SlamPipeline:
         state cached on it, and the floor.
         """
         cloud = finite_points(cloud)
-        filtered = self._do_prefilter(cloud)
-        floor_coeffs = self._do_floor(filtered)
-        self._do_prepare(filtered)
+        filtered = self._timed("prefilter", prefilter, cloud,
+                               self.cfg.prefilter)
+        floor_coeffs = self._timed(
+            "floor", detect_floor if self.cfg.floor_enabled else _off,
+            filtered, self.cfg.floor)
+        self._timed("prepare", prepare_alignment, filtered,
+                    self.cfg.registration)
         return cloud, filtered, floor_coeffs
 
     def _track(self, front_end: Future) -> float:
@@ -208,9 +197,10 @@ class SlamPipeline:
         wall time spent waiting for its front end and tracking it."""
         t0 = time.perf_counter()
         cloud, filtered, floor_coeffs = front_end.result()
-        pre = self._do_pretrack(cloud)
-        self._do_track(filtered, pre.guess if pre is not None else None,
-                       floor_coeffs)
+        pre = self._timed("pretrack", self.pretracker.pretrack
+                          if self.cfg.pretracker_enabled else _off, cloud)
+        self._timed("track", self._do_track, filtered,
+                    pre.guess if pre is not None else None, floor_coeffs)
         return time.perf_counter() - t0
 
     # -- drivers ------------------------------------------------------------

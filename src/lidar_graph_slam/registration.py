@@ -3,8 +3,10 @@
 Both methods estimate the rigid transform mapping the source cloud onto the
 target cloud, starting from an initial guess: point-to-point ICP
 (closed-form SVD step; the pre-tracker's matcher) and GICP (plane-to-plane,
-Gauss-Newton on the se(3) twist with analytic gradients and a backtracking
-fallback; the tracker's and the loop verifier's matcher).
+Gauss-Newton on the se(3) twist; the tracker's and the loop verifier's
+matcher).  GICP takes each Gauss-Newton step only if it does not raise the
+cost: a step that does ends the match as converged, and a singular system
+ends it as not converged.
 
 Each GICP iteration forms the per-pair Mahalanobis matrix
 M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
@@ -22,7 +24,7 @@ tracker and the loop verifier on the calling thread only read them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +45,6 @@ class RegistrationConfig:
     max_iterations: int = 64
     transformation_epsilon: float = 0.1
     max_correspondence_distance: float = 2.0
-    covariance_knn: int = 15
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -94,7 +95,7 @@ def rigid_align_pairs(src: np.ndarray, dst: np.ndarray) -> Pose:
 
 
 # ---------------------------------------------------------------------------
-# GICP covariances, cost, and gradient
+# GICP covariances, cost, and normal equations
 # ---------------------------------------------------------------------------
 
 def _cloud_cache(cloud: PointCloud) -> dict:
@@ -114,26 +115,25 @@ def cloud_kdtree(cloud: PointCloud) -> KdTree:
     return cache["kdtree"]
 
 
-def compute_gicp_covariances(cloud: PointCloud, k: int = 15,
-                             epsilon: float = GICP_EPSILON) -> np.ndarray:
-    """Per-point covariances regularized to eigenvalues (1, 1, epsilon).
+def compute_gicp_covariances(cloud: PointCloud, k: int = 15) -> np.ndarray:
+    """Per-point covariances regularized to eigenvalues (1, 1, GICP_EPSILON).
 
     The smallest axis of each k-NN covariance is treated as the local
     surface normal direction n, mimicking plane-to-plane GICP; the result
-    is I - (1 - epsilon) n n^T.
+    is I - (1 - GICP_EPSILON) n n^T.
     """
     k = min(k, len(cloud))
     if k < 3:
         raise ValueError("covariance estimation needs k >= 3 points")
     cache = _cloud_cache(cloud)
-    key = ("gicp_cov", k, epsilon)
+    key = ("gicp_cov", k)
     if key in cache:
         return cache[key]
     tree = cloud_kdtree(cloud)
     idx, _ = tree.query_batch(cloud.points, k=k)
     _, normal = eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
                                                              idx))
-    out = (epsilon - 1.0) * (normal[:, :, None] * normal[:, None, :])
+    out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
     out[:, [0, 1, 2], [0, 1, 2]] += 1.0
     cache[key] = out
     return out
@@ -147,7 +147,7 @@ def prepare_alignment(cloud: PointCloud, cfg: RegistrationConfig) -> None:
         return
     cloud_kdtree(cloud)
     if cfg.method == GICP:
-        compute_gicp_covariances(cloud, cfg.covariance_knn)
+        compute_gicp_covariances(cloud)
 
 
 def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
@@ -207,28 +207,6 @@ def _gicp_cost(src, dst, cov_src, cov_dst, transform) -> float:
     return float(np.einsum("ni,ni->", d, u))
 
 
-def gicp_cost_and_gradient(src: np.ndarray, dst: np.ndarray,
-                           cov_src: np.ndarray, cov_dst: np.ndarray,
-                           transform: Pose) -> Tuple[float, np.ndarray]:
-    """GICP objective and its gradient for matched pairs.
-
-    cost = sum_i d_i^T (C_dst_i + R C_src_i R^T)^-1 d_i with
-    d_i = R s_i + t - q_i.  The gradient is taken w.r.t. a left-multiplied
-    twist (rho, omega): cost(exp(delta) o T) differentiated at delta = 0,
-    including the rotation dependence of the combined covariance.
-    Pairs with a singular combined covariance are skipped.
-    """
-    p, d, _, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
-    cost = float(np.einsum("ni,ni->", d, u))
-    grad = np.zeros(6)
-    grad[:3] = 2.0 * u.sum(axis=0)
-    # R C_s R^T u = d - C_q u, because (C_q + R C_s R^T) u = d; skipped
-    # pairs have u = 0, so their terms vanish whatever bu is
-    bu = d - np.matmul(cov_dst, u[..., None])[..., 0]
-    grad[3:] = 2.0 * (np.cross(p, u) - np.cross(bu, u)).sum(axis=0)
-    return cost, grad
-
-
 def _gicp_normal_equations(src, dst, cov_src, cov_dst, transform):
     """Gauss-Newton H, g (and cost) for the GICP objective.
 
@@ -284,8 +262,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
 
     cov_src = cov_dst = None
     if cfg.method == GICP:
-        cov_src = compute_gicp_covariances(source, cfg.covariance_knn)
-        cov_dst = compute_gicp_covariances(target, cfg.covariance_knn)
+        cov_src = compute_gicp_covariances(source)
+        cov_dst = compute_gicp_covariances(target)
 
     converged = False
     iterations = 0
@@ -315,23 +293,14 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
             try:
                 step = -np.linalg.solve(h, g)
             except np.linalg.LinAlgError:
-                step = -g / max(np.linalg.norm(g), 1e-12)
-            cost1 = _gicp_cost(src_sel, dst_sel, cs, cd,
-                               se3_exp(step) @ transform)
-            if cost1 > cost0:
-                # GN step increased the cost: gradient descent + backtracking
-                _, grad = gicp_cost_and_gradient(src_sel, dst_sel, cs, cd,
-                                                 transform)
-                alpha = 1.0 / max(np.linalg.norm(grad), 1e-12)
-                step = -alpha * grad
-                for _ in range(20):
-                    c = _gicp_cost(src_sel, dst_sel, cs, cd,
-                                   se3_exp(step) @ transform)
-                    if c < cost0:
-                        break
-                    step *= 0.5
+                break
             delta = step
             delta_pose = se3_exp(step)
+            if _gicp_cost(src_sel, dst_sel, cs, cd,
+                          delta_pose @ transform) > cost0:
+                # the step would raise the cost: keep the current estimate
+                converged = True
+                break
 
         transform = (delta_pose @ transform).orthonormalized()
         if _update_norm(delta) < cfg.transformation_epsilon:

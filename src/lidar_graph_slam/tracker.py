@@ -5,6 +5,8 @@ error accumulates per keyframe transition rather than per frame.  A cloud
 becomes a new keyframe when its relative motion or elapsed time crosses any
 of the configured thresholds.  Every cloud is scan-matched; the motion
 guess (from the pre-tracker, else constant motion) only seeds the match.
+A keyframe cloud too small to match against is replaced by the next cloud,
+placed at the guess.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import PointCloud, Pose
-from .registration import RegistrationConfig, align
+from .registration import MIN_CORRESPONDENCES, RegistrationConfig, align
 
 
 @dataclass
@@ -79,10 +81,7 @@ class Tracker:
         before the current keyframe counts as no time elapsed.
         """
         if self.keyframe is None:
-            kf = Keyframe(filtered, Pose.identity(), filtered.timestamp, 0.0, 0)
-            self.keyframe = kf
-            self._keyframe_count = 1
-            self._prev_rel = Pose.identity()
+            kf = self._add_keyframe(filtered, Pose.identity(), Pose.identity())
             return TrackResult(kf.pose, Pose.identity(), kf, None, False)
 
         kf = self.keyframe
@@ -91,6 +90,13 @@ class Tracker:
             guess_rel = self._prev_rel @ guess
         else:
             guess_rel = self._prev_rel @ self._last_step
+
+        if len(kf.cloud) < MIN_CORRESPONDENCES:
+            # nothing to match against: this cloud takes the keyframe's
+            # place, at the guess
+            pose = kf.pose @ guess_rel
+            new_kf = self._add_keyframe(filtered, pose, guess_rel)
+            return TrackResult(pose, guess_rel, new_kf, guess_rel, True)
 
         result = align(filtered, kf.cloud, guess_rel, self.reg_cfg)
         self.registration_calls += 1
@@ -109,17 +115,21 @@ class Tracker:
         if not is_new_keyframe(rel, dt, self.criteria):
             return TrackResult(pose, rel, None, None, False)
 
-        new_kf = Keyframe(
-            cloud=filtered,
-            pose=pose,
-            timestamp=filtered.timestamp,
-            accumulated_distance=kf.accumulated_distance
-            + float(np.linalg.norm(rel.translation)),
-            index=self._keyframe_count)
-        self._keyframe_count += 1
-        self.keyframe = new_kf
-        self._prev_rel = Pose.identity()
+        new_kf = self._add_keyframe(filtered, pose, rel)
         return TrackResult(pose, rel, new_kf, rel, False)
+
+    def _add_keyframe(self, cloud: PointCloud, pose: Pose,
+                      rel: Pose) -> Keyframe:
+        """Make ``cloud`` the current keyframe, ``rel`` from the last one."""
+        travelled = 0.0 if self.keyframe is None else \
+            self.keyframe.accumulated_distance \
+            + float(np.linalg.norm(rel.translation))
+        kf = Keyframe(cloud, pose, cloud.timestamp, travelled,
+                      self._keyframe_count)
+        self._keyframe_count += 1
+        self.keyframe = kf
+        self._prev_rel = Pose.identity()
+        return kf
 
     def update_keyframe_pose(self, pose: Pose):
         """Adopt an optimized pose for the current keyframe."""

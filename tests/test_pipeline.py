@@ -195,6 +195,19 @@ class TestDegenerateScans:
         clouds[5] = PointCloud(points, None, timestamp, scan.frame_id)
         _assert_every_frame_tracked(SlamPipeline().run_batch(clouds), 12)
 
+    @pytest.mark.parametrize("n_points", [0, 5])
+    def test_first_scan_too_small_to_match(self, straight_run, n_points):
+        # the next scan takes the unmatchable keyframe's place, so tracking
+        # goes on
+        clouds, truth = list(straight_run[0]), straight_run[1]
+        scan = clouds[0]
+        clouds[0] = PointCloud(scan.points[:n_points], None, scan.timestamp,
+                               scan.frame_id)
+        result = SlamPipeline().run_batch(clouds)
+        _assert_every_frame_tracked(result, len(clouds))
+        assert result.keyframe_count >= 2
+        assert evaluate_trajectories(result.trajectory, truth).rmse < 0.3
+
     def test_scan_before_the_current_keyframe(self, straight_run):
         # keyframes at 0.0 and 0.6 s; scan 7 comes back to 0.55 s
         clouds = straight_run[0][:12]
