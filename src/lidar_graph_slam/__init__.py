@@ -18,7 +18,7 @@ from .pose_graph import OptimizationReport, PoseGraph
 from .prefilter import PrefilterConfig, prefilter, remove_outliers, voxel_downsample
 from .pretracker import Pretracker, PretrackerConfig
 from .registration import (GICP, ICP_P2P, RegistrationConfig,
-                           RegistrationResult, align)
+                           RegistrationResult, align, score_alignment)
 from .scan_context import ScanContext, ScanContextParams, make_scan_context
 from .tracker import Keyframe, KeyframeCriteria, Tracker, is_new_keyframe
 
@@ -36,6 +36,7 @@ __all__ = [
     "estimate_normals", "evaluate_trajectories", "is_new_keyframe",
     "make_scan_context", "parse_config_text", "prefilter", "read_tum",
     "remove_outliers",
-    "run_pipeline", "se3_exp", "se3_log", "voxel_downsample", "write_ply",
+    "run_pipeline", "score_alignment", "se3_exp", "se3_log",
+    "voxel_downsample", "write_ply",
     "write_tum",
 ]

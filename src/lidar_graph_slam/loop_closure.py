@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Pose, so3_exp
-from .registration import RegistrationConfig, align
+from .registration import RegistrationConfig, align, score_alignment
 from .scan_context import (ScanContext, ScanContextParams, descriptor_distance,
                            make_scan_context, shift_to_yaw)
 from .tracker import Keyframe
@@ -122,13 +122,16 @@ class LoopDetector:
             guess = self._initial_guess(query, cand, shift)
             res = align(query.cloud, cand.cloud, guess, self.reg_cfg)
             self.registration_calls += 1
-            if not res.converged or not np.isfinite(res.fitness):
+            if not res.converged or not res.valid:
                 continue
-            if res.fitness > self.cfg.fitness_accept_threshold:
+            fitness, _ = score_alignment(
+                query.cloud, cand.cloud, res.transform,
+                self.reg_cfg.max_correspondence_distance)
+            if fitness > self.cfg.fitness_accept_threshold:
                 continue
-            if best is None or res.fitness < best.fitness:
+            if best is None or fitness < best.fitness:
                 best = LoopCandidate(query.index, cand.index, dist,
-                                     res.transform, res.fitness)
+                                     res.transform, fitness)
         return best
 
     def _initial_guess(self, query: Keyframe, cand: Keyframe,

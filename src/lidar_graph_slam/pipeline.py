@@ -1,18 +1,19 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
 Each frame runs one fixed sequence.  The front end drops non-finite points,
-pre-filters the scan, detects the floor in the filtered cloud and computes
-the filtered cloud's kd-tree and GICP covariances; then the pre-tracker
-estimates the motion from the raw cloud, the tracker matches the filtered
-cloud against the current keyframe, and the back end (pose graph, loop
-closure, optimization) runs inline on each new keyframe.
+pre-filters the scan and computes the filtered cloud's kd-tree and GICP
+covariances; then the pre-tracker estimates the motion from the raw cloud
+and the tracker matches the filtered cloud against the current keyframe.
+When that makes a new keyframe, the floor is detected in its filtered cloud
+and the back end (pose graph, loop closure, optimization) runs inline.
+Only keyframes carry a floor, so no other frame detects one.
 
 The front end keeps no state from one frame to the next, so one lookahead
-worker thread runs it for frame i+1 while the calling thread pre-tracks,
-tracks and runs the back end of frame i.  The stateful stages (pre-tracker,
-tracker, back end) all run on the calling thread in frame order, so every
-module sees the same inputs in the same order as a sequential run, and a
-stage exception propagates to the caller.
+worker thread runs it for frames i+1 and i+2 while the calling thread
+pre-tracks, tracks and runs the back end of frame i.  The stateful stages
+(pre-tracker, tracker, floor, back end) all run on the calling thread in
+frame order, so every module sees the same inputs in the same order as a
+sequential run, and a stage exception propagates to the caller.
 
 ``run_realtime_sim`` runs the same loop on a simulated clock (see
 :func:`frame_dropped`); it never sleeps, and every frame is either tracked
@@ -25,9 +26,10 @@ import json
 import logging
 import os
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +46,9 @@ from .registration import prepare_alignment
 from .tracker import Tracker
 
 log = logging.getLogger(__name__)
+
+# front ends the lookahead worker may run ahead of the frame being tracked
+LOOKAHEAD = 2
 
 
 def frame_dropped(arrival: float, starts: Sequence[float],
@@ -91,10 +96,10 @@ class PipelineResult:
     loop_count: int
     dropped_frames: int
     runtime_seconds: float
-    # Seconds per call of each stage.  prefilter, floor and prepare (the
-    # kd-tree and GICP covariances) are measured on the lookahead thread,
-    # pretrack and track (which includes the back end) on the calling
-    # thread, so the two groups overlap.
+    # Seconds per call of each stage.  prefilter and prepare (the kd-tree
+    # and GICP covariances) are measured on the lookahead thread, pretrack
+    # and track on the calling thread, so the two groups overlap.  track
+    # includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
@@ -135,8 +140,7 @@ class SlamPipeline:
         self._latencies[stage].append(time.perf_counter() - t0)
         return out
 
-    def _do_track(self, filtered: PointCloud, guess: Optional[Pose],
-                  floor_coeffs):
+    def _do_track(self, filtered: PointCloud, guess: Optional[Pose]):
         result = self.tracker.track(filtered, guess)
         self.frames.append(FrameRecord(
             filtered.timestamp,
@@ -144,6 +148,9 @@ class SlamPipeline:
             else self.tracker.keyframe.index,
             Pose.identity() if result.new_keyframe else result.relative))
         if result.new_keyframe is not None:
+            floor_coeffs = self._timed(
+                "floor", detect_floor if self.cfg.floor_enabled else _off,
+                filtered, self.cfg.floor)
             self._on_keyframe(result.new_keyframe,
                               result.odometry_from_previous_keyframe,
                               floor_coeffs)
@@ -179,28 +186,25 @@ class SlamPipeline:
     def _front_end(self, cloud: PointCloud):
         """The stateless stages of one frame; runs on the lookahead thread.
 
-        Returns the finite cloud, the filtered cloud with its alignment
-        state cached on it, and the floor.
+        Returns the finite cloud and the filtered cloud with its alignment
+        state cached on it.
         """
         cloud = finite_points(cloud)
         filtered = self._timed("prefilter", prefilter, cloud,
                                self.cfg.prefilter)
-        floor_coeffs = self._timed(
-            "floor", detect_floor if self.cfg.floor_enabled else _off,
-            filtered, self.cfg.floor)
         self._timed("prepare", prepare_alignment, filtered,
                     self.cfg.registration)
-        return cloud, filtered, floor_coeffs
+        return cloud, filtered
 
     def _track(self, front_end: Future) -> float:
         """Pre-track and track one frame on the calling thread; return the
         wall time spent waiting for its front end and tracking it."""
         t0 = time.perf_counter()
-        cloud, filtered, floor_coeffs = front_end.result()
+        cloud, filtered = front_end.result()
         pre = self._timed("pretrack", self.pretracker.pretrack
                           if self.cfg.pretracker_enabled else _off, cloud)
         self._timed("track", self._do_track, filtered,
-                    pre.guess if pre is not None else None, floor_coeffs)
+                    pre.guess if pre is not None else None)
         return time.perf_counter() - t0
 
     # -- drivers ------------------------------------------------------------
@@ -217,27 +221,46 @@ class SlamPipeline:
         return self._run(clouds, self.cfg.streaming_queue_capacity)
 
     def _run(self, clouds, capacity: Optional[int]) -> PipelineResult:
+        """Track ``clouds`` in order, with up to ``LOOKAHEAD`` front ends
+        (at most ``capacity`` under the simulated clock) in flight.
+
+        ``pending`` holds the admitted frames not yet tracked, oldest first,
+        as (arrival, front-end future).  A frame's simulated start is known
+        once the frame before it is tracked, so ``starts`` runs up to
+        ``pending[0]`` and lacks the ``unknown`` frames behind it.  The drop
+        rule reads the start ``capacity`` admitted frames back; as fewer
+        than ``capacity`` are unknown, that is ``capacity - unknown`` back
+        in ``starts``.
+        """
         started = time.perf_counter()
+        depth = LOOKAHEAD if capacity is None else min(LOOKAHEAD, capacity)
         first_ts = None
         starts: List[float] = []    # simulated start of each admitted frame
+        pending: Deque[Tuple[float, Future]] = deque()
+
+        def track_oldest():
+            finish = starts[-1] + self._track(pending.popleft()[1])
+            if pending:
+                starts.append(max(pending[0][0], finish))
+
         with ThreadPoolExecutor(max_workers=1) as lookahead:
-            ahead = None
             for cloud in clouds:
                 if first_ts is None:
                     first_ts = cloud.timestamp
                 arrival = cloud.timestamp - first_ts
+                unknown = max(len(pending) - 1, 0)
                 if capacity is not None and \
-                        frame_dropped(arrival, starts, capacity):
+                        frame_dropped(arrival, starts, capacity - unknown):
                     self.dropped_frames += 1
                     continue
-                nxt = lookahead.submit(self._front_end, cloud)
-                finish = 0.0
-                if ahead is not None:
-                    finish = starts[-1] + self._track(ahead)
-                starts.append(max(arrival, finish))
-                ahead = nxt
-            if ahead is not None:
-                self._track(ahead)
+                if not starts:
+                    starts.append(arrival)
+                pending.append((arrival,
+                                lookahead.submit(self._front_end, cloud)))
+                if len(pending) > depth:
+                    track_oldest()
+            while pending:
+                track_oldest()
         self._optimize_and_sync()
 
         trajectory = self._final_trajectory()

@@ -96,7 +96,7 @@ class Pretracker:
         res = align(ds1, self._prev_phase1, guess, reg_cfg)
         self.registration_calls += 1
         phases = 1
-        if np.isfinite(res.fitness):
+        if res.valid:
             guess = res.transform
         else:
             degraded = True
@@ -105,7 +105,7 @@ class Pretracker:
             res2 = align(ds2, self._prev_phase2, guess, reg_cfg)
             self.registration_calls += 1
             phases = 2
-            if np.isfinite(res2.fitness):
+            if res2.valid:
                 guess = res2.transform
             else:
                 degraded = True

@@ -19,6 +19,14 @@ once, outside the matching loop, and cached on the cloud; the covariance's
 normal comes from a closed-form 3x3 eigensolver.  The pipeline computes
 them with :func:`prepare_alignment` on its lookahead worker thread, so the
 tracker and the loop verifier on the calling thread only read them.
+
+:func:`align` only estimates the transform.  Its kd-tree queries are
+bounded just above ``max_correspondence_distance``, which finds the same
+matches as an unbounded search, and it ends by checking that at least
+``MIN_CORRESPONDENCES`` source points match at the final estimate.  How
+well the clouds fit there is a separate question, answered by
+:func:`score_alignment` (as PCL keeps ``align`` and ``getFitnessScore``
+apart); only the loop verifier asks it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ METHODS = (ICP_P2P, GICP)
 
 MIN_CORRESPONDENCES = 10
 GICP_EPSILON = 1e-3
+# align's final check counts matches among this many source points first,
+# and queries the rest only when they fall short
+_CHECK_PREFIX = 100
 
 
 @dataclass
@@ -61,10 +72,11 @@ class RegistrationConfig:
 @dataclass
 class RegistrationResult:
     transform: Pose
-    fitness: float              # mean squared correspondence distance, m^2
     iterations_used: int
     converged: bool
-    overlap: float = 1.0        # fraction of source points with a match
+    # False when the match failed: too few correspondences at some
+    # iteration or at the final estimate, or a degenerate ICP step
+    valid: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +252,65 @@ def _update_norm(delta: np.ndarray) -> float:
     return float(np.linalg.norm(delta[:3]) + np.linalg.norm(delta[3:]))
 
 
+def _nearest(tree: KdTree, moved: np.ndarray, max_distance: float):
+    """Nearest target index and distance of each of the ``moved`` points;
+    a point with no target within ``max_distance`` gets distance inf.
+
+    cKDTree keeps only neighbours strictly inside its search bound, compared
+    as squared distances; the relative margin on the bound keeps every
+    neighbour at ``max_distance`` or nearer, so the search finds what an
+    unbounded one finds within ``max_distance``.
+    """
+    return tree.query_batch(moved,
+                            distance_upper_bound=max_distance * (1.0 + 1e-9))
+
+
+def _enough_matches(tree: KdTree, moved: np.ndarray,
+                    max_distance: float) -> bool:
+    """Whether at least ``MIN_CORRESPONDENCES`` of the ``moved`` points
+    have a target within ``max_distance``; the points after the first
+    ``_CHECK_PREFIX`` are queried only when those fall short."""
+    found = 0
+    for part in (moved[:_CHECK_PREFIX], moved[_CHECK_PREFIX:]):
+        _, dist = _nearest(tree, part, max_distance)
+        found += int(np.count_nonzero(dist <= max_distance))
+        if found >= MIN_CORRESPONDENCES:
+            return True
+    return False
+
+
+def score_alignment(source: PointCloud, target: PointCloud, transform: Pose,
+                    max_correspondence_distance: float):
+    """(fitness, overlap) of ``source`` on ``target`` at ``transform``.
+
+    Fitness is the mean squared nearest-target distance of the source
+    points, each capped at ``max_correspondence_distance`` so that poor
+    overlap cannot pass for a good fit; overlap is the fraction of source
+    points with a target within that distance.
+    """
+    max_d = max_correspondence_distance
+    moved = source.points @ transform.rotation.T + transform.translation
+    _, dist = _nearest(cloud_kdtree(target), moved, max_d)
+    fitness = float(np.mean(np.minimum(dist, max_d) ** 2))
+    overlap = float(np.mean(dist <= max_d))
+    return fitness, overlap
+
+
 def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
           cfg: Optional[RegistrationConfig] = None) -> RegistrationResult:
     """Register source onto target starting from guess.
 
-    Returns the relative transform (source frame -> target frame), the mean
-    squared correspondence distance at the final estimate, and convergence
-    status.  A cloud of fewer than ``MIN_CORRESPONDENCES`` points, or fewer
-    usable correspondences at any iteration, yields a non-converged result
-    with infinite fitness; the tiny-cloud case returns the guess before any
-    covariance is computed.
+    Returns the relative transform (source frame -> target frame) and its
+    convergence status.  A cloud of fewer than ``MIN_CORRESPONDENCES``
+    points, or fewer correspondences within ``max_correspondence_distance``
+    at any iteration or at the final estimate, yields an invalid,
+    non-converged result; the tiny-cloud case returns the guess before any
+    covariance is computed.  :func:`score_alignment` scores the result.
     """
     cfg = cfg or RegistrationConfig()
     guess = guess or Pose.identity()
     if min(len(source), len(target)) < MIN_CORRESPONDENCES:
-        return RegistrationResult(guess, np.inf, 0, False)
+        return RegistrationResult(guess, 0, False, False)
 
     tree = cloud_kdtree(target)
     transform = guess
@@ -269,10 +325,10 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         moved = source.points @ transform.rotation.T + transform.translation
-        idx, dist = tree.query_batch(moved)
+        idx, dist = _nearest(tree, moved, max_d)
         mask = dist <= max_d
         if int(mask.sum()) < MIN_CORRESPONDENCES:
-            return RegistrationResult(transform, np.inf, iterations, False)
+            return RegistrationResult(transform, iterations, False, False)
         src_sel = source.points[mask]
         moved_sel = moved[mask]
         dst_sel = target.points[idx[mask]]
@@ -281,7 +337,7 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
             try:
                 delta_pose = rigid_align_pairs(moved_sel, dst_sel)
             except ValueError:
-                return RegistrationResult(transform, np.inf, iterations, False)
+                return RegistrationResult(transform, iterations, False, False)
             delta = np.concatenate([
                 delta_pose.translation,
                 so3_log(delta_pose.rotation)])
@@ -308,13 +364,6 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
             break
 
     moved = source.points @ transform.rotation.T + transform.translation
-    idx, dist = tree.query_batch(moved)
-    mask = dist <= max_d
-    if int(mask.sum()) < MIN_CORRESPONDENCES:
-        return RegistrationResult(transform, np.inf, iterations, False, 0.0)
-    # unmatched points contribute the cap, so poor-overlap alignments
-    # cannot masquerade as good fits
-    fitness = float(np.mean(np.minimum(dist, max_d) ** 2))
-    overlap = float(np.mean(mask))
-    return RegistrationResult(transform, fitness, iterations, converged, overlap)
-
+    if not _enough_matches(tree, moved, max_d):
+        return RegistrationResult(transform, iterations, False, False)
+    return RegistrationResult(transform, iterations, converged)

@@ -100,7 +100,7 @@ class Tracker:
 
         result = align(filtered, kf.cloud, guess_rel, self.reg_cfg)
         self.registration_calls += 1
-        if not np.isfinite(result.fitness):
+        if not result.valid:
             # registration failed: constant-motion extrapolation, no keyframe
             rel = guess_rel
             pose = kf.pose @ rel

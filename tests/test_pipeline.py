@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,32 +113,53 @@ class TestRealtimeSim:
         assert len(result.trajectory) + result.dropped_frames == 69
 
     def test_drop_rule_on_fixed_costs(self):
-        """Scans 1 s apart, each costing 2.5 s, behind a queue of two.
+        """Scans 1 s apart, each costing 2.5 s, behind queues of one to
+        three, against a reference schedule built from the drop rule alone.
 
-        Admitted frames start at 0, 2.5, 5, 7.5, 10 and 12.5 s.  Frame 4
-        arrives at 4 s while frames 2 and 3 wait for their starts at 5 and
-        7.5 s, so it is dropped; frame 5 arrives as frame 2 starts and is
-        admitted.
+        With a queue of two, admitted frames start at 0, 2.5, 5, 7.5, 10
+        and 12.5 s.  Frame 4 arrives at 4 s while frames 2 and 3 wait for
+        their starts at 5 and 7.5 s, so it is dropped; frame 5 arrives as
+        frame 2 starts and is admitted.
         """
-        tracked = []
-
-        class FixedCost(SlamPipeline):
-            def _front_end(self, cloud):
-                return cloud.index
-
-            def _track(self, front_end):
-                tracked.append(front_end.result())
-                return 2.5
-
-        cfg = PipelineConfig()
-        cfg.streaming_queue_capacity = 2
         scans = [SimpleNamespace(index=j, timestamp=100.0 + j)
                  for j in range(10)]
-        result = FixedCost(cfg).run_realtime_sim(scans)
-        assert tracked == [0, 1, 2, 3, 5, 8]
-        assert result.dropped_frames == 4
+        for capacity in (1, 2, 3):
+            tracked = _fixed_cost_tracked(scans, capacity)[0]
+            expected = _reference_schedule(
+                [s.timestamp - 100.0 for s in scans], 2.5, capacity)
+            assert tracked == expected
+            if capacity == 2:
+                assert tracked == [0, 1, 2, 3, 5, 8]
+                assert len(scans) - len(tracked) == 4
         assert not frame_dropped(5.0, [0.0, 2.5, 5.0], 2)
         assert frame_dropped(4.0, [0.0, 2.5, 5.0, 7.5], 2)
+
+    @pytest.mark.parametrize("capacity, in_flight", [
+        (None, 2),     # run_batch
+        (1, 1),
+        (2, 2),
+        (3, 2)])
+    def test_front_ends_in_flight(self, monkeypatch, capacity, in_flight):
+        """While a frame is tracked, the worker holds the front ends of at
+        most min(2, capacity) later frames, and every scan is tracked or
+        dropped."""
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor",
+                            CountingPool)
+        scans = [SimpleNamespace(index=j, timestamp=100.0 + j)
+                 for j in range(10)]
+        tracked, ahead, dropped = _fixed_cost_tracked(scans, capacity,
+                                                      submitted)
+        assert max(ahead) == in_flight
+        assert len(tracked) + dropped == len(scans)
+        if capacity is None:
+            assert tracked == list(range(10))
 
     def test_capacity_must_be_positive(self, straight_run):
         cfg = PipelineConfig()
@@ -146,22 +168,77 @@ class TestRealtimeSim:
             SlamPipeline(cfg).run_realtime_sim(straight_run[0][:2])
 
 
+def _reference_schedule(arrivals, cost, capacity):
+    """Frames admitted by the drop rule when every frame costs ``cost``."""
+    starts, tracked, finish = [], [], 0.0
+    for j, arrival in enumerate(arrivals):
+        if frame_dropped(arrival, starts, capacity):
+            continue
+        starts.append(max(arrival, finish))
+        finish = starts[-1] + cost
+        tracked.append(j)
+    return tracked
+
+
+def _fixed_cost_tracked(scans, capacity, submitted=None):
+    """Run scans through a pipeline whose frames each cost 2.5 s; return
+    the tracked indices, the front ends submitted beyond each tracked frame
+    (when ``submitted`` records the submissions) and the dropped count."""
+    tracked, ahead = [], []
+
+    class FixedCost(SlamPipeline):
+        def _front_end(self, cloud):
+            return cloud.index
+
+        def _track(self, front_end):
+            tracked.append(front_end.result())
+            if submitted is not None:
+                ahead.append(len(submitted) - len(tracked))
+            return 2.5
+
+    cfg = PipelineConfig()
+    if capacity is None:
+        result = FixedCost(cfg).run_batch(scans)
+    else:
+        cfg.streaming_queue_capacity = capacity
+        result = FixedCost(cfg).run_realtime_sim(scans)
+    return tracked, ahead, result.dropped_frames
+
+
 class TestStageErrors:
     def test_front_end_error_reaches_the_caller(self, straight_run,
                                                monkeypatch):
         clouds, _ = straight_run
-        real = pipeline_module.detect_floor
+        real = pipeline_module.prefilter
         calls = []
 
         def failing_on_fifth(cloud, cfg):
             calls.append(cloud.timestamp)
             if len(calls) == 5:
-                raise RuntimeError("floor failed on frame 5")
+                raise RuntimeError("prefilter failed on frame 5")
             return real(cloud, cfg)
 
-        monkeypatch.setattr(pipeline_module, "detect_floor", failing_on_fifth)
+        monkeypatch.setattr(pipeline_module, "prefilter", failing_on_fifth)
         with pytest.raises(RuntimeError, match="frame 5"):
             SlamPipeline().run_batch(clouds[:8])
+
+    def test_floor_error_on_a_keyframe_reaches_the_caller(self, straight_run,
+                                                          monkeypatch):
+        clouds, _ = straight_run
+        real = pipeline_module.detect_floor
+        calls = []
+
+        def failing_on_second(cloud, cfg):
+            calls.append(cloud.timestamp)
+            if len(calls) == 2:
+                raise RuntimeError("floor failed on keyframe 1")
+            return real(cloud, cfg)
+
+        monkeypatch.setattr(pipeline_module, "detect_floor",
+                            failing_on_second)
+        with pytest.raises(RuntimeError, match="keyframe 1"):
+            SlamPipeline().run_batch(clouds[:12])
+        assert len(calls) == 2
 
 
 def _assert_every_frame_tracked(result, n_frames):
@@ -403,6 +480,27 @@ class TestStagePlacement:
         assert caller not in eigen_threads
         assert pretracked == [(caller, c.timestamp) for c in clouds]
 
+    def test_floor_runs_once_per_keyframe_on_the_calling_thread(
+            self, straight_run, monkeypatch):
+        clouds = straight_run[0][:12]
+        floors = []
+        real = pipeline_module.detect_floor
+
+        def recording_floor(cloud, cfg):
+            floors.append((threading.get_ident(), cloud))
+            return real(cloud, cfg)
+
+        monkeypatch.setattr(pipeline_module, "detect_floor", recording_floor)
+        pipeline = SlamPipeline()
+        result = pipeline.run_batch(clouds)
+
+        assert result.keyframe_count >= 2
+        assert len(floors) == result.keyframe_count
+        assert all(thread == threading.get_ident() for thread, _ in floors)
+        assert all(cloud is kf.cloud
+                   for (_, cloud), kf in zip(floors, pipeline.keyframes))
+        assert len(result.stage_latencies["floor"]) == result.keyframe_count
+
 
 class TestFrontEndStartsNoThreads:
     """The front end shares the lookahead worker with nothing else, and the
@@ -425,4 +523,4 @@ class TestFrontEndStartsNoThreads:
         assert pre.phases_run == 2 and not pre.degraded
         res = align(filtered[1], filtered[0], pre.guess,
                     RegistrationConfig(method=GICP))
-        assert np.isfinite(res.fitness)
+        assert res.valid

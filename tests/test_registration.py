@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lidar_graph_slam import registration as registration_module
-from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
-                                       se3_exp, so3_exp)
-from lidar_graph_slam.registration import (GICP, ICP_P2P, RegistrationConfig,
+from lidar_graph_slam.geometry import KdTree, PointCloud, Pose, so3_exp
+from lidar_graph_slam.registration import (GICP, ICP_P2P, MIN_CORRESPONDENCES,
+                                           RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
                                            _inverse_symmetric_3x3,
                                            _rotate_covariances,
                                            compute_gicp_covariances, align,
-                                           rigid_align_pairs)
+                                           cloud_kdtree, rigid_align_pairs,
+                                           score_alignment)
 
 from conftest import (box_surface_cloud, pose_error, random_pose,
                       random_rotation)
@@ -66,10 +68,11 @@ class TestAlign:
             source, target, truth = make_pair(rng)
             res = align(source, target, cfg=tight_config(method))
             terr, rerr = pose_error(res.transform, truth)
-            assert res.converged
+            assert res.converged and res.valid
             assert terr < 1e-3
             assert rerr < 0.05
-            assert res.fitness < 1e-4
+            assert score_alignment(source, target, res.transform, 2.0)[0] \
+                < 1e-4
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_identity_on_identical_clouds(self, rng, method):
@@ -86,7 +89,9 @@ class TestAlign:
             cfg = RegistrationConfig(method=ICP_P2P, max_iterations=iters,
                                      transformation_epsilon=1e-9,
                                      max_correspondence_distance=2.0)
-            fits.append(align(source, target, cfg=cfg).fitness)
+            res = align(source, target, cfg=cfg)
+            fits.append(score_alignment(source, target, res.transform,
+                                        cfg.max_correspondence_distance)[0])
         assert all(b <= a + 1e-9 for a, b in zip(fits, fits[1:]))
 
     def test_initial_guess_is_used(self, rng):
@@ -103,13 +108,13 @@ class TestAlign:
         target = PointCloud(rng.normal(size=(30, 3)) + 100.0)
         res = align(source, target, cfg=tight_config(ICP_P2P))
         assert not res.converged
-        assert np.isinf(res.fitness)
+        assert not res.valid
 
     def test_empty_cloud_fails_gracefully(self, rng):
         empty = PointCloud(np.empty((0, 3)))
         full = PointCloud(rng.normal(size=(30, 3)))
         res = align(empty, full)
-        assert not res.converged and np.isinf(res.fitness)
+        assert not res.converged and not res.valid
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize("n_points", [1, 2, 9])
@@ -122,7 +127,7 @@ class TestAlign:
         for source, target in ((tiny, full), (full, tiny)):
             res = align(source, target, guess,
                         RegistrationConfig(method=method))
-            assert not res.converged and np.isinf(res.fitness)
+            assert not res.converged and not res.valid
             assert res.transform is guess and res.iterations_used == 0
         assert not hasattr(tiny, "_derived_cache")
 
@@ -141,8 +146,10 @@ class TestAlign:
                                  transformation_epsilon=1e-9,
                                  max_correspondence_distance=2.0)
         res = align(far, target, cfg=cfg)
-        assert res.overlap == pytest.approx(0.5, abs=0.05)
-        assert res.fitness >= 0.4 * cfg.max_correspondence_distance ** 2
+        fitness, overlap = score_alignment(far, target, res.transform,
+                                           cfg.max_correspondence_distance)
+        assert overlap == pytest.approx(0.5, abs=0.05)
+        assert fitness >= 0.4 * cfg.max_correspondence_distance ** 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -163,8 +170,8 @@ class TestGicpStepRule:
                             lambda *args: np.inf)
         res = align(source, target, truth, tight_config(GICP))
         assert res.transform is truth
-        assert res.converged and res.iterations_used == 1
-        assert res.fitness < 1e-12
+        assert res.converged and res.valid and res.iterations_used == 1
+        assert score_alignment(source, target, truth, 2.0)[0] < 1e-12
 
     def test_singular_system_ends_the_match(self, rng):
         # every source point at the origin: the rotation block of H is zero
@@ -173,7 +180,97 @@ class TestGicpStepRule:
         res = align(source, target, cfg=tight_config(GICP))
         assert np.isfinite(res.transform.matrix()).all()
         assert not res.converged and res.iterations_used == 1
-        assert np.isfinite(res.fitness)
+        assert res.valid
+        assert np.isfinite(score_alignment(source, target, res.transform,
+                                           2.0)[0])
+
+
+class TestBoundedSearch:
+    """align's correspondence search is bounded just above the maximum
+    correspondence distance; it must find what an unbounded one finds."""
+
+    @staticmethod
+    def boundary_pair(rng, max_d):
+        """Random source and target points, plus source points with a
+        target at exactly ``max_d`` and one ulp either side."""
+        source = [rng.uniform(-5.0, 5.0, size=(300, 3))]
+        target = [rng.uniform(-5.0, 5.0, size=(300, 3))]
+        for j, d in enumerate((np.nextafter(max_d, 0.0), max_d,
+                               np.nextafter(max_d, np.inf))):
+            base = np.array([0.0, 100.0 + 20.0 * j, 0.0])
+            source.append(base[None, :])
+            target.append((base + [d, 0.0, 0.0])[None, :])
+        return PointCloud(np.vstack(source)), PointCloud(np.vstack(target))
+
+    @pytest.mark.parametrize("max_d", [2.0, 0.7, 1.3])
+    def test_same_matches_and_score_as_unbounded_search(self, rng, max_d):
+        source, target = self.boundary_pair(rng, max_d)
+        reference = cKDTree(target.points)
+        # the three boundary points: inside, at and just outside max_d
+        boundary, _ = reference.query(source.points[-3:])
+        assert list(boundary <= max_d) == [True, True, False]
+        for transform in (Pose.identity(), random_pose(rng, 0.5, 0.2)):
+            moved = transform.apply(source.points)
+            ref_dist, ref_idx = reference.query(moved)
+            ref_mask = ref_dist <= max_d
+            idx, dist = registration_module._nearest(
+                cloud_kdtree(target), moved, max_d)
+            mask = dist <= max_d
+            np.testing.assert_array_equal(mask, ref_mask)
+            np.testing.assert_array_equal(idx[mask], ref_idx[ref_mask])
+            np.testing.assert_array_equal(dist[mask], ref_dist[ref_mask])
+            fitness, overlap = score_alignment(source, target, transform,
+                                               max_d)
+            assert fitness == float(np.mean(np.minimum(ref_dist, max_d) ** 2))
+            assert overlap == float(np.mean(ref_mask))
+
+
+class TestFinalCheck:
+    """align's last step: at least MIN_CORRESPONDENCES source points must
+    match at the final estimate."""
+
+    def test_final_estimate_without_matches_fails(self, rng, monkeypatch):
+        source, target, _ = make_pair(rng)
+        monkeypatch.setattr(registration_module, "rigid_align_pairs",
+                            lambda src, dst: Pose(np.eye(3), [100.0, 0, 0]))
+        cfg = RegistrationConfig(method=ICP_P2P, max_iterations=1)
+        res = align(source, target, cfg=cfg)
+        assert not res.valid and not res.converged
+        assert res.iterations_used == 1
+        np.testing.assert_allclose(res.transform.translation, [100.0, 0, 0])
+
+    def record_queries(self, monkeypatch):
+        sizes = []
+
+        class RecordingTree(registration_module.KdTree):
+            def query_batch(self, queries, *args, **kwargs):
+                sizes.append(len(queries))
+                return super().query_batch(queries, *args, **kwargs)
+
+        monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
+        return sizes
+
+    def test_prefix_with_enough_matches_ends_the_check(self, rng,
+                                                        monkeypatch):
+        sizes = self.record_queries(monkeypatch)
+        source, target, truth = make_pair(rng)
+        res = align(source, target, cfg=tight_config(ICP_P2P))
+        assert res.valid and pose_error(res.transform, truth)[0] < 1e-3
+        prefix = registration_module._CHECK_PREFIX
+        assert prefix >= MIN_CORRESPONDENCES
+        assert sizes[-1] == prefix
+        assert sizes[:-1] == [len(source)] * res.iterations_used
+
+    def test_short_prefix_queries_the_rest(self, rng, monkeypatch):
+        sizes = self.record_queries(monkeypatch)
+        target = box_surface_cloud(rng, n=500)
+        prefix = registration_module._CHECK_PREFIX
+        # the first points have no counterpart, the rest match exactly
+        source = PointCloud(np.vstack([rng.normal(size=(prefix, 3)) + 50.0,
+                                       target.points]))
+        res = align(source, target, cfg=tight_config(ICP_P2P))
+        assert res.valid
+        assert sizes[-2:] == [prefix, len(source) - prefix]
 
 
 class TestGicpInternals:
@@ -286,27 +383,3 @@ class TestGicpKernel:
             args = noisy_pair(rng)
             _, _, cost = _gicp_normal_equations(*args)
             assert _gicp_cost(*args) == cost
-
-    def test_translation_gradient_matches_finite_differences(self, rng):
-        """2 g[:3] is the exact translation gradient of the cost.
-
-        Gauss-Newton drops the derivative of M = (C_q + R C_s R^T)^-1 with
-        respect to the rotation, so g[3:] is not the rotation gradient and
-        only the translation block, on which M does not depend, is checked.
-        """
-        for _ in range(5):
-            src, dst, cov_a, cov_b, transform = noisy_pair(rng)
-            _, g, _ = _gicp_normal_equations(src, dst, cov_a, cov_b,
-                                             transform)
-            step = 1e-6
-            fd = np.zeros(3)
-            for j in range(3):
-                delta = np.zeros(6)
-                delta[j] = step
-                plus = _gicp_cost(src, dst, cov_a, cov_b,
-                                  se3_exp(delta) @ transform)
-                minus = _gicp_cost(src, dst, cov_a, cov_b,
-                                   se3_exp(-delta) @ transform)
-                fd[j] = (plus - minus) / (2.0 * step)
-            assert np.max(np.abs(2.0 * g[:3] - fd)) < \
-                1e-5 * max(1.0, np.max(np.abs(fd)))
