@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from lidar_graph_slam import registration as registration_module
-from lidar_graph_slam.geometry import KdTree, PointCloud, Pose, so3_exp
+from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
+                                       se3_exp, so3_exp)
 from lidar_graph_slam.registration import (GICP, ICP_P2P, MIN_CORRESPONDENCES,
                                            RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
@@ -383,3 +384,27 @@ class TestGicpKernel:
             args = noisy_pair(rng)
             _, _, cost = _gicp_normal_equations(*args)
             assert _gicp_cost(*args) == cost
+
+    def test_translation_gradient_matches_finite_differences(self, rng):
+        """2 g[:3] is the exact translation gradient of the cost.
+
+        Gauss-Newton drops the derivative of M = (C_q + R C_s R^T)^-1 with
+        respect to the rotation, so g[3:] is not the rotation gradient and
+        only the translation block, on which M does not depend, is checked.
+        """
+        for _ in range(5):
+            src, dst, cov_a, cov_b, transform = noisy_pair(rng)
+            _, g, _ = _gicp_normal_equations(src, dst, cov_a, cov_b,
+                                             transform)
+            step = 1e-6
+            fd = np.zeros(3)
+            for j in range(3):
+                delta = np.zeros(6)
+                delta[j] = step
+                plus = _gicp_cost(src, dst, cov_a, cov_b,
+                                  se3_exp(delta) @ transform)
+                minus = _gicp_cost(src, dst, cov_a, cov_b,
+                                   se3_exp(-delta) @ transform)
+                fd[j] = (plus - minus) / (2.0 * step)
+            assert np.max(np.abs(2.0 * g[:3] - fd)) < \
+                1e-5 * max(1.0, np.max(np.abs(fd)))
