@@ -33,8 +33,8 @@ class AteReport:
     alignment: Optional[Pose] = None
 
 
-class AssociationError(RuntimeError):
-    pass
+class AssociationError(ValueError):
+    """No estimate pose could be paired with a ground-truth pose."""
 
 
 # ---------------------------------------------------------------------------

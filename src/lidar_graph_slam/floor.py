@@ -21,6 +21,9 @@ MODE_ROUGH = "ROUGH"
 
 # RANSAC scoring holds at most about this many point-plane distances at once
 _SCORE_CHUNK = 1 << 20
+# plane hypotheses drawn per cloud, and neighbours per normal estimate
+RANSAC_ITERATIONS = 200
+NORMAL_KNN = 10
 
 
 @dataclass
@@ -48,11 +51,9 @@ class FloorConfig:
     clip_min_z: float = -2.5
     clip_max_z: float = -1.0
     normal_vertical_max_angle: float = np.deg2rad(20.0)
-    ransac_iterations: int = 200
     ransac_inlier_threshold: float = 0.1
     min_inlier_fraction: float = 0.3
     rough_clip_radius: float = 3.0
-    normal_knn: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -132,16 +133,16 @@ def detect_floor_planar(cloud: PointCloud,
     cfg = cfg or FloorConfig()
     z = cloud.points[:, 2]
     clipped = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
-    if len(clipped) < max(3, cfg.normal_knn):
+    if len(clipped) < max(3, NORMAL_KNN):
         return _invalid(cloud.timestamp, MODE_PLANAR)
 
-    with_normals = estimate_normals(PointCloud(clipped), k=cfg.normal_knn)
+    with_normals = estimate_normals(PointCloud(clipped), k=NORMAL_KNN)
     nz = with_normals.normals[:, 2]
     cos_max = np.cos(cfg.normal_vertical_max_angle)
     vertical = nz >= cos_max
     vertical &= np.isfinite(nz)
     candidates = clipped[vertical]
-    if len(candidates) < max(50, cfg.normal_knn):
+    if len(candidates) < max(50, NORMAL_KNN):
         # near structures the slab degenerates into mixed floor/wall strips
         # whose local normals are unreliable; fall back to all clipped
         # points and let the axis-constrained model fit sort them out
@@ -150,7 +151,7 @@ def detect_floor_planar(cloud: PointCloud,
     n_pts = len(candidates)
     rng = np.random.default_rng(cfg.seed)
     draws = [rng.choice(n_pts, size=3, replace=False)
-             for _ in range(cfg.ransac_iterations)]
+             for _ in range(RANSAC_ITERATIONS)]
     normals, offsets = _ground_hypotheses(
         candidates[np.array(draws, dtype=np.intp).reshape(-1, 3)], cos_max)
     counts = _inlier_counts(candidates, normals, offsets,

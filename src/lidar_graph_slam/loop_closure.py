@@ -21,6 +21,9 @@ from .scan_context import (ScanContext, ScanContextParams, descriptor_distance,
                            make_scan_context, shift_to_yaw)
 from .tracker import Keyframe
 
+# candidates the ring keys pre-select: this many, or 2 top_k if that is more
+RING_KEY_PRESELECT = 10
+
 
 @dataclass
 class LoopConfig:
@@ -28,7 +31,6 @@ class LoopConfig:
     min_accumulated_distance: float = 25.0
     top_k: int = 5
     fitness_accept_threshold: float = 0.5     # m^2
-    ring_key_preselect: int = 10
     descriptor_distance_threshold: float = 0.3
 
     def __post_init__(self):
@@ -69,18 +71,17 @@ def gate_candidates(query: Keyframe, keyframes: Sequence[Keyframe],
 
 def rank_candidates(query_sc: ScanContext,
                     gated: Sequence[Tuple[int, ScanContext]],
-                    k: int,
-                    preselect: int = 10) -> List[Tuple[int, float, int]]:
+                    k: int) -> List[Tuple[int, float, int]]:
     """Top-k gated candidates by full descriptor distance.
 
     ``gated`` pairs candidate indices with their descriptors.  Ring keys
-    pre-select up to ``max(preselect, 2k)`` nearest candidates before the
-    shift-exhaustive comparison.  Returns (index, distance, best_shift)
-    ascending by distance.
+    pre-select up to ``max(RING_KEY_PRESELECT, 2k)`` nearest candidates
+    before the shift-exhaustive comparison.  Returns (index, distance,
+    best_shift) ascending by distance.
     """
     if not gated:
         return []
-    n_pre = min(len(gated), max(preselect, 2 * k))
+    n_pre = min(len(gated), max(RING_KEY_PRESELECT, 2 * k))
     keys = np.stack([sc.ring_key for _, sc in gated])
     tree = cKDTree(keys)
     _, pre_idx = tree.query(query_sc.ring_key, k=n_pre)
@@ -158,6 +159,5 @@ class LoopDetector:
             return None
         gated = [(i, self.descriptor_for(keyframes[i])) for i in gated_idx]
         query_sc = self.descriptor_for(query)
-        ranked = rank_candidates(query_sc, gated, self.cfg.top_k,
-                                 self.cfg.ring_key_preselect)
+        ranked = rank_candidates(query_sc, gated, self.cfg.top_k)
         return self.verify(query, keyframes, ranked)

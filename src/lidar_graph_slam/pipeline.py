@@ -39,7 +39,7 @@ from .floor import detect_floor
 from .geometry import PointCloud, Pose
 from .loop_closure import LoopDetector
 from .mapping import build_map, write_ply
-from .pose_graph import PoseGraph, default_information
+from .pose_graph import PoseGraph
 from .prefilter import prefilter
 from .pretracker import Pretracker
 from .registration import prepare_alignment
@@ -158,15 +158,15 @@ class SlamPipeline:
     def _on_keyframe(self, kf, odometry_rel, floor_coeffs):
         node_id = self.graph.add_keyframe(kf, odometry_rel)
         self.keyframes.append(kf)
-        if floor_coeffs is not None and floor_coeffs.valid:
+        if floor_coeffs is not None:
             self.graph.add_floor(node_id, floor_coeffs)
         loop_added = False
         if len(self.keyframes) > 1:
             loop = self.loop_detector.detect(kf, self.keyframes)
             # the graph refuses duplicates and half-turn errors it cannot
             # optimize; only an edge it took counts and forces a re-solve
-            loop_added = loop is not None and self.graph.add_loop(
-                loop, default_information("LOOP", loop.fitness)) is not None
+            loop_added = loop is not None and \
+                self.graph.add_loop(loop) is not None
         if loop_added:
             self.loop_count += 1
         self._kf_since_opt += 1

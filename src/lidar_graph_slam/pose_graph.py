@@ -3,8 +3,8 @@
 Keyframe poses are nodes; odometry, loop, and floor measurements are edges.
 The floor constraints share one global plane node.  The solver works on
 se(3) increments (right multiplication) with analytic Jacobians, sparse
-normal equations, adaptive damping, and optional Huber weighting on loop
-edges.  The first keyframe node is held fixed to pin the gauge.
+normal equations, adaptive damping, and Huber weighting on loop edges.
+The first keyframe node is held fixed to pin the gauge.
 
 Each ``optimize`` call stacks node states and edge measurements into arrays
 once (:class:`_EdgeBatch`), together with the sparse position of every
@@ -43,8 +43,12 @@ EDGE_ODOMETRY = "ODOMETRY"
 EDGE_LOOP = "LOOP"
 EDGE_FLOOR = "FLOOR"
 
-KERNEL_NONE = "NONE"
-KERNEL_HUBER = "HUBER"
+# Huber threshold on the error norm of a loop edge; no other edge is robust
+LOOP_HUBER_DELTA = 1.0
+
+# LM stops when chi2 falls by less than this fraction, or the step is shorter
+_CHI2_REL_TOL = 1e-6
+_UPDATE_TOL = 1e-8
 
 
 @dataclass
@@ -64,8 +68,6 @@ class GraphEdge:
     to_id: int
     measurement: Union[Pose, FloorCoefficients]
     information: np.ndarray
-    robust_kernel: str = KERNEL_NONE
-    kernel_scale: float = 1.0
 
 
 @dataclass
@@ -178,8 +180,7 @@ class PoseGraph:
         info = information if information is not None else \
             default_information(EDGE_LOOP, loop.fitness)
         edge = GraphEdge(self._next_edge_id, EDGE_LOOP, from_id, to_id,
-                         loop.verified_transform, info,
-                         robust_kernel=KERNEL_HUBER, kernel_scale=1.0)
+                         loop.verified_transform, info)
         self._next_edge_id += 1
         self.edges.append(edge)
         self._loop_pairs.add(pair)
@@ -268,9 +269,7 @@ class PoseGraph:
         if missing:
             raise DisconnectedGraphError(missing)
 
-    def optimize(self, max_iterations: int = 20,
-                 chi2_rel_tol: float = 1e-6,
-                 update_tol: float = 1e-8) -> OptimizationReport:
+    def optimize(self, max_iterations: int = 20) -> OptimizationReport:
         """Levenberg-Marquardt with x10 / /10 damping adaptation."""
         if not self.nodes:
             raise ValueError("cannot optimize an empty graph")
@@ -309,10 +308,10 @@ class PoseGraph:
             prev = chi2
             hmat, rhs, chi2 = batch.normal_equations(state)
             trace.append(chi2)
-            if np.linalg.norm(delta) < update_tol:
+            if np.linalg.norm(delta) < _UPDATE_TOL:
                 converged = True
                 break
-            if prev > 0 and (prev - chi2) / prev < chi2_rel_tol:
+            if prev > 0 and (prev - chi2) / prev < _CHI2_REL_TOL:
                 converged = True
                 break
         batch.write_back(self, state)
@@ -362,8 +361,7 @@ class _EdgeWeights(NamedTuple):
     """Information and robust kernel of each edge of one kind."""
 
     info: np.ndarray     # (N, d, d) information matrices
-    huber: np.ndarray    # (N,) Huber kernel flags
-    delta: np.ndarray    # (N,) Huber thresholds on the error norm
+    huber: np.ndarray    # (N,) Huber kernel flags: the loop edges
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -375,8 +373,7 @@ def _edge_weights(edges: Sequence[GraphEdge], d: int) -> _EdgeWeights:
     return _EdgeWeights(
         np.array([e.information for e in edges], dtype=np.float64)
         .reshape(-1, d, d),
-        np.array([e.robust_kernel == KERNEL_HUBER for e in edges], dtype=bool),
-        np.array([e.kernel_scale for e in edges], dtype=np.float64))
+        np.array([e.kind == EDGE_LOOP for e in edges], dtype=bool))
 
 
 def _columns(*blocks) -> np.ndarray:
@@ -395,10 +392,11 @@ def _sq_errors(r: np.ndarray, info: np.ndarray):
 
 def _robust(c: np.ndarray, w: _EdgeWeights):
     """Per-edge (robust chi2, IRLS weight) for squared errors ``c``."""
-    outside = w.huber & (c > w.delta * w.delta)
+    delta = LOOP_HUBER_DELTA
+    outside = w.huber & (c > delta * delta)
     s = np.sqrt(np.where(outside, c, 1.0))
-    return (np.where(outside, 2.0 * w.delta * s - w.delta * w.delta, c),
-            np.where(outside, w.delta / s, 1.0))
+    return (np.where(outside, 2.0 * delta * s - delta * delta, c),
+            np.where(outside, delta / s, 1.0))
 
 
 def _weighted_blocks(r: np.ndarray, j: np.ndarray, w: _EdgeWeights):

@@ -3,18 +3,24 @@
 Runs on the raw cloud, next to the pre-filterer, and produces an initial
 guess for the tracker: one registration at a very coarse scale, and
 for small clouds a second registration at a finer scale seeded with the
-first result.
+first result.  A phase runs only when both this cloud and the previous one
+have it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .geometry import PointCloud, Pose
 from .registration import ICP_P2P, RegistrationConfig, align
+
+# point-to-point ICP settings of every phase
+PHASE_ICP = RegistrationConfig(method=ICP_P2P, max_iterations=20,
+                               transformation_epsilon=0.02,
+                               max_correspondence_distance=4.0)
 
 
 @dataclass
@@ -22,9 +28,6 @@ class PretrackerConfig:
     phase1_keep_fraction: float = 0.05
     phase2_keep_fraction: float = 0.2
     large_cloud_threshold: int = 60_000
-    max_iterations: int = 20
-    transformation_epsilon: float = 0.02
-    max_correspondence_distance: float = 4.0
 
     def __post_init__(self):
         if not 0.0 < self.phase1_keep_fraction <= 0.1:
@@ -65,55 +68,25 @@ class Pretracker:
 
     def __init__(self, cfg: Optional[PretrackerConfig] = None):
         self.cfg = cfg or PretrackerConfig()
-        self._prev_phase1: Optional[PointCloud] = None
-        self._prev_phase2: Optional[PointCloud] = None
+        self._previous: List[PointCloud] = []   # the last cloud, per phase
         self._last_motion = Pose.identity()
         self.registration_calls = 0
 
-    def _reg_config(self) -> RegistrationConfig:
-        return RegistrationConfig(
-            method=ICP_P2P,
-            max_iterations=self.cfg.max_iterations,
-            transformation_epsilon=self.cfg.transformation_epsilon,
-            max_correspondence_distance=self.cfg.max_correspondence_distance)
-
     def pretrack(self, cloud: PointCloud) -> PretrackResult:
         cfg = self.cfg
-        ds1 = downsample_to_fraction(cloud, cfg.phase1_keep_fraction)
-        large = len(cloud) > cfg.large_cloud_threshold
-        ds2 = None if large else downsample_to_fraction(cloud,
-                                                        cfg.phase2_keep_fraction)
-        if self._prev_phase1 is None:
-            self._prev_phase1 = ds1
-            self._prev_phase2 = ds2
-            return PretrackResult(Pose.identity(), False, 0)
-
-        reg_cfg = self._reg_config()
-        degraded = False
-        phases = 0
+        fractions = [cfg.phase1_keep_fraction]
+        if len(cloud) <= cfg.large_cloud_threshold:
+            fractions.append(cfg.phase2_keep_fraction)
+        current = [downsample_to_fraction(cloud, f) for f in fractions]
+        previous, self._previous = self._previous, current
         guess = self._last_motion
-
-        res = align(ds1, self._prev_phase1, guess, reg_cfg)
-        self.registration_calls += 1
-        phases = 1
-        if res.valid:
-            guess = res.transform
-        else:
-            degraded = True
-
-        if not large and not degraded and self._prev_phase2 is not None:
-            res2 = align(ds2, self._prev_phase2, guess, reg_cfg)
+        phases = 0
+        for source, target in zip(current, previous):
+            res = align(source, target, guess, PHASE_ICP)
             self.registration_calls += 1
-            phases = 2
-            if res2.valid:
-                guess = res2.transform
-            else:
-                degraded = True
-
-        if degraded:
-            guess = self._last_motion
-        else:
-            self._last_motion = guess
-        self._prev_phase1 = ds1
-        self._prev_phase2 = ds2
-        return PretrackResult(guess, degraded, phases)
+            phases += 1
+            if not res.valid:
+                return PretrackResult(self._last_motion, True, phases)
+            guess = res.transform
+        self._last_motion = guess
+        return PretrackResult(guess, False, phases)

@@ -16,13 +16,15 @@ import numpy as np
 
 from .geometry import PointCloud
 
+# added to point heights (m); points further below the sensor leave a bin empty
+HEIGHT_OFFSET = 2.0
+
 
 @dataclass
 class ScanContextParams:
     rings: int = 20
     sectors: int = 60
     max_range: float = 80.0
-    height_offset: float = 2.0
 
     def __post_init__(self):
         if self.rings < 1 or self.sectors < 1:
@@ -58,7 +60,7 @@ def make_scan_context(cloud: PointCloud,
         azimuth = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
         sector = np.floor(azimuth / (2.0 * np.pi) * params.sectors).astype(int)
         sector = np.clip(sector, 0, params.sectors - 1)
-        height = np.maximum(pts[:, 2] + params.height_offset, 0.0)
+        height = np.maximum(pts[:, 2] + HEIGHT_OFFSET, 0.0)
         np.maximum.at(grid, (ring, sector), height)
     occupancy = (grid > 0.0).astype(np.float64)
     ring_key = occupancy.mean(axis=1)

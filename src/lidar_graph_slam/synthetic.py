@@ -102,7 +102,7 @@ def square_loop_trajectory(side: float = 50.0, step: float = 1.0,
             pts.append(np.array(center) + r * np.array([np.cos(ang), np.sin(ang)]))
     n_over = int(round(overshoot / step))
     pts.extend(pts[:n_over] if n_over else [pts[0]])
-    return _follow_waypoints(np.array(pts), step, rate_hz, resample=False)
+    return _follow_waypoints(np.array(pts), rate_hz)
 
 
 def straight_then_curve_trajectory(straight: float = 80.0,
@@ -117,22 +117,12 @@ def straight_then_curve_trajectory(straight: float = 80.0,
     for i in range(n_arc + 1):
         a = curve_angle * i / n_arc
         pts.append(center + curve_radius * np.array([np.sin(a), -np.cos(a)]))
-    return _follow_waypoints(np.array(pts), step, rate_hz, resample=False)
+    return _follow_waypoints(np.array(pts), rate_hz)
 
 
-def _follow_waypoints(waypoints: np.ndarray, step: float, rate_hz: float,
-                      resample: bool = True) -> List[Tuple[float, Pose]]:
-    if resample:
-        pts = []
-        for a, b in zip(waypoints[:-1], waypoints[1:]):
-            seg = np.linalg.norm(b - a)
-            n = max(int(round(seg / step)), 1)
-            for i in range(n):
-                pts.append(a + (b - a) * i / n)
-        pts.append(waypoints[-1])
-        pts = np.array(pts)
-    else:
-        pts = waypoints
+def _follow_waypoints(pts: np.ndarray,
+                      rate_hz: float) -> List[Tuple[float, Pose]]:
+    """Timed poses at the waypoints, each heading along the path."""
     out = []
     for i, p in enumerate(pts):
         nxt = pts[min(i + 1, len(pts) - 1)]

@@ -38,7 +38,8 @@ class Keyframe:
     timestamp: float
     accumulated_distance: float
     index: int
-    scan_context: object = None   # filled when inserted into the pose graph
+    # filled by LoopDetector.descriptor_for when loop detection first needs it
+    scan_context: object = None
 
 
 def is_new_keyframe(rel: Pose, dt: float, crit: KeyframeCriteria) -> bool:

@@ -36,18 +36,18 @@ def reference_floor_planar(cloud, cfg=None):
     clipped = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
     invalid = FloorCoefficients(0.0, 0.0, 1.0, 0.0, cloud.timestamp,
                                 MODE_PLANAR, valid=False)
-    if len(clipped) < max(3, cfg.normal_knn):
+    if len(clipped) < max(3, floor.NORMAL_KNN):
         return invalid
-    nz = estimate_normals(PointCloud(clipped), k=cfg.normal_knn).normals[:, 2]
+    nz = estimate_normals(PointCloud(clipped), k=floor.NORMAL_KNN).normals[:, 2]
     cos_max = np.cos(cfg.normal_vertical_max_angle)
     candidates = clipped[(nz >= cos_max) & np.isfinite(nz)]
-    if len(candidates) < max(50, cfg.normal_knn):
+    if len(candidates) < max(50, floor.NORMAL_KNN):
         candidates = clipped
     rng = np.random.default_rng(cfg.seed)
     best_count = 0
     best_inliers = None
     n_pts = len(candidates)
-    for _ in range(cfg.ransac_iterations):
+    for _ in range(floor.RANSAC_ITERATIONS):
         sample = candidates[rng.choice(n_pts, size=3, replace=False)]
         normal = np.cross(sample[1] - sample[0], sample[2] - sample[0])
         norm = np.linalg.norm(normal)
@@ -77,7 +77,7 @@ def ransac_draws(n_pts, cfg):
     """The index triples RANSAC draws from ``n_pts`` candidates."""
     rng = np.random.default_rng(cfg.seed)
     return np.array([rng.choice(n_pts, size=3, replace=False)
-                     for _ in range(cfg.ransac_iterations)])
+                     for _ in range(floor.RANSAC_ITERATIONS)])
 
 
 def assert_matches_reference(cloud, cfg=None):
@@ -240,7 +240,7 @@ class TestPlanarKernelMatchesReference:
         ground = np.column_stack([xy, np.full(len(xy), -SENSOR_HEIGHT)])
         ground += rng.normal(scale=0.03, size=ground.shape)
         # 40k candidates: each chunk scores fewer planes than RANSAC draws
-        assert floor._SCORE_CHUNK // len(ground) < FloorConfig().ransac_iterations
+        assert floor._SCORE_CHUNK // len(ground) < floor.RANSAC_ITERATIONS
         assert assert_matches_reference(PointCloud(ground)).valid
 
 

@@ -433,6 +433,23 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimate", ["empty", "five_seconds_late"])
+    def test_eval_without_associations_exits_with_code_2(
+            self, straight_run, tmp_path, capsys, estimate):
+        _, truth = straight_run
+        est_path = tmp_path / "est.tum"
+        truth_path = tmp_path / "truth.tum"
+        write_tum(str(truth_path), truth)
+        if estimate == "empty":
+            est_path.write_text("")
+        else:
+            write_tum(str(est_path), [TimedPose(t.timestamp + 5.0, t.pose)
+                                      for t in truth[:1]])
+        code = cli_main(["eval", "--est", str(est_path),
+                         "--truth", str(truth_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestStagePlacement:
     """The lookahead worker builds each filtered cloud's kd-tree and GICP

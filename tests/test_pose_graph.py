@@ -10,8 +10,9 @@ from lidar_graph_slam.geometry import (PointCloud, Pose, _hat, se3_adjoint,
                                        se3_right_jacobian_inv, so3_exp)
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pose_graph import (EDGE_FLOOR, EDGE_LOOP, EDGE_ODOMETRY,
-                                         KERNEL_HUBER, DisconnectedGraphError,
-                                         PoseGraph, _EdgeBatch,
+                                         LOOP_HUBER_DELTA,
+                                         DisconnectedGraphError, PoseGraph,
+                                         _EdgeBatch,
                                          _plane_tangent_basis,
                                          default_information)
 from lidar_graph_slam.tracker import Keyframe
@@ -74,6 +75,9 @@ class TestConstruction:
         assert len(loops) == 1
         assert loops[0].from_id == graph.keyframe_node_ids[0]
         assert loops[0].to_id == graph.keyframe_node_ids[19]
+        # without an information matrix, the fitness sets it
+        np.testing.assert_array_equal(
+            loops[0].information, default_information(EDGE_LOOP, loop.fitness))
 
     def test_unverified_loop_rejected(self):
         graph, _ = build_drifted_ring()
@@ -321,8 +325,8 @@ def ref_normal_equations(graph):
         omega = edge.information
         c = float(r @ omega @ r)
         w = 1.0
-        if edge.robust_kernel == KERNEL_HUBER:
-            c, w = ref_huber(c, edge.kernel_scale)
+        if edge.kind == EDGE_LOOP:
+            c, w = ref_huber(c, LOOP_HUBER_DELTA)
         chi2 += c
         omega_w = w * omega
         blocks = []

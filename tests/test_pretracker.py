@@ -1,8 +1,11 @@
 """Coarse multi-scale motion estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from lidar_graph_slam import pretracker as pretracker_module
 from lidar_graph_slam.geometry import PointCloud, Pose
 from lidar_graph_slam.pretracker import (Pretracker, PretrackerConfig,
                                          downsample_to_fraction)
@@ -107,3 +110,35 @@ class TestPretracker:
             pre.pretrack(scene)
         # first cloud is free; each later cloud runs at most two phases
         assert pre.registration_calls <= 6
+
+    def test_failed_phase_two_returns_last_motion(self, rng, monkeypatch):
+        scene = self._dense_scene(rng)
+        back = Pose(np.eye(3), [-0.5, 0.0, 0.0])    # the inverse of the motion
+        pre = Pretracker()
+        pre.pretrack(scene)
+        moved = scene.transformed(back)
+        first = pre.pretrack(moved)
+        assert first.phases_run == 2 and not first.degraded
+
+        real_align = pretracker_module.align
+        calls = []
+
+        def phase_two_fails(source, target, guess, cfg):
+            calls.append(len(source))
+            res = real_align(source, target, guess, cfg)
+            return replace(res, valid=False) if len(calls) == 2 else res
+
+        monkeypatch.setattr(pretracker_module, "align", phase_two_fails)
+        res = pre.pretrack(moved.transformed(back))
+        assert calls[0] < calls[1]            # phase 1 on the smaller cloud
+        assert res.degraded and res.phases_run == 2
+        np.testing.assert_array_equal(res.guess.matrix(), first.guess.matrix())
+
+    @pytest.mark.parametrize("sizes", [(8000, 4000), (4000, 8000)],
+                             ids=["large-then-small", "small-then-large"])
+    def test_large_cloud_on_either_side_runs_one_phase(self, rng, sizes):
+        pre = Pretracker(PretrackerConfig(large_cloud_threshold=6000))
+        pre.pretrack(self._dense_scene(rng, sizes[0]))
+        res = pre.pretrack(self._dense_scene(rng, sizes[1]))
+        assert res.phases_run == 1
+        assert pre.registration_calls == 1

@@ -8,8 +8,7 @@ from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
                                            descriptor_distance,
                                            make_scan_context, shift_to_yaw)
 
-PARAMS = ScanContextParams(rings=20, sectors=60, max_range=80.0,
-                           height_offset=2.0)
+PARAMS = ScanContextParams(rings=20, sectors=60, max_range=80.0)
 
 
 def bin_centered_cloud(rng, n=400, params=PARAMS):
@@ -30,7 +29,7 @@ class TestMakeScanContext:
         cloud = PointCloud(np.array([[10.0, 0.0, 0.5]]))
         sc = make_scan_context(cloud, PARAMS)
         assert sc.grid.shape == (20, 60)
-        assert sc.grid[2, 0] == pytest.approx(2.5)    # z + height_offset
+        assert sc.grid[2, 0] == pytest.approx(2.5)    # z + HEIGHT_OFFSET
         assert np.count_nonzero(sc.grid) == 1
         np.testing.assert_allclose(sc.ring_key[2], 1.0 / 60.0)
 
