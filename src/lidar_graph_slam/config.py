@@ -49,6 +49,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.map_resolution <= 0:
             raise ValueError("map_resolution must be positive")
+        if self.optimize_every_n_keyframes < 1:
+            raise ValueError("optimize_every_n_keyframes must be >= 1")
+        if self.incline_threshold_deg < 0:
+            raise ValueError("incline_threshold_deg must be >= 0")
 
     @staticmethod
     def from_file(path: str) -> "PipelineConfig":
@@ -81,8 +85,16 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _finite(value: str) -> float:
+    """A file's number; nan and inf pass no range check, so none loads."""
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError(f"not a finite number: {value!r}")
+    return out
+
+
 def _degrees(value: str) -> float:
-    return np.deg2rad(float(value))
+    return np.deg2rad(_finite(value))
 
 
 # file key -> (PipelineConfig section, or None for a top-level field,
@@ -90,44 +102,45 @@ def _degrees(value: str) -> float:
 _KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
     # pre-filterer
     "downsample_method": ("prefilter", "downsample_method", str),
-    "downsample_resolution": ("prefilter", "downsample_resolution", float),
+    "downsample_resolution": ("prefilter", "downsample_resolution", _finite),
     "outlier_removal_method": ("prefilter", "outlier_method", str),
-    "radius": ("prefilter", "radius", float),
+    "radius": ("prefilter", "radius", _finite),
     "min_neighbors": ("prefilter", "min_neighbors", int),
     # scan matching
     "registration_method": ("registration", "method", str),
     "max_iterations": ("registration", "max_iterations", int),
-    "transformation_epsilon": ("registration", "transformation_epsilon", float),
+    "transformation_epsilon": ("registration", "transformation_epsilon",
+                               _finite),
     "max_correspondence_distance": ("registration",
-                                    "max_correspondence_distance", float),
+                                    "max_correspondence_distance", _finite),
     # pre-tracker
     "pretracker_enabled": (None, "pretracker_enabled", _parse_bool),
-    "phase1_keep_fraction": ("pretracker", "phase1_keep_fraction", float),
-    "phase2_keep_fraction": ("pretracker", "phase2_keep_fraction", float),
+    "phase1_keep_fraction": ("pretracker", "phase1_keep_fraction", _finite),
+    "phase2_keep_fraction": ("pretracker", "phase2_keep_fraction", _finite),
     "large_cloud_threshold": ("pretracker", "large_cloud_threshold", int),
     # tracker
-    "keyframe_delta_trans": ("keyframes", "delta_trans", float),
-    "keyframe_delta_angle": ("keyframes", "delta_angle", float),
-    "keyframe_delta_time": ("keyframes", "delta_time", float),
+    "keyframe_delta_trans": ("keyframes", "delta_trans", _finite),
+    "keyframe_delta_angle": ("keyframes", "delta_angle", _finite),
+    "keyframe_delta_time": ("keyframes", "delta_time", _finite),
     # floor detector
     "floor_enabled": (None, "floor_enabled", _parse_bool),
     "floor_mode": ("floor", "mode", str),
-    "floor_clip_min_z": ("floor", "clip_min_z", float),
-    "floor_clip_max_z": ("floor", "clip_max_z", float),
+    "floor_clip_min_z": ("floor", "clip_min_z", _finite),
+    "floor_clip_max_z": ("floor", "clip_max_z", _finite),
     "floor_normal_max_angle": ("floor", "normal_vertical_max_angle", _degrees),
-    "floor_ransac_threshold": ("floor", "ransac_inlier_threshold", float),
-    "floor_min_inlier_fraction": ("floor", "min_inlier_fraction", float),
-    "floor_rough_clip_radius": ("floor", "rough_clip_radius", float),
+    "floor_ransac_threshold": ("floor", "ransac_inlier_threshold", _finite),
+    "floor_min_inlier_fraction": ("floor", "min_inlier_fraction", _finite),
+    "floor_rough_clip_radius": ("floor", "rough_clip_radius", _finite),
     # loop detector
-    "loop_search_radius": ("loop", "search_radius", float),
-    "loop_min_accum_distance": ("loop", "min_accumulated_distance", float),
+    "loop_search_radius": ("loop", "search_radius", _finite),
+    "loop_min_accum_distance": ("loop", "min_accumulated_distance", _finite),
     "loop_top_k": ("loop", "top_k", int),
-    "loop_fitness_threshold": ("loop", "fitness_accept_threshold", float),
+    "loop_fitness_threshold": ("loop", "fitness_accept_threshold", _finite),
     "sc_rings": ("scan_context", "rings", int),
     "sc_sectors": ("scan_context", "sectors", int),
-    "sc_max_range": ("scan_context", "max_range", float),
+    "sc_max_range": ("scan_context", "max_range", _finite),
     # graph
     "optimize_every_n_keyframes": (None, "optimize_every_n_keyframes", int),
-    "incline_threshold_deg": (None, "incline_threshold_deg", float),
-    "map_resolution": (None, "map_resolution", float),
+    "incline_threshold_deg": (None, "incline_threshold_deg", _finite),
+    "map_resolution": (None, "map_resolution", _finite),
 }

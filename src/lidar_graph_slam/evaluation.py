@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .geometry import Pose
+from .geometry import Pose, kabsch
 
 
 @dataclass
@@ -98,16 +98,6 @@ def associate(estimates: Sequence[TimedPose], truth: Sequence[TimedPose],
     return pairs
 
 
-def rigid_alignment(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Closed-form rigid transform (no scale) minimizing sum |T src - dst|^2."""
-    mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
-    h = (src - mu_s).T @ (dst - mu_d)
-    u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return Pose(r, mu_d - r @ mu_s)
-
-
 def compute_ate(pairs: Sequence[Tuple[int, int]],
                 estimates: Sequence[TimedPose],
                 truth: Sequence[TimedPose],
@@ -118,8 +108,9 @@ def compute_ate(pairs: Sequence[Tuple[int, int]],
     tru_pts = np.array([truth[j].pose.translation for _, j in pairs])
     alignment = None
     if align:
-        alignment = rigid_alignment(est_pts, tru_pts)
-        est_pts = est_pts @ alignment.rotation.T + alignment.translation
+        # rank-1 (collinear) trajectories are aligned too
+        alignment, _ = kabsch(est_pts, tru_pts)
+        est_pts = alignment.apply(est_pts)
     errors = np.linalg.norm(est_pts - tru_pts, axis=1)
     mean = float(np.mean(errors))
     rmse = float(np.sqrt(np.mean(errors ** 2)))

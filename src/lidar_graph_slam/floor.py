@@ -65,6 +65,8 @@ class FloorConfig:
             raise ValueError("normal_vertical_max_angle must be in (0, pi/2)")
         if self.ransac_inlier_threshold <= 0 or self.rough_clip_radius <= 0:
             raise ValueError("thresholds must be positive")
+        if not 0.0 <= self.min_inlier_fraction <= 1.0:
+            raise ValueError("min_inlier_fraction must be in [0, 1]")
 
 
 def fit_plane_lsq(points: np.ndarray) -> Tuple[np.ndarray, float]:

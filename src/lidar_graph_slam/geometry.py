@@ -1,8 +1,8 @@
 """Core geometric types: point clouds, SE(3) poses, k-NN search, normals.
 
 Everything downstream (filtering, registration, graph optimization) is built
-on the types in this module.  Pose math is always float64; raw point storage
-may be float32 at ingestion and is promoted on first use.
+on the types in this module.  Pose math and point storage are always
+float64: ``PointCloud`` converts its points (and normals) on construction.
 """
 
 from __future__ import annotations
@@ -41,27 +41,25 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
     def transformed(self, pose: "Pose") -> "PointCloud":
         """Return a copy with points (and normals) mapped into ``pose``'s frame."""
-        pts = self.points @ pose.rotation.T + pose.translation
         nrm = None
         if self.normals is not None:
             nrm = self.normals @ pose.rotation.T
-        return PointCloud(pts, nrm, self.timestamp, self.frame_id)
+        return PointCloud(pose.apply(self.points), nrm, self.timestamp,
+                          self.frame_id)
 
 
 # ---------------------------------------------------------------------------
 # SE(3) poses
 # ---------------------------------------------------------------------------
 
-def _hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector; leading batch axes allowed."""
+def _hat(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Skew-symmetric matrix of a 3-vector; leading batch axes allowed.
+    Written into ``out``, if given, whose diagonal must already be zero."""
     v = np.asarray(v, dtype=np.float64)
-    out = np.zeros(v.shape[:-1] + (3, 3))
+    if out is None:
+        out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1] = -v[..., 2]
     out[..., 0, 2] = v[..., 1]
     out[..., 1, 0] = v[..., 2]
@@ -80,6 +78,18 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
         u[..., -1] *= np.where(flip, -1.0, 1.0)[..., None]
         out = u @ vt
     return out
+
+
+def kabsch(src: np.ndarray, dst: np.ndarray):
+    """Least-squares rigid transform mapping (N, 3) ``src`` onto ``dst``
+    (SVD of the cross-covariance, det forced to +1), and the descending
+    singular values by which a caller may refuse rank-deficient pairs."""
+    src, dst = (np.asarray(a, dtype=np.float64) for a in (src, dst))
+    mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
+    u, s, vt = np.linalg.svd((src - mu_s).T @ (dst - mu_d))
+    d = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return Pose(r, mu_d - r @ mu_s), s
 
 
 @dataclass(frozen=True)
@@ -110,13 +120,10 @@ class Pose:
         m[:3, 3] = self.translation
         return m
 
-    def compose(self, other: "Pose") -> "Pose":
+    def __matmul__(self, other: "Pose") -> "Pose":
         """Apply ``other`` first, then ``self``."""
         return Pose(self.rotation @ other.rotation,
                     self.rotation @ other.translation + self.translation)
-
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
 
     def inverse(self) -> "Pose":
         rt = self.rotation.T
@@ -305,30 +312,32 @@ def se3_adjoint(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class KdTree:
-    """Exact nearest-neighbor index over a point set (thin cKDTree wrapper)."""
+    """Exact nearest-neighbour index over (N, D) points, the package's one
+    cKDTree wrapper.  Its search bound is inclusive: a query finds what an
+    unbounded search finds at ``max_distance`` or nearer."""
 
     def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        points = np.asarray(points, dtype=np.float64)
         if len(points) == 0:
             raise ValueError("cannot build a KdTree over an empty cloud")
-        self._points = points
         self._tree = cKDTree(points)
 
-    def __len__(self) -> int:
-        return len(self._points)
-
     def query_batch(self, queries: np.ndarray, k: int = 1,
-                    distance_upper_bound: float = np.inf):
+                    max_distance: float = np.inf):
         """Vectorized k-nearest query; returns (indices, distances) arrays.
 
-        Neighbours at ``distance_upper_bound`` or beyond are not searched
-        for; a missing one has index ``len(self)`` and distance inf.  Runs
-        on the calling thread: cKDTree's ``workers=-1`` starts threads on
-        every call, which costs more than it saves on scan-sized queries.
+        A neighbour beyond ``max_distance`` is missing: index N, distance
+        inf.  cKDTree keeps only neighbours strictly inside its bound, so
+        it searches a relative 1e-9 past ``max_distance``.  Runs on the
+        calling thread: cKDTree's ``workers=-1`` starts threads on every
+        call, which costs more than it saves on scan-sized queries.
         """
         dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64),
-                                     k=k,
-                                     distance_upper_bound=distance_upper_bound)
+                                     k=k, distance_upper_bound=max_distance
+                                     * (1.0 + 1e-9))
+        beyond = dist > max_distance
+        idx[beyond] = self._tree.n
+        dist[beyond] = np.inf
         return idx, dist
 
 

@@ -71,7 +71,8 @@ def discover_sequence(dataset_dir: str) -> DatasetSequence:
     """Assemble a sequence from a KITTI-odometry-style directory.
 
     Expects ``velodyne/*.bin`` (sorted), ``times.txt``, and optionally
-    ``poses.txt`` with one 12-value row per scan.
+    ``poses.txt`` with one 12-value row per scan.  Rows of either file
+    beyond the last scan are ignored.
     """
     velo = os.path.join(dataset_dir, "velodyne")
     if not os.path.isdir(velo):
@@ -92,7 +93,8 @@ def discover_sequence(dataset_dir: str) -> DatasetSequence:
     gt_times = None
     poses_path = os.path.join(dataset_dir, "poses.txt")
     if os.path.exists(poses_path):
-        gt = load_kitti_poses(poses_path)
+        # a partly copied sequence has more pose rows than scans
+        gt = load_kitti_poses(poses_path)[:len(scans)]
         gt_times = times[:len(gt)]
     return DatasetSequence(scans, times, gt, gt_times)
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import Pose, so3_exp
+from .geometry import KdTree, Pose, so3_exp
 from .registration import RegistrationConfig, align, score_alignment
 from .scan_context import (ScanContext, ScanContextParams, descriptor_distance,
                            make_scan_context, shift_to_yaw)
@@ -82,10 +81,9 @@ def rank_candidates(query_sc: ScanContext,
     if not gated:
         return []
     n_pre = min(len(gated), max(RING_KEY_PRESELECT, 2 * k))
-    keys = np.stack([sc.ring_key for _, sc in gated])
-    tree = cKDTree(keys)
-    _, pre_idx = tree.query(query_sc.ring_key, k=n_pre)
-    pre_idx = np.atleast_1d(pre_idx)
+    tree = KdTree(np.stack([sc.ring_key for _, sc in gated]))
+    pre_idx, _ = tree.query_batch(query_sc.ring_key[None], k=n_pre)
+    pre_idx = np.atleast_1d(pre_idx[0])
     scored = []
     for i in pre_idx:
         idx, sc = gated[int(i)]

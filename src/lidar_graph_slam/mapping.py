@@ -22,8 +22,7 @@ def build_map(keyframes: Sequence[Keyframe], poses: Sequence[Pose],
         raise ValueError("need at least one keyframe")
     if len(poses) != len(keyframes):
         raise ValueError("poses and keyframes length mismatch")
-    parts = [kf.cloud.points @ p.rotation.T + p.translation
-             for kf, p in zip(keyframes, poses)]
+    parts = [p.apply(kf.cloud.points) for kf, p in zip(keyframes, poses)]
     merged = PointCloud(np.vstack(parts))
     return voxel_downsample(merged, resolution)
 

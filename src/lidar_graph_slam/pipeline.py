@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from collections import deque
@@ -52,14 +53,15 @@ LOOKAHEAD = 2
 
 
 def frame_dropped(arrival: float, starts: Sequence[float],
-                  capacity: int) -> bool:
+                  capacity: float) -> bool:
     """The realtime-sim drop rule.
 
     Frame j arrives at a_j = t_j - t_0, starts at s_j = max(a_j, f_prev) and
     finishes at f_j = s_j + c_j, where c_j is the wall time the loop spent
     on it.  ``starts`` holds s_j of the frames admitted so far, which never
     decrease.  A frame arriving at ``arrival`` is dropped when ``capacity``
-    admitted frames have arrived but not yet started.
+    admitted frames have arrived but not yet started; at an infinite
+    ``capacity`` none is.
     """
     return len(starts) >= capacity and starts[-capacity] > arrival
 
@@ -143,9 +145,7 @@ class SlamPipeline:
     def _do_track(self, filtered: PointCloud, guess: Optional[Pose]):
         result = self.tracker.track(filtered, guess)
         self.frames.append(FrameRecord(
-            filtered.timestamp,
-            result.new_keyframe.index if result.new_keyframe
-            else self.tracker.keyframe.index,
+            filtered.timestamp, self.tracker.keyframe.index,
             Pose.identity() if result.new_keyframe else result.relative))
         if result.new_keyframe is not None:
             floor_coeffs = self._timed(
@@ -176,12 +176,12 @@ class SlamPipeline:
             self._kf_since_opt = 0
 
     def _optimize_and_sync(self):
+        """Re-solve the graph; every keyframe, the tracker's too, moves."""
         if len(self.keyframes) < 2:
             return
         self.graph.optimize()
         for kf, pose in zip(self.keyframes, self.graph.keyframe_poses()):
             kf.pose = pose
-        self.tracker.update_keyframe_pose(self.keyframes[-1].pose)
 
     def _front_end(self, cloud: PointCloud):
         """The stateless stages of one frame; runs on the lookahead thread.
@@ -211,7 +211,7 @@ class SlamPipeline:
 
     def run_batch(self, clouds) -> PipelineResult:
         """Track every cloud in order, as fast as the stages run."""
-        return self._run(clouds, capacity=None)
+        return self._run(clouds, math.inf)
 
     def run_realtime_sim(self, clouds) -> PipelineResult:
         """Track clouds on a simulated clock at their recorded rate, dropping
@@ -220,9 +220,10 @@ class SlamPipeline:
             raise ValueError("streaming_queue_capacity must be positive")
         return self._run(clouds, self.cfg.streaming_queue_capacity)
 
-    def _run(self, clouds, capacity: Optional[int]) -> PipelineResult:
+    def _run(self, clouds, capacity: float) -> PipelineResult:
         """Track ``clouds`` in order, with up to ``LOOKAHEAD`` front ends
-        (at most ``capacity`` under the simulated clock) in flight.
+        (at most ``capacity``) in flight; ``run_batch`` passes an infinite
+        ``capacity``, so it drops no frame.
 
         ``pending`` holds the admitted frames not yet tracked, oldest first,
         as (arrival, front-end future).  A frame's simulated start is known
@@ -233,7 +234,7 @@ class SlamPipeline:
         in ``starts``.
         """
         started = time.perf_counter()
-        depth = LOOKAHEAD if capacity is None else min(LOOKAHEAD, capacity)
+        depth = min(LOOKAHEAD, capacity)
         first_ts = None
         starts: List[float] = []    # simulated start of each admitted frame
         pending: Deque[Tuple[float, Future]] = deque()
@@ -249,8 +250,7 @@ class SlamPipeline:
                     first_ts = cloud.timestamp
                 arrival = cloud.timestamp - first_ts
                 unknown = max(len(pending) - 1, 0)
-                if capacity is not None and \
-                        frame_dropped(arrival, starts, capacity - unknown):
+                if frame_dropped(arrival, starts, capacity - unknown):
                     self.dropped_frames += 1
                     continue
                 if not starts:

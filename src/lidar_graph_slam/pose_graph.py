@@ -133,8 +133,8 @@ class PoseGraph:
 
     # -- construction -------------------------------------------------------
 
-    def add_keyframe(self, kf: Keyframe, odometry_rel: Optional[Pose] = None,
-                     information: Optional[np.ndarray] = None) -> int:
+    def add_keyframe(self, kf: Keyframe,
+                     odometry_rel: Optional[Pose] = None) -> int:
         """Append a keyframe node chained to the previous one by odometry."""
         node_id = self._next_node_id
         self._next_node_id += 1
@@ -146,10 +146,9 @@ class PoseGraph:
             rel = odometry_rel if odometry_rel is not None else (
                 prev.inverse() @ kf.pose)
             pose = prev @ rel
-            info = information if information is not None else \
-                default_information(EDGE_ODOMETRY)
             self.edges.append(GraphEdge(self._next_edge_id, EDGE_ODOMETRY,
-                                        prev_id, node_id, rel, info))
+                                        prev_id, node_id, rel,
+                                        default_information(EDGE_ODOMETRY)))
             self._next_edge_id += 1
         self.nodes[node_id] = GraphNode(node_id, NODE_KEYFRAME, pose=pose,
                                         fixed=first)

@@ -1,9 +1,9 @@
 """Cloud pre-filtering: voxel-grid downsampling and radius outlier removal.
 
 Outlier removal builds one kd-tree over the cloud and asks each point for
-its ``min_neighbors + 1`` nearest neighbours (the point itself included),
-searching no farther than just past the radius; the point is kept iff the
-farthest of them lies within the radius.
+its ``min_neighbors + 1`` nearest neighbours (the point itself included)
+within the radius; the point is kept iff the farthest of them lies within
+the radius.
 """
 
 from __future__ import annotations
@@ -91,11 +91,10 @@ def remove_outliers(cloud: PointCloud, radius: float,
     pts = cloud.points
     if len(pts) <= min_neighbors:
         return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
-    # the bound only prunes the search: it sits far enough past the radius
-    # that every point the exact test below accepts is still found, and a
-    # neighbour the search did not find (index n) is beyond the radius
+    # the search keeps every neighbour the exact test below accepts, and a
+    # neighbour it did not find (index n) is beyond the radius
     idx, _ = KdTree(pts).query_batch(pts, k=min_neighbors + 1,
-                                     distance_upper_bound=radius * (1 + 1e-9))
+                                     max_distance=radius)
     far = idx[:, min_neighbors]
     found = far < len(pts)
     diff = pts[np.where(found, far, 0)] - pts

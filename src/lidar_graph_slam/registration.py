@@ -21,8 +21,9 @@ them with :func:`prepare_alignment` on its lookahead worker thread, so the
 tracker and the loop verifier on the calling thread only read them.
 
 :func:`align` only estimates the transform.  Its kd-tree queries are
-bounded just above ``max_correspondence_distance``, which finds the same
-matches as an unbounded search, and it ends by checking that at least
+bounded at ``max_correspondence_distance``, inclusive (see
+:class:`~.geometry.KdTree`), which finds the same matches as an unbounded
+search, and it ends by checking that at least
 ``MIN_CORRESPONDENCES`` source points match at the final estimate.  How
 well the clouds fit there is a separate question, answered by
 :func:`score_alignment` (as PCL keeps ``align`` and ``getFitnessScore``
@@ -36,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (KdTree, PointCloud, Pose, eigen_symmetric_3x3,
-                       neighborhood_covariances, se3_exp, so3_log)
+from .geometry import (KdTree, PointCloud, Pose, _hat, eigen_symmetric_3x3,
+                       kabsch, neighborhood_covariances, se3_exp, so3_log)
 
 ICP_P2P = "ICP_P2P"
 GICP = "GICP"
@@ -84,26 +85,16 @@ class RegistrationResult:
 # ---------------------------------------------------------------------------
 
 def rigid_align_pairs(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Least-squares rigid transform mapping src points onto dst points.
-
-    SVD of the cross-covariance with reflection correction (det forced to
-    +1).  Raises on rank-deficient input (e.g. collinear pairs).
+    """Least-squares rigid transform mapping src points onto dst points
+    (:func:`~.geometry.kabsch`).  Raises on fewer than 3 pairs and on
+    rank-deficient input (e.g. collinear pairs).
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
     if len(src) < 3:
         raise ValueError("need at least 3 correspondence pairs")
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    h = (src - mu_s).T @ (dst - mu_d)
-    u, s, vt = np.linalg.svd(h)
+    pose, s = kabsch(src, dst)
     if s[1] < 1e-12 * max(s[0], 1e-300):
         raise ValueError("rank-deficient cross-covariance (degenerate pairs)")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    diag = np.diag([1.0, 1.0, d if d != 0 else 1.0])
-    r = vt.T @ diag @ u.T
-    t = mu_d - r @ mu_s
-    return Pose(r, t)
+    return pose
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +196,10 @@ def _gicp_terms(src, dst, cov_src, cov_dst, transform):
     M = (C_q + R C_s R^T)^-1 and u = M d.  M and u are zero for pairs whose
     combined covariance is singular.
     """
-    r, t = transform.rotation, transform.translation
-    p = src @ r.T + t
+    p = transform.apply(src)
     d = p - dst
-    m = _inverse_symmetric_3x3(cov_dst + _rotate_covariances(cov_src, r))
+    m = _inverse_symmetric_3x3(
+        cov_dst + _rotate_covariances(cov_src, transform.rotation))
     u = np.matmul(m, d[..., None])[..., 0]
     return p, d, m, u
 
@@ -232,12 +223,7 @@ def _gicp_normal_equations(src, dst, cov_src, cov_dst, transform):
     n = len(src)
     jac = np.zeros((n, 3, 6))
     jac[:, :, :3] = np.eye(3)
-    jac[:, 0, 4] = p[:, 2]
-    jac[:, 0, 5] = -p[:, 1]
-    jac[:, 1, 3] = -p[:, 2]
-    jac[:, 1, 5] = p[:, 0]
-    jac[:, 2, 3] = p[:, 1]
-    jac[:, 2, 4] = -p[:, 0]
+    _hat(-p, out=jac[:, :, 3:])     # -[p]x; negating p is the cheaper pass
     jac_flat = jac.reshape(3 * n, 6)
     h = jac_flat.T @ np.matmul(m, jac).reshape(3 * n, 6)
     g = jac_flat.T @ u.reshape(3 * n)
@@ -252,19 +238,6 @@ def _update_norm(delta: np.ndarray) -> float:
     return float(np.linalg.norm(delta[:3]) + np.linalg.norm(delta[3:]))
 
 
-def _nearest(tree: KdTree, moved: np.ndarray, max_distance: float):
-    """Nearest target index and distance of each of the ``moved`` points;
-    a point with no target within ``max_distance`` gets distance inf.
-
-    cKDTree keeps only neighbours strictly inside its search bound, compared
-    as squared distances; the relative margin on the bound keeps every
-    neighbour at ``max_distance`` or nearer, so the search finds what an
-    unbounded one finds within ``max_distance``.
-    """
-    return tree.query_batch(moved,
-                            distance_upper_bound=max_distance * (1.0 + 1e-9))
-
-
 def _enough_matches(tree: KdTree, moved: np.ndarray,
                     max_distance: float) -> bool:
     """Whether at least ``MIN_CORRESPONDENCES`` of the ``moved`` points
@@ -272,7 +245,7 @@ def _enough_matches(tree: KdTree, moved: np.ndarray,
     ``_CHECK_PREFIX`` are queried only when those fall short."""
     found = 0
     for part in (moved[:_CHECK_PREFIX], moved[_CHECK_PREFIX:]):
-        _, dist = _nearest(tree, part, max_distance)
+        _, dist = tree.query_batch(part, max_distance=max_distance)
         found += int(np.count_nonzero(dist <= max_distance))
         if found >= MIN_CORRESPONDENCES:
             return True
@@ -289,8 +262,8 @@ def score_alignment(source: PointCloud, target: PointCloud, transform: Pose,
     points with a target within that distance.
     """
     max_d = max_correspondence_distance
-    moved = source.points @ transform.rotation.T + transform.translation
-    _, dist = _nearest(cloud_kdtree(target), moved, max_d)
+    _, dist = cloud_kdtree(target).query_batch(transform.apply(source.points),
+                                               max_distance=max_d)
     fitness = float(np.mean(np.minimum(dist, max_d) ** 2))
     overlap = float(np.mean(dist <= max_d))
     return fitness, overlap
@@ -324,8 +297,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        moved = source.points @ transform.rotation.T + transform.translation
-        idx, dist = _nearest(tree, moved, max_d)
+        moved = transform.apply(source.points)
+        idx, dist = tree.query_batch(moved, max_distance=max_d)
         mask = dist <= max_d
         if int(mask.sum()) < MIN_CORRESPONDENCES:
             return RegistrationResult(transform, iterations, False, False)
@@ -363,7 +336,6 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
             converged = True
             break
 
-    moved = source.points @ transform.rotation.T + transform.translation
-    if not _enough_matches(tree, moved, max_d):
+    if not _enough_matches(tree, transform.apply(source.points), max_d):
         return RegistrationResult(transform, iterations, False, False)
     return RegistrationResult(transform, iterations, converged)

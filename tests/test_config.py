@@ -103,7 +103,8 @@ class TestBinding:
         assert cfg.keyframes.delta_trans == 1.25
 
 
-# each value breaks a check of the section it belongs to
+# each value breaks a check of the section it belongs to, or is a number
+# the file's converter refuses (nan, inf)
 BAD_VALUES = [
     ("max_iterations", "0"),
     ("downsample_resolution", "-1"),
@@ -118,6 +119,16 @@ BAD_VALUES = [
     ("sc_sectors", "0"),
     ("sc_max_range", "-1"),
     ("map_resolution", "0"),
+    ("radius", "nan"),
+    ("downsample_resolution", "inf"),
+    ("max_correspondence_distance", "nan"),
+    ("keyframe_delta_trans", "nan"),
+    ("map_resolution", "nan"),
+    ("optimize_every_n_keyframes", "0"),
+    ("optimize_every_n_keyframes", "-3"),
+    ("floor_min_inlier_fraction", "1.5"),
+    ("floor_min_inlier_fraction", "-1"),
+    ("incline_threshold_deg", "-5"),
 ]
 
 

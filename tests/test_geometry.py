@@ -216,7 +216,7 @@ class TestPointCloud:
     def test_coerces_to_float64(self):
         c = PointCloud(np.zeros((4, 3), dtype=np.float32))
         assert c.points.dtype == np.float64
-        assert len(c) == 4 and c.size == 4
+        assert len(c) == 4
 
     def test_normals_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -236,15 +236,28 @@ class TestPointCloud:
 
 class TestKdTree:
     def test_matches_brute_force(self, rng):
-        pts = rng.normal(size=(200, 3))
-        queries = rng.normal(size=(20, 3))
-        tree = KdTree(pts)
-        idx, dist = tree.query_batch(queries, k=3)
-        for q, i_row, d_row in zip(queries, idx, dist):
-            brute = np.linalg.norm(pts - q, axis=1)
-            order = np.argsort(brute)[:3]
-            np.testing.assert_array_equal(i_row, order)
-            np.testing.assert_allclose(d_row, brute[order])
+        # 3-D clouds and 20-D ring keys alike
+        for dim in (3, 20):
+            pts = rng.normal(size=(200, dim))
+            queries = rng.normal(size=(20, dim))
+            tree = KdTree(pts)
+            idx, dist = tree.query_batch(queries, k=3)
+            for q, i_row, d_row in zip(queries, idx, dist):
+                brute = np.linalg.norm(pts - q, axis=1)
+                order = np.argsort(brute)[:3]
+                np.testing.assert_array_equal(i_row, order)
+                np.testing.assert_allclose(d_row, brute[order])
+
+    @pytest.mark.parametrize("max_d", [0.7, 1.3, 2.0])
+    def test_max_distance_is_inclusive(self, max_d):
+        # one query per target, each target alone within 10 m of it: at
+        # max_d, an ulp inside it and an ulp outside it
+        offsets = [max_d, np.nextafter(max_d, 0.0), np.nextafter(max_d, 4.0)]
+        queries = np.array([[0.0, 20.0 * j, 0.0] for j in range(3)])
+        targets = queries + np.array([[d, 0.0, 0.0] for d in offsets])
+        idx, dist = KdTree(targets).query_batch(queries, max_distance=max_d)
+        np.testing.assert_array_equal(idx, [0, 1, 3])
+        assert dist[0] == max_d and dist[1] < max_d and dist[2] == np.inf
 
     def test_empty_cloud_raises(self):
         with pytest.raises(ValueError):

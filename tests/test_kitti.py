@@ -99,6 +99,14 @@ class TestDiscoverSequence:
         with pytest.raises(FileNotFoundError):
             discover_sequence(str(tmp_path))
 
+    def test_extra_pose_rows_are_cut_to_the_scans(self, tmp_path):
+        # a partly copied sequence: 3 pose and time rows, 2 scans
+        self._make_dataset(tmp_path)
+        (tmp_path / "velodyne" / "000002.bin").unlink()
+        seq = discover_sequence(str(tmp_path))
+        assert len(seq.ground_truth) == len(seq) == 2
+        assert seq.ground_truth_timestamps == [0.0, 0.1]
+
     def test_short_times_file_raises(self, tmp_path):
         self._make_dataset(tmp_path)
         (tmp_path / "times.txt").write_text("0.0\n")

@@ -79,6 +79,26 @@ class TestBatchRun:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_tracker_keyframe_is_the_last_keyframe(self, straight_run):
+        # the pipeline moves the tracker's keyframe only as its last
+        # keyframe, so the two must be one object after every frame
+        clouds, _ = straight_run
+        same = []
+
+        class Checked(SlamPipeline):
+            def _track(self, front_end):
+                wall = super()._track(front_end)
+                same.append(self.tracker.keyframe is self.keyframes[-1])
+                return wall
+
+        pipeline = Checked()
+        pipeline.run_batch(clouds)
+        assert len(same) == len(clouds) and all(same)
+        tracked = pipeline.tracker.keyframe.pose
+        last = pipeline.graph.keyframe_poses()[-1]
+        assert tracked.rotation.tobytes() == last.rotation.tobytes()
+        assert tracked.translation.tobytes() == last.translation.tobytes()
+
     def test_modules_can_be_disabled(self, straight_run):
         clouds, truth = straight_run
         cfg = PipelineConfig()

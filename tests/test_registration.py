@@ -187,8 +187,9 @@ class TestGicpStepRule:
 
 
 class TestBoundedSearch:
-    """align's correspondence search is bounded just above the maximum
-    correspondence distance; it must find what an unbounded one finds."""
+    """align's correspondence search is bounded at the maximum
+    correspondence distance, inclusive; it must find what an unbounded one
+    finds."""
 
     @staticmethod
     def boundary_pair(rng, max_d):
@@ -214,8 +215,8 @@ class TestBoundedSearch:
             moved = transform.apply(source.points)
             ref_dist, ref_idx = reference.query(moved)
             ref_mask = ref_dist <= max_d
-            idx, dist = registration_module._nearest(
-                cloud_kdtree(target), moved, max_d)
+            idx, dist = cloud_kdtree(target).query_batch(
+                moved, max_distance=max_d)
             mask = dist <= max_d
             np.testing.assert_array_equal(mask, ref_mask)
             np.testing.assert_array_equal(idx[mask], ref_idx[ref_mask])
