@@ -1,10 +1,14 @@
 """Pose graph construction and Levenberg-Marquardt optimization on SE(3).
 
 Keyframe poses are nodes; odometry, loop, and floor measurements are edges.
-The floor constraints share one global plane node.  The solver works on
-se(3) increments (right multiplication) with analytic Jacobians, sparse
-normal equations, adaptive damping, and Huber weighting on loop edges.
-The first keyframe node is held fixed to pin the gauge.
+A keyframe's node id is its keyframe index, 0..K-1, and the floor
+constraints share one global plane node, ``FLOOR_PLANE_ID``.  Odometry
+chains each keyframe to the one before, and a loop or floor edge that
+names an unknown keyframe is refused when it is added, so the graph is
+connected by construction.  The first keyframe is held fixed to pin the
+gauge.  The solver works on se(3) increments (right multiplication) with
+analytic Jacobians, sparse normal equations, adaptive damping, and Huber
+weighting on loop edges.
 
 Each ``optimize`` call stacks node states and edge measurements into arrays
 once (:class:`_EdgeBatch`), together with the sparse position of every
@@ -43,6 +47,9 @@ EDGE_ODOMETRY = "ODOMETRY"
 EDGE_LOOP = "LOOP"
 EDGE_FLOOR = "FLOOR"
 
+# Node id of the one floor plane, outside the keyframe ids 0..K-1
+FLOOR_PLANE_ID = -1
+
 # Huber threshold on the error norm of a loop edge; no other edge is robust
 LOOP_HUBER_DELTA = 1.0
 
@@ -57,7 +64,6 @@ class GraphNode:
     kind: str
     pose: Optional[Pose] = None          # KEYFRAME state
     plane: Optional[np.ndarray] = None   # FLOOR_PLANE state (a, b, c, d)
-    fixed: bool = False
 
 
 @dataclass
@@ -77,14 +83,6 @@ class OptimizationReport:
     iterations: int
     converged: bool
     chi2_trace: List[float] = field(default_factory=list)
-
-
-class DisconnectedGraphError(RuntimeError):
-    def __init__(self, node_ids: Sequence[int]):
-        self.node_ids = list(node_ids)
-        super().__init__(
-            "pose graph is under-constrained; nodes not connected to the "
-            f"fixed node: {sorted(self.node_ids)}")
 
 
 def _plane_tangent_basis(normal: np.ndarray) -> np.ndarray:
@@ -123,36 +121,42 @@ class PoseGraph:
     def __init__(self, incline_threshold: float = np.deg2rad(5.0)):
         self.nodes: Dict[int, GraphNode] = {}
         self.edges: List[GraphEdge] = []
-        self._next_node_id = 0
-        self._next_edge_id = 0
-        self._keyframe_node_ids: List[int] = []
-        self._floor_node_id: Optional[int] = None
         self._loop_pairs: Set[Tuple[int, int]] = set()
         self._last_floor_normal: Optional[np.ndarray] = None
         self.incline_threshold = incline_threshold
 
     # -- construction -------------------------------------------------------
 
+    def _num_keyframes(self) -> int:
+        return len(self.nodes) - (FLOOR_PLANE_ID in self.nodes)
+
+    def _check_keyframes(self, *indices: int):
+        count = self._num_keyframes()
+        if not all(0 <= i < count for i in indices):
+            raise ValueError(f"unknown keyframe index in {indices}; the "
+                             f"graph has keyframes 0..{count - 1}")
+
+    def _add_edge(self, kind: str, from_id: int, to_id: int, measurement,
+                  information: np.ndarray) -> int:
+        edge_id = len(self.edges)
+        self.edges.append(GraphEdge(edge_id, kind, from_id, to_id,
+                                    measurement, information))
+        return edge_id
+
     def add_keyframe(self, kf: Keyframe,
                      odometry_rel: Optional[Pose] = None) -> int:
-        """Append a keyframe node chained to the previous one by odometry."""
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        first = not self._keyframe_node_ids
+        """Append a keyframe node chained to the previous one by odometry;
+        its node id is its keyframe index."""
+        node_id = self._num_keyframes()
         pose = kf.pose
-        if not first:
-            prev_id = self._keyframe_node_ids[-1]
-            prev = self.nodes[prev_id].pose
+        if node_id:
+            prev = self.nodes[node_id - 1].pose
             rel = odometry_rel if odometry_rel is not None else (
                 prev.inverse() @ kf.pose)
             pose = prev @ rel
-            self.edges.append(GraphEdge(self._next_edge_id, EDGE_ODOMETRY,
-                                        prev_id, node_id, rel,
-                                        default_information(EDGE_ODOMETRY)))
-            self._next_edge_id += 1
-        self.nodes[node_id] = GraphNode(node_id, NODE_KEYFRAME, pose=pose,
-                                        fixed=first)
-        self._keyframe_node_ids.append(node_id)
+            self._add_edge(EDGE_ODOMETRY, node_id - 1, node_id, rel,
+                           default_information(EDGE_ODOMETRY))
+        self.nodes[node_id] = GraphNode(node_id, NODE_KEYFRAME, pose=pose)
         return node_id
 
     def add_loop(self, loop: LoopCandidate,
@@ -161,29 +165,24 @@ class PoseGraph:
         candidate frame.  Returns the edge id, or None for a rejected edge:
         a duplicate, or one whose error rotation at the current estimate
         lies within ``SO3_LOG_PI_MARGIN`` of pi, where the logarithm the
-        solver needs is ambiguous."""
+        solver needs is ambiguous.  Raises ``ValueError`` for an unverified
+        loop or one that names an unknown keyframe."""
         if loop.verified_transform is None:
             raise ValueError("loop candidate is not verified")
-        pair = (loop.query_index, loop.candidate_index)
+        from_id, to_id = loop.candidate_index, loop.query_index
+        self._check_keyframes(from_id, to_id)
+        pair = (from_id, to_id)
         if pair in self._loop_pairs:
             return None
-        try:
-            from_id = self._keyframe_node_ids[loop.candidate_index]
-            to_id = self._keyframe_node_ids[loop.query_index]
-        except IndexError:
-            raise ValueError("loop references unknown keyframe index")
         err = (loop.verified_transform.inverse()
                @ self.nodes[from_id].pose.inverse() @ self.nodes[to_id].pose)
         if err.rotation_angle() > np.pi - SO3_LOG_PI_MARGIN:
             return None
         info = information if information is not None else \
             default_information(EDGE_LOOP, loop.fitness)
-        edge = GraphEdge(self._next_edge_id, EDGE_LOOP, from_id, to_id,
-                         loop.verified_transform, info)
-        self._next_edge_id += 1
-        self.edges.append(edge)
         self._loop_pairs.add(pair)
-        return edge.id
+        return self._add_edge(EDGE_LOOP, from_id, to_id,
+                              loop.verified_transform, info)
 
     def add_floor(self, kf_node_id: int, coeffs: FloorCoefficients,
                   information: Optional[np.ndarray] = None) -> Optional[int]:
@@ -191,8 +190,10 @@ class PoseGraph:
 
         A clear change in the detected vertical direction between
         consecutive keyframes indicates a slope transition; the constraint
-        is suppressed for that keyframe.
+        is suppressed for that keyframe.  Raises ``ValueError`` for an
+        unknown keyframe.
         """
+        self._check_keyframes(kf_node_id)
         if not coeffs.valid:
             return None
         normal = coeffs.normal / np.linalg.norm(coeffs.normal)
@@ -202,79 +203,41 @@ class PoseGraph:
             angle = np.arccos(np.clip(prev_normal @ normal, -1.0, 1.0))
             if angle > self.incline_threshold:
                 return None
-        if self._floor_node_id is None:
-            node_id = self._next_node_id
-            self._next_node_id += 1
-            self.nodes[node_id] = GraphNode(
-                node_id, NODE_FLOOR_PLANE,
+        if FLOOR_PLANE_ID not in self.nodes:
+            self.nodes[FLOOR_PLANE_ID] = GraphNode(
+                FLOOR_PLANE_ID, NODE_FLOOR_PLANE,
                 plane=np.array([0.0, 0.0, 1.0, 0.0]))
-            self._floor_node_id = node_id
         info = information if information is not None else \
             default_information(EDGE_FLOOR)
-        edge = GraphEdge(self._next_edge_id, EDGE_FLOOR,
-                         kf_node_id, self._floor_node_id, coeffs, info)
-        self._next_edge_id += 1
-        self.edges.append(edge)
-        return edge.id
+        return self._add_edge(EDGE_FLOOR, kf_node_id, FLOOR_PLANE_ID, coeffs,
+                              info)
 
     @property
     def keyframe_node_ids(self) -> List[int]:
-        return list(self._keyframe_node_ids)
-
-    @property
-    def floor_node_id(self) -> Optional[int]:
-        return self._floor_node_id
+        return list(range(self._num_keyframes()))
 
     def keyframe_poses(self) -> List[Pose]:
-        return [self.nodes[i].pose for i in self._keyframe_node_ids]
-
-    def chi2(self) -> float:
-        """Total robust chi2 of all edges at the current node states."""
-        batch = _EdgeBatch(self, self._state_index()[0])
-        return batch.cost(batch.initial)
+        return [self.nodes[i].pose for i in range(self._num_keyframes())]
 
     # -- optimization -------------------------------------------------------
 
-    def _state_index(self):
-        """Map node id -> (offset, dof) for free nodes."""
-        index = {}
-        offset = 0
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if node.fixed:
-                continue
-            dof = 6 if node.kind == NODE_KEYFRAME else 3
-            index[node_id] = (offset, dof)
-            offset += dof
-        return index, offset
-
-    def _check_connectivity(self):
-        fixed = [n.id for n in self.nodes.values() if n.fixed]
-        if len(fixed) != 1:
-            raise ValueError(f"exactly one fixed node required, got {len(fixed)}")
-        adjacency: Dict[int, Set[int]] = {nid: set() for nid in self.nodes}
-        for e in self.edges:
-            adjacency[e.from_id].add(e.to_id)
-            adjacency[e.to_id].add(e.from_id)
-        seen = {fixed[0]}
-        stack = [fixed[0]]
-        while stack:
-            nid = stack.pop()
-            for nb in adjacency[nid]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        missing = set(self.nodes) - seen
-        if missing:
-            raise DisconnectedGraphError(missing)
+    def _state_index(self) -> Tuple[Dict[int, Tuple[int, int]], int]:
+        """Map free node id -> (offset, dof), and the state length: the
+        plane's 3 dof first when the plane exists, then keyframes 1..K-1 at
+        6 dof each.  Keyframe 0, the gauge, has no entry."""
+        plane_dof = 3 if FLOOR_PLANE_ID in self.nodes else 0
+        index = {FLOOR_PLANE_ID: (0, 3)} if plane_dof else {}
+        count = self._num_keyframes()
+        index.update({k: (plane_dof + 6 * (k - 1), 6)
+                      for k in range(1, count)})
+        return index, plane_dof + 6 * max(count - 1, 0)
 
     def optimize(self, max_iterations: int = 20) -> OptimizationReport:
         """Levenberg-Marquardt with x10 / /10 damping adaptation."""
         if not self.nodes:
             raise ValueError("cannot optimize an empty graph")
-        self._check_connectivity()
-        index, dim = self._state_index()
-        batch = _EdgeBatch(self, index)
+        batch = _EdgeBatch(self)
+        dim = batch.dim
         state = batch.initial
         if dim == 0 or not self.edges:
             c = batch.cost(state)
@@ -290,10 +253,7 @@ class PoseGraph:
         for iterations in range(1, max_iterations + 1):
             stepped = False
             for _ in range(10):
-                try:
-                    delta = splu((hmat + lam * eye).tocsc()).solve(rhs)
-                except RuntimeError as exc:
-                    raise DisconnectedGraphError(list(index)) from exc
+                delta = splu((hmat + lam * eye).tocsc()).solve(rhs)
                 trial = batch.step(state, delta)
                 if batch.cost(trial) <= chi2:
                     state = trial
@@ -324,7 +284,7 @@ class PoseGraph:
         from scipy.spatial.transform import Rotation
 
         lines = []
-        for node_id in self._keyframe_node_ids:
+        for node_id in self.keyframe_node_ids:
             node = self.nodes[node_id]
             q = Rotation.from_matrix(node.pose.rotation).as_quat()  # x y z w
             t = node.pose.translation
@@ -349,11 +309,11 @@ class PoseGraph:
 
 
 class _State(NamedTuple):
-    """Node states of one optimize call, rows in sorted node-id order."""
+    """Node states of one optimize call; keyframe rows by keyframe index."""
 
     rot: np.ndarray      # (K, 3, 3) keyframe rotations
     trans: np.ndarray    # (K, 3) keyframe translations
-    planes: np.ndarray   # (P, 4) floor planes (a, b, c, d)
+    planes: np.ndarray   # (P, 4) floor plane (a, b, c, d), P = 0 or 1
 
 
 class _EdgeWeights(NamedTuple):
@@ -377,7 +337,7 @@ def _edge_weights(edges: Sequence[GraphEdge], d: int) -> _EdgeWeights:
 
 def _columns(*blocks) -> np.ndarray:
     """(N, sum of dofs) state index of each Jacobian column of N edges, given
-    (node offsets, dof) per endpoint; -1 marks the columns of a fixed node."""
+    (node offsets, dof) per endpoint; -1 marks the columns of the gauge."""
     cols = [np.where(off[:, None] >= 0, off[:, None] + np.arange(dof), -1)
             for off, dof in blocks]
     return np.concatenate(cols, axis=1)
@@ -413,38 +373,33 @@ class _EdgeBatch:
 
     Pose edges (odometry and loop) and floor edges each keep their order in
     ``graph.edges``.  A pose edge's Jacobian columns are (from node, to node),
-    a floor edge's (keyframe, plane).  ``index`` is the free-node layout of
-    ``PoseGraph._state_index``; the COO position of every Hessian entry and
+    a floor edge's (keyframe, plane).  The state layout is
+    ``PoseGraph._state_index``'s; the COO position of every Hessian entry and
     gradient entry that touches a free node is computed here once.
     """
 
-    def __init__(self, graph: PoseGraph, index):
+    def __init__(self, graph: PoseGraph):
         nodes = graph.nodes
-        self.kf_ids = [i for i in sorted(nodes)
-                       if nodes[i].kind == NODE_KEYFRAME]
-        self.plane_ids = [i for i in sorted(nodes)
-                          if nodes[i].kind == NODE_FLOOR_PLANE]
-        row = {nid: k for k, nid in enumerate(self.kf_ids)}
-        row.update({nid: p for p, nid in enumerate(self.plane_ids)})
+        index, self.dim = graph._state_index()
+        kf_ids = graph.keyframe_node_ids
+        planes = [nodes[FLOOR_PLANE_ID].plane] \
+            if FLOOR_PLANE_ID in nodes else []
         self.initial = _State(
-            np.array([nodes[i].pose.rotation for i in self.kf_ids])
+            np.array([nodes[k].pose.rotation for k in kf_ids])
             .reshape(-1, 3, 3),
-            np.array([nodes[i].pose.translation for i in self.kf_ids])
+            np.array([nodes[k].pose.translation for k in kf_ids])
             .reshape(-1, 3),
-            np.array([nodes[i].plane for i in self.plane_ids],
-                     dtype=np.float64).reshape(-1, 4))
-        kf_off = np.array([index[i][0] if i in index else -1
-                           for i in self.kf_ids], dtype=np.intp)
-        plane_off = np.array([index[i][0] if i in index else -1
-                              for i in self.plane_ids], dtype=np.intp)
-        self.kf_free = np.flatnonzero(kf_off >= 0)
+            np.array(planes, dtype=np.float64).reshape(-1, 4))
+        kf_off = np.array([index[k][0] if k else -1 for k in kf_ids],
+                          dtype=np.intp)
+        plane_off = np.zeros(len(planes), dtype=np.intp)
+        self.kf_free = np.arange(1, len(kf_ids))
         self.kf_cols = kf_off[self.kf_free, None] + np.arange(6)
-        self.plane_free = np.flatnonzero(plane_off >= 0)
-        self.plane_cols = plane_off[self.plane_free, None] + np.arange(3)
+        self.plane_cols = plane_off[:, None] + np.arange(3)
 
         pose = [e for e in graph.edges if e.kind in (EDGE_ODOMETRY, EDGE_LOOP)]
-        self.pose_i = np.array([row[e.from_id] for e in pose], dtype=np.intp)
-        self.pose_j = np.array([row[e.to_id] for e in pose], dtype=np.intp)
+        self.pose_i = np.array([e.from_id for e in pose], dtype=np.intp)
+        self.pose_j = np.array([e.to_id for e in pose], dtype=np.intp)
         self.meas_rot_t = _swap(np.array(
             [e.measurement.rotation for e in pose]).reshape(-1, 3, 3))
         self.meas_trans = np.array(
@@ -452,8 +407,8 @@ class _EdgeBatch:
         self.pose_weights = _edge_weights(pose, 6)
 
         floor = [e for e in graph.edges if e.kind == EDGE_FLOOR]
-        self.floor_k = np.array([row[e.from_id] for e in floor], dtype=np.intp)
-        self.floor_p = np.array([row[e.to_id] for e in floor], dtype=np.intp)
+        self.floor_k = np.array([e.from_id for e in floor], dtype=np.intp)
+        self.floor_p = np.zeros(len(floor), dtype=np.intp)
         normals = np.array([e.measurement.normal for e in floor]) \
             .reshape(-1, 3)
         self.floor_normal = normals / np.linalg.norm(normals, axis=-1,
@@ -478,7 +433,6 @@ class _EdgeBatch:
         g_rows = np.concatenate([c.ravel() for c in cols])
         self.g_take = np.flatnonzero(g_rows >= 0)
         self.g_rows = g_rows[self.g_take]
-        self.dim = sum(dof for _, dof in index.values())
 
     def pose_terms(self, s: _State, jacobians: bool):
         """Residuals (E, 6) of the pose edges and, if asked, their
@@ -556,19 +510,17 @@ class _EdgeBatch:
         d_rot, d_trans = _se3_exp_rt(delta[self.kf_cols])
         trans[k] += (rot[k] @ d_trans[..., None])[..., 0]
         rot[k] = orthonormalize(rot[k] @ d_rot)
-        p = self.plane_free
         inc = delta[self.plane_cols]
-        n = planes[p, :3]
+        n = planes[:, :3]
         n_new = n + (_plane_tangent_basis(n) @ inc[:, :2, None])[..., 0]
-        planes[p, :3] = n_new / np.linalg.norm(n_new, axis=-1, keepdims=True)
-        planes[p, 3] += inc[:, 2]
+        planes[:, :3] = n_new / np.linalg.norm(n_new, axis=-1, keepdims=True)
+        planes[:, 3] += inc[:, 2]
         return _State(rot, trans, planes)
 
     def write_back(self, graph: PoseGraph, s: _State):
-        """Store the free nodes' states in ``graph``; fixed nodes keep
-        theirs untouched."""
+        """Store the free nodes' states in ``graph``; the gauge keyframe
+        keeps its pose untouched."""
         for k in self.kf_free:
-            graph.nodes[self.kf_ids[k]].pose = Pose(s.rot[k].copy(),
-                                                    s.trans[k].copy())
-        for p in self.plane_free:
-            graph.nodes[self.plane_ids[p]].plane = s.planes[p].copy()
+            graph.nodes[k].pose = Pose(s.rot[k].copy(), s.trans[k].copy())
+        if len(s.planes):
+            graph.nodes[FLOOR_PLANE_ID].plane = s.planes[0].copy()

@@ -10,9 +10,8 @@ from lidar_graph_slam.geometry import (PointCloud, Pose, _hat, se3_adjoint,
                                        se3_right_jacobian_inv, so3_exp)
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pose_graph import (EDGE_FLOOR, EDGE_LOOP, EDGE_ODOMETRY,
-                                         LOOP_HUBER_DELTA,
-                                         DisconnectedGraphError, PoseGraph,
-                                         _EdgeBatch,
+                                         FLOOR_PLANE_ID, LOOP_HUBER_DELTA,
+                                         PoseGraph, _EdgeBatch,
                                          _plane_tangent_basis,
                                          default_information)
 from lidar_graph_slam.tracker import Keyframe
@@ -60,11 +59,6 @@ class TestConstruction:
         endpoint_err, _ = pose_error(graph.keyframe_poses()[-1], truth[-1])
         assert endpoint_err > 0.1
 
-    def test_first_node_fixed(self):
-        graph, _ = build_drifted_ring()
-        nodes = [graph.nodes[i] for i in graph.keyframe_node_ids]
-        assert nodes[0].fixed and not any(n.fixed for n in nodes[1:])
-
     def test_loop_edge_and_deduplication(self):
         graph, truth = build_drifted_ring()
         rel = truth[0].inverse() @ truth[19]
@@ -83,6 +77,36 @@ class TestConstruction:
         graph, _ = build_drifted_ring()
         with pytest.raises(ValueError):
             graph.add_loop(LoopCandidate(19, 0, 0.0, None))
+
+    def test_node_ids_are_keyframe_indices(self):
+        graph, _ = build_drifted_ring(n=4)
+        graph.add_floor(0, FloorCoefficients(0.0, 0.0, 1.0, 1.7))
+        assert graph.keyframe_node_ids == [0, 1, 2, 3]
+        assert sorted(graph.nodes) == [FLOOR_PLANE_ID, 0, 1, 2, 3]
+        assert graph.nodes[FLOOR_PLANE_ID].kind == "FLOOR_PLANE"
+        assert [e.id for e in graph.edges] == list(range(len(graph.edges)))
+
+    @pytest.mark.parametrize("query, candidate", [
+        (2, -1),     # a negative index would name the last keyframe
+        (4, 0),      # one past the last keyframe
+        (-1, -2)])
+    def test_loop_with_unknown_keyframe_refused(self, query, candidate):
+        graph, _ = build_drifted_ring(n=4)
+        loop = LoopCandidate(query, candidate, 0.0, Pose.identity(),
+                             fitness=0.05)
+        with pytest.raises(ValueError, match="unknown keyframe"):
+            graph.add_loop(loop)
+        assert len(graph.edges) == 3
+
+    @pytest.mark.parametrize("node_id", [
+        99, 4, -2,
+        FLOOR_PLANE_ID])     # the plane node's id is no keyframe's
+    def test_floor_on_unknown_keyframe_refused(self, node_id):
+        graph, _ = build_drifted_ring(n=4)
+        with pytest.raises(ValueError, match="unknown keyframe"):
+            graph.add_floor(node_id, FloorCoefficients(0.0, 0.0, 1.0, 1.7))
+        assert len(graph.edges) == 3
+        assert FLOOR_PLANE_ID not in graph.nodes
 
     def test_floor_edges_share_one_plane_node(self):
         graph, _ = build_drifted_ring()
@@ -200,15 +224,84 @@ class TestOptimization:
         report = graph.optimize()
         assert report.converged and report.final_chi2 == 0.0
 
-    def test_disconnected_graph_detected(self):
+
+def reachable_from_gauge(graph):
+    """Node ids joined to keyframe 0 through ``graph.edges``."""
+    adjacency = {nid: set() for nid in graph.nodes}
+    for e in graph.edges:
+        adjacency[e.from_id].add(e.to_id)
+        adjacency[e.to_id].add(e.from_id)
+    seen, stack = {0}, [0]
+    while stack:
+        for nb in adjacency[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    return seen
+
+
+class TestConnectedByConstruction:
+    """Whatever sequence of calls built it, the graph is connected to the
+    gauge: a loop or floor edge that names an unknown keyframe is refused
+    and appends nothing."""
+
+    FLAT = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
+    TILTED = FloorCoefficients(np.sin(0.2), 0.0, np.cos(0.2), 1.7)
+    INVALID = FloorCoefficients(0.0, 0.0, 1.0, 0.0, valid=False)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_construction(self, seed):
+        rng = np.random.default_rng(seed)
         graph = PoseGraph()
         graph.add_keyframe(dummy_kf(0, Pose.identity()))
-        # a floating node with no edge to the fixed component
-        from lidar_graph_slam.pose_graph import NODE_KEYFRAME, GraphNode
-        graph.nodes[99] = GraphNode(99, NODE_KEYFRAME, pose=Pose.identity())
-        with pytest.raises(DisconnectedGraphError) as err:
-            graph.optimize()
-        assert 99 in err.value.node_ids
+        step = Pose(so3_exp([0.0, 0.0, 0.1]), [1.0, 0.0, 0.0])
+        offered = []     # valid loops, offered again as duplicates
+        refused = duplicates = 0
+        for _ in range(40):
+            count = len(graph.keyframe_node_ids)
+            edges = len(graph.edges)
+            op = rng.integers(4)
+            if op == 0:
+                graph.add_keyframe(
+                    dummy_kf(count, Pose.identity()),
+                    odometry_rel=step @ random_pose(rng, 0.1, 0.05))
+                continue
+            if op == 1 and offered:
+                assert graph.add_loop(offered[rng.integers(len(offered))]) \
+                    is None
+                duplicates += 1
+            elif op == 1 or op == 2:
+                query = int(rng.integers(-1, count + 1))
+                cand = int(rng.integers(-2, query))
+                valid = 0 <= cand and query < count
+                rel = Pose.identity()
+                if valid:
+                    poses = graph.keyframe_poses()
+                    rel = poses[cand].inverse() @ poses[query] \
+                        @ random_pose(rng, 0.5, 0.1)
+                loop = LoopCandidate(query, cand, 0.0, rel, fitness=0.1)
+                if valid:
+                    if graph.add_loop(loop) is not None:
+                        offered.append(loop)
+                    continue
+                with pytest.raises(ValueError, match="unknown keyframe"):
+                    graph.add_loop(loop)
+                refused += 1
+            else:
+                node = int(rng.choice([rng.integers(count), rng.integers(count),
+                                       -2, FLOOR_PLANE_ID, count, 99]))
+                coeffs = [self.FLAT, self.TILTED, self.INVALID][
+                    rng.integers(3)]
+                if 0 <= node < count:
+                    graph.add_floor(node, coeffs)
+                    continue
+                with pytest.raises(ValueError, match="unknown keyframe"):
+                    graph.add_floor(node, coeffs)
+                refused += 1
+            assert len(graph.edges) == edges
+        assert refused and duplicates
+        assert reachable_from_gauge(graph) == set(graph.nodes)
+        report = graph.optimize(max_iterations=5)
+        assert np.isfinite(report.final_chi2)
 
 
 class TestLoopEdgeNearPi:
@@ -349,7 +442,7 @@ def ref_normal_equations(graph):
 
 def batch_terms(graph):
     """Batched (pose residuals, Jacobians), (floor residuals, Jacobians)."""
-    batch = _EdgeBatch(graph, graph._state_index()[0])
+    batch = _EdgeBatch(graph)
     return (batch.pose_terms(batch.initial, True),
             batch.floor_terms(batch.initial, True))
 
@@ -390,7 +483,7 @@ def kernel_graph(rng):
         assert graph.add_floor(ids[node],
                                FloorCoefficients(*n, 1.6 + tilt)) is not None
     tilted = np.array([0.03, -0.02, 1.0])
-    graph.nodes[graph.floor_node_id].plane = np.append(
+    graph.nodes[FLOOR_PLANE_ID].plane = np.append(
         tilted / np.linalg.norm(tilted), 1.55)
     return graph
 
@@ -435,13 +528,12 @@ class TestBatchedKernel:
     def test_normal_equations_and_chi2(self, rng):
         graph = kernel_graph(rng)
         h_ref, rhs_ref, chi2_ref = ref_normal_equations(graph)
-        batch = _EdgeBatch(graph, graph._state_index()[0])
+        batch = _EdgeBatch(graph)
         hmat, rhs, chi2 = batch.normal_equations(batch.initial)
         assert rel_err(hmat.toarray(), h_ref) < 1e-9
         assert rel_err(rhs, rhs_ref) < 1e-9
         assert chi2 == pytest.approx(chi2_ref, rel=1e-9)
         assert batch.cost(batch.initial) == pytest.approx(chi2_ref, rel=1e-9)
-        assert graph.chi2() == pytest.approx(chi2_ref, rel=1e-9)
 
     def test_tangent_basis_matches_per_row(self, rng):
         normals = rng.normal(size=(50, 3))
@@ -534,7 +626,9 @@ class TestExport:
         rel = truth[0].inverse() @ truth[4]
         graph.add_loop(LoopCandidate(4, 0, 0.0, rel, fitness=0.1))
         coeffs = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
-        graph.add_floor(graph.keyframe_node_ids[0], coeffs)
+        # the plane node exists and is not written
+        assert graph.add_floor(graph.keyframe_node_ids[0], coeffs) is not None
+        assert FLOOR_PLANE_ID in graph.nodes
         path = tmp_path / "graph.g2o"
         graph.export_g2o(path)
         lines = path.read_text().strip().splitlines()
@@ -544,8 +638,11 @@ class TestExport:
         assert len(edges) == 5           # 4 odometry + 1 loop, no floor rows
         for v in vertices:
             assert len(v.split()) == 1 + 1 + 7
+        vertex_ids = [int(v.split()[1]) for v in vertices]
+        assert vertex_ids == list(range(5))
         for e in edges:
             fields = e.split()
             assert len(fields) == 1 + 2 + 7 + 21
+            assert {int(fields[1]), int(fields[2])} <= set(vertex_ids)
             quat = np.array([float(x) for x in fields[6:10]])
             assert np.linalg.norm(quat) == pytest.approx(1.0, abs=1e-6)
