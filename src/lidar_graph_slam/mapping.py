@@ -43,7 +43,8 @@ def write_ply(path: str, cloud: PointCloud):
 
 
 def read_ply(path: str) -> PointCloud:
-    """Read back PLY files written by :func:`write_ply`."""
+    """Read back PLY files written by :func:`write_ply`; a header or vertex
+    body cut short raises ``ValueError``."""
     with open(path, "rb") as f:
         header = b""
         while not header.endswith(b"end_header\n"):
@@ -55,5 +56,10 @@ def read_ply(path: str) -> PointCloud:
         for line in header.decode("ascii").splitlines():
             if line.startswith("element vertex"):
                 count = int(line.split()[-1])
-        data = np.frombuffer(f.read(count * 12), dtype="<f4").reshape(-1, 3)
+        expected = count * 12
+        body = f.read(expected)
+    if len(body) != expected:
+        raise ValueError(f"truncated PLY body: expected {expected} vertex "
+                         f"bytes, found {len(body)}")
+    data = np.frombuffer(body, dtype="<f4").reshape(-1, 3)
     return PointCloud(data.astype(np.float64))

@@ -2,7 +2,7 @@
 
 Each frame runs one fixed sequence.  The front end drops non-finite points,
 pre-filters the scan and computes the filtered cloud's kd-tree and GICP
-covariances; then the pre-tracker estimates the motion from the raw cloud
+normals; then the pre-tracker estimates the motion from the raw cloud
 and the tracker matches the filtered cloud against the current keyframe.
 When that makes a new keyframe, the floor is detected in its filtered cloud
 and the back end (pose graph, loop closure, optimization) runs inline.
@@ -17,7 +17,9 @@ sequential run, and a stage exception propagates to the caller.
 
 ``run_realtime_sim`` runs the same loop on a simulated clock (see
 :func:`frame_dropped`); it never sleeps, and every frame is either tracked
-or counted as dropped.
+or counted as dropped.  A ``SlamPipeline`` runs one sequence: its modules,
+frames and latencies belong to that run, so a second call to either driver
+raises ``RuntimeError`` before it touches any of them.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class PipelineResult:
     dropped_frames: int
     runtime_seconds: float
     # Seconds per call of each stage.  prefilter and prepare (the kd-tree
-    # and GICP covariances) are measured on the lookahead thread, pretrack
+    # and GICP normals) are measured on the lookahead thread, pretrack
     # and track on the calling thread, so the two groups overlap.  track
     # includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
@@ -129,6 +131,7 @@ class SlamPipeline:
         self.loop_count = 0
         self.dropped_frames = 0
         self._kf_since_opt = 0
+        self._ran = False
         self._latencies: Dict[str, List[float]] = {
             "prefilter": [], "floor": [], "prepare": [], "pretrack": [],
             "track": []}
@@ -233,6 +236,10 @@ class SlamPipeline:
         than ``capacity`` are unknown, that is ``capacity - unknown`` back
         in ``starts``.
         """
+        if self._ran:
+            raise RuntimeError("a SlamPipeline runs once; make a new one "
+                               "for another run")
+        self._ran = True
         started = time.perf_counter()
         depth = min(LOOKAHEAD, capacity)
         first_ts = None

@@ -14,11 +14,14 @@ builds the Gauss-Newton system from it with one matrix product over the
 stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
 Trial steps are judged by their cost alone.
 
-As in fast_gicp, each cloud's kd-tree and GICP covariances are computed
-once, outside the matching loop, and cached on the cloud; the covariance's
+As in fast_gicp, each cloud's kd-tree and GICP surface normals are
+computed once, outside the matching loop, and cached on the cloud; the
 normal comes from a closed-form 3x3 eigensolver.  The pipeline computes
 them with :func:`prepare_alignment` on its lookahead worker thread, so the
-tracker and the loop verifier on the calling thread only read them.
+tracker and the loop verifier on the calling thread only read them.  The
+plane-to-plane covariance is fully set by the normal, so :func:`align`
+rebuilds a cloud's (N, 3, 3) covariances from it once per call: a kept
+keyframe holds 24 bytes per point of GICP state rather than 72.
 
 :func:`align` only estimates the transform.  Its kd-tree queries are
 bounded at ``max_correspondence_distance``, inclusive (see
@@ -103,7 +106,7 @@ def rigid_align_pairs(src: np.ndarray, dst: np.ndarray) -> Pose:
 
 def _cloud_cache(cloud: PointCloud) -> dict:
     # clouds are immutable after publication, so derived structures
-    # (KD-tree, covariances) can be cached on the instance
+    # (KD-tree, GICP normals) can be cached on the instance
     cache = getattr(cloud, "_derived_cache", None)
     if cache is None:
         cache = {}
@@ -118,39 +121,44 @@ def cloud_kdtree(cloud: PointCloud) -> KdTree:
     return cache["kdtree"]
 
 
+def compute_gicp_normals(cloud: PointCloud, k: int = 15) -> np.ndarray:
+    """(N, 3) unit normals, each the smallest axis of its point's k-NN
+    covariance, computed once and cached on the cloud."""
+    k = min(k, len(cloud))
+    if k < 3:
+        raise ValueError("covariance estimation needs k >= 3 points")
+    cache = _cloud_cache(cloud)
+    key = ("gicp_normals", k)
+    if key not in cache:
+        idx, _ = cloud_kdtree(cloud).query_batch(cloud.points, k=k)
+        _, cache[key] = eigen_symmetric_3x3(
+            neighborhood_covariances(cloud.points, idx))
+    return cache[key]
+
+
 def compute_gicp_covariances(cloud: PointCloud, k: int = 15) -> np.ndarray:
     """Per-point covariances regularized to eigenvalues (1, 1, GICP_EPSILON).
 
     The smallest axis of each k-NN covariance is treated as the local
     surface normal direction n, mimicking plane-to-plane GICP; the result
-    is I - (1 - GICP_EPSILON) n n^T.
+    is I - (1 - GICP_EPSILON) n n^T, built afresh on each call from the
+    cached normals (:func:`compute_gicp_normals`).
     """
-    k = min(k, len(cloud))
-    if k < 3:
-        raise ValueError("covariance estimation needs k >= 3 points")
-    cache = _cloud_cache(cloud)
-    key = ("gicp_cov", k)
-    if key in cache:
-        return cache[key]
-    tree = cloud_kdtree(cloud)
-    idx, _ = tree.query_batch(cloud.points, k=k)
-    _, normal = eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
-                                                             idx))
+    normal = compute_gicp_normals(cloud, k)
     out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
     out[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    cache[key] = out
     return out
 
 
 def prepare_alignment(cloud: PointCloud, cfg: RegistrationConfig) -> None:
     """Compute and cache what :func:`align` reads of ``cloud`` under ``cfg``:
-    its kd-tree and, for GICP, its covariances.  A cloud too small for
-    ``align`` to match is left alone."""
+    its kd-tree and, for GICP, its normals, from which ``align`` builds the
+    covariances.  A cloud too small for ``align`` to match is left alone."""
     if len(cloud) < MIN_CORRESPONDENCES:
         return
     cloud_kdtree(cloud)
     if cfg.method == GICP:
-        compute_gicp_covariances(cloud)
+        compute_gicp_normals(cloud)
 
 
 def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:

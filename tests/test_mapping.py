@@ -65,3 +65,13 @@ class TestPly:
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\n")
         with pytest.raises(ValueError):
             read_ply(str(path))
+
+    @pytest.mark.parametrize("cut", [12, 24, 13])
+    def test_truncated_body_raises(self, tmp_path, rng, cut):
+        # whole points cut (12, 24 bytes) and a partial point (13 bytes)
+        path = tmp_path / "map.ply"
+        write_ply(str(path), PointCloud(rng.normal(size=(10, 3))))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"expected 120 vertex bytes, "
+                                             f"found {120 - cut}"):
+            read_ply(str(path))

@@ -111,6 +111,30 @@ class TestBatchRun:
         assert report.rmse < 0.3
 
 
+class TestRunOnce:
+    @pytest.mark.parametrize("first, second", [
+        ("run_batch", "run_batch"), ("run_batch", "run_realtime_sim"),
+        ("run_realtime_sim", "run_batch")])
+    def test_second_run_raises_before_touching_state(self, straight_run,
+                                                     first, second):
+        clouds = straight_run[0][:6]
+        pipeline = SlamPipeline()
+        result = getattr(pipeline, first)(clouds)
+        tracks = len(result.stage_latencies["track"])
+        keyframes = len(pipeline.keyframes)
+
+        def untouched():
+            raise AssertionError("the second run read its input")
+            yield
+
+        with pytest.raises(RuntimeError, match="runs once"):
+            getattr(pipeline, second)(untouched())
+        assert len(result.trajectory) == len(pipeline.frames) == 6
+        assert len(result.stage_latencies["track"]) == tracks == 6
+        assert len(pipeline.keyframes) == keyframes
+        assert pipeline.dropped_frames == 0
+
+
 class TestRealtimeSim:
     def test_feeds_at_recorded_rate(self, straight_run):
         clouds, _ = straight_run
@@ -473,7 +497,7 @@ class TestCli:
 
 class TestStagePlacement:
     """The lookahead worker builds each filtered cloud's kd-tree and GICP
-    covariances; the calling thread only reads them, and pre-tracks every
+    normals; the calling thread only reads them, and pre-tracks every
     frame in order."""
 
     def test_alignment_state_is_built_on_the_worker(self, straight_run,

@@ -6,15 +6,22 @@ from scipy.spatial import cKDTree
 
 from lidar_graph_slam import registration as registration_module
 from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
-                                       se3_exp, so3_exp)
-from lidar_graph_slam.registration import (GICP, ICP_P2P, MIN_CORRESPONDENCES,
+                                       eigen_symmetric_3x3,
+                                       neighborhood_covariances, se3_exp,
+                                       so3_exp)
+from lidar_graph_slam.pipeline import SlamPipeline
+from lidar_graph_slam.registration import (GICP, GICP_EPSILON, ICP_P2P,
+                                           MIN_CORRESPONDENCES,
                                            RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
                                            _inverse_symmetric_3x3,
                                            _rotate_covariances,
-                                           compute_gicp_covariances, align,
-                                           cloud_kdtree, rigid_align_pairs,
-                                           score_alignment)
+                                           compute_gicp_covariances,
+                                           compute_gicp_normals, align,
+                                           cloud_kdtree, prepare_alignment,
+                                           rigid_align_pairs, score_alignment)
+from lidar_graph_slam.synthetic import (make_world, render_sequence,
+                                        straight_then_curve_trajectory)
 
 from conftest import (box_surface_cloud, pose_error, random_pose,
                       random_rotation)
@@ -287,10 +294,82 @@ class TestGicpInternals:
         np.testing.assert_allclose(np.abs(vecs[:, 2, 0]), 1.0, atol=1e-9)
 
     def test_covariances_cached_per_cloud(self, rng):
+        # the normals are cached; the covariances are rebuilt from them on
+        # every call, so two calls give equal arrays, not one object
         cloud = box_surface_cloud(rng, n=200)
+        assert compute_gicp_normals(cloud, k=15) is \
+            compute_gicp_normals(cloud, k=15)
         a = compute_gicp_covariances(cloud, k=15)
         b = compute_gicp_covariances(cloud, k=15)
-        assert a is b
+        assert a is not b
+        np.testing.assert_array_equal(a, b)
+
+
+def broadcast_gicp_covariances(cloud, k):
+    """Reference: k-NN normals, then I - (1 - eps) n n^T by broadcasting,
+    as the covariances were built when each cloud cached them."""
+    k = min(k, len(cloud))
+    idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=k)
+    _, normal = eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
+                                                             idx))
+    out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
+    out[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    return out
+
+
+def cached_arrays(cloud):
+    """The numpy arrays cached on ``cloud``, each as the array that owns
+    its memory, so a view cannot hide a larger buffer."""
+    out = []
+    for value in getattr(cloud, "_derived_cache", {}).values():
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            out.append(value)
+    return out
+
+
+class TestAlignmentState:
+    """A cloud keeps its kd-tree and (N, 3) normals for alignment, never
+    its (N, 3, 3) covariances."""
+
+    @pytest.mark.parametrize("k", [3, 10, 15, 40])
+    def test_covariances_equal_broadcast_reference(self, rng, k):
+        xy = rng.uniform(-5, 5, size=(300, 2))
+        for cloud in (box_surface_cloud(rng, n=300),
+                      PointCloud(np.column_stack([xy, 0.01 * xy[:, 0]])),
+                      PointCloud(rng.normal(size=(25, 3)))):
+            assert np.array_equal(compute_gicp_covariances(cloud, k=k),
+                                  broadcast_gicp_covariances(cloud, k))
+
+    def test_prepared_cloud_caches_tree_and_normals(self, rng):
+        source, target, _ = make_pair(rng)
+        cfg = RegistrationConfig()
+        for cloud in (source, target):
+            prepare_alignment(cloud, cfg)
+        assert align(source, target, cfg=cfg).valid
+        for cloud in (source, target):
+            cache = cloud._derived_cache
+            assert isinstance(cache["kdtree"], KdTree)
+            arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and len(cache) == 2
+            assert arrays[0].shape == (len(cloud), 3)
+            assert arrays[0].dtype == np.float64
+            assert not any(a.ndim == 3 for a in cached_arrays(cloud))
+
+    def test_keyframes_keep_no_more_than_their_points(self):
+        traj = straight_then_curve_trajectory(straight=8.0, curve_radius=40.0,
+                                              curve_angle=0.05, step=1.0)
+        xy = np.array([[t.translation[0], t.translation[1]] for _, t in traj])
+        clouds, _ = render_sequence(make_world(xy, seed=2, corridor=12.0),
+                                    traj, max_range=30.0)
+        pipeline = SlamPipeline()
+        pipeline.run_batch(clouds)
+        assert len(pipeline.keyframes) >= 2
+        for kf in pipeline.keyframes:
+            held = cached_arrays(kf.cloud)
+            assert held
+            assert sum(a.nbytes for a in held) <= kf.cloud.points.nbytes
 
 
 def reference_normal_equations(src, dst, cov_src, cov_dst, transform):
