@@ -17,6 +17,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(args.config, args.dataset, args.mode, args.out)
     print(f"frames: {len(result.trajectory)}  keyframes: {result.keyframe_count}"
           f"  loops: {result.loop_count}  dropped: {result.dropped_frames}"
+          f"  degraded: {result.degraded_frames}"
           f"  runtime: {result.runtime_seconds:.1f}s")
     return 0
 

@@ -54,13 +54,17 @@ def write_tum(path: str, trajectory: Sequence[TimedPose]):
 def read_tum(path: str) -> List[TimedPose]:
     out = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             vals = [float(v) for v in line.split()]
             if len(vals) != 8:
-                raise ValueError(f"malformed TUM line: {line!r}")
+                raise ValueError(f"{path}:{number}: malformed TUM line: "
+                                 f"{line!r}")
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{path}:{number}: non-finite value in TUM "
+                                 f"line: {line!r}")
             ts, tx, ty, tz, qx, qy, qz, qw = vals
             r = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
             out.append(TimedPose(ts, Pose(r, [tx, ty, tz])))

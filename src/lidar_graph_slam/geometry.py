@@ -143,12 +143,6 @@ class Pose:
         """Project the rotation back onto SO(3) (nearest by Frobenius norm)."""
         return Pose(orthonormalize(self.rotation), self.translation)
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
-        r = self.rotation
-        return (np.allclose(r.T @ r, np.eye(3), atol=tol)
-                and abs(np.linalg.det(r) - 1.0) < tol
-                and np.all(np.isfinite(self.translation)))
-
 
 # ---------------------------------------------------------------------------
 # so(3) / se(3) exponential and logarithm
@@ -277,13 +271,6 @@ def _se3_jacobian(rot: np.ndarray, q: np.ndarray) -> np.ndarray:
     out[..., 3:, 3:] = rot
     out[..., :3, 3:] = q
     return out
-
-
-def se3_left_jacobian(twist: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SE(3) at ``twist`` (6x6, translation block first)."""
-    twist = np.asarray(twist, dtype=np.float64)
-    rho, omega = twist[..., :3], twist[..., 3:]
-    return _se3_jacobian(_so3_left_jacobian(omega), _se3_q_matrix(rho, omega))
 
 
 def se3_left_jacobian_inv(twist: np.ndarray) -> np.ndarray:

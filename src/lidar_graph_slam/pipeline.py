@@ -3,10 +3,13 @@
 Each frame runs one fixed sequence.  The front end drops non-finite points,
 pre-filters the scan and computes the filtered cloud's kd-tree and GICP
 normals; then the pre-tracker estimates the motion from the raw cloud
-and the tracker matches the filtered cloud against the current keyframe.
-When that makes a new keyframe, the floor is detected in its filtered cloud
-and the back end (pose graph, loop closure, optimization) runs inline.
-Only keyframes carry a floor, so no other frame detects one.
+(running ICP only when constant motion stops fitting) and the tracker
+matches the filtered cloud against the current keyframe, from the better
+of that guess and constant motion.  A frame whose match fails keeps its
+seed as its pose and is counted as degraded.  When a match makes a new
+keyframe, the floor is detected in its filtered cloud and the back end
+(pose graph, loop closure, optimization) runs inline.  Only keyframes
+carry a floor, so no other frame detects one.
 
 The front end keeps no state from one frame to the next, so one lookahead
 worker thread runs it for frames i+1 and i+2 while the calling thread
@@ -99,6 +102,9 @@ class PipelineResult:
     keyframe_count: int
     loop_count: int
     dropped_frames: int
+    # tracked frames whose scan match failed or had no keyframe cloud to
+    # match against, so their pose is the tracker's seed
+    degraded_frames: int
     runtime_seconds: float
     # Seconds per call of each stage.  prefilter and prepare (the kd-tree
     # and GICP normals) are measured on the lookahead thread, pretrack
@@ -130,6 +136,7 @@ class SlamPipeline:
         self.frames: List[FrameRecord] = []
         self.loop_count = 0
         self.dropped_frames = 0
+        self.degraded_frames = 0
         self._kf_since_opt = 0
         self._ran = False
         self._latencies: Dict[str, List[float]] = {
@@ -147,6 +154,7 @@ class SlamPipeline:
 
     def _do_track(self, filtered: PointCloud, guess: Optional[Pose]):
         result = self.tracker.track(filtered, guess)
+        self.degraded_frames += result.degraded
         self.frames.append(FrameRecord(
             filtered.timestamp, self.tracker.keyframe.index,
             Pose.identity() if result.new_keyframe else result.relative))
@@ -272,7 +280,7 @@ class SlamPipeline:
 
         trajectory = self._final_trajectory()
         return PipelineResult(trajectory, len(self.keyframes), self.loop_count,
-                              self.dropped_frames,
+                              self.dropped_frames, self.degraded_frames,
                               time.perf_counter() - started,
                               self._latencies)
 
@@ -327,6 +335,7 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
         "keyframes": result.keyframe_count,
         "loops": result.loop_count,
         "dropped_frames": result.dropped_frames,
+        "degraded_frames": result.degraded_frames,
         "runtime_seconds": result.runtime_seconds,
         "latency_percentiles": result.latency_percentiles(),
     }

@@ -5,6 +5,12 @@ guess for the tracker: one registration at a very coarse scale, and
 for small clouds a second registration at a finer scale seeded with the
 first result.  A phase runs only when both this cloud and the previous one
 have it.
+
+The phases run only when the scene shows that the motion changed.  Before
+them, the constant-motion seed (the last estimated motion) is scored on the
+phase-1 pair; if it fits no worse than the last successful ICP run's result
+fitted its own pair, the seed is the guess and no ICP runs.  Every frame
+still stores its phase clouds, so the next frame can match against them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from typing import List, Optional
 import numpy as np
 
 from .geometry import PointCloud, Pose
-from .registration import ICP_P2P, RegistrationConfig, align
+from .registration import (ICP_P2P, MIN_CORRESPONDENCES, RegistrationConfig,
+                           align, score_alignment)
 
 # point-to-point ICP settings of every phase
 PHASE_ICP = RegistrationConfig(method=ICP_P2P, max_iterations=20,
@@ -63,6 +70,17 @@ def downsample_to_fraction(cloud: PointCloud, fraction: float) -> PointCloud:
                       cloud.frame_id)
 
 
+def _fitness(source: PointCloud, target: PointCloud,
+             motion: Pose) -> Optional[float]:
+    """Fitness of ``source`` on ``target`` at ``motion`` under the phases'
+    correspondence bound, or None when either cloud is too small to score."""
+    if min(len(source), len(target)) < MIN_CORRESPONDENCES:
+        return None
+    fitness, _ = score_alignment(source, target, motion,
+                                 PHASE_ICP.max_correspondence_distance)
+    return fitness
+
+
 class Pretracker:
     """Multi-scale scan matcher producing tracker initial guesses."""
 
@@ -70,6 +88,9 @@ class Pretracker:
         self.cfg = cfg or PretrackerConfig()
         self._previous: List[PointCloud] = []   # the last cloud, per phase
         self._last_motion = Pose.identity()
+        # phase-1 fitness the last successful ICP run reached on its pair;
+        # None until one has run
+        self._icp_fitness: Optional[float] = None
         self.registration_calls = 0
 
     def pretrack(self, cloud: PointCloud) -> PretrackResult:
@@ -79,6 +100,14 @@ class Pretracker:
             fractions.append(cfg.phase2_keep_fraction)
         current = [downsample_to_fraction(cloud, f) for f in fractions]
         previous, self._previous = self._previous, current
+        if not previous:
+            return PretrackResult(self._last_motion, False, 0)
+        if self._icp_fitness is not None:
+            seed_fitness = _fitness(current[0], previous[0],
+                                    self._last_motion)
+            if seed_fitness is not None and \
+                    seed_fitness <= self._icp_fitness:
+                return PretrackResult(self._last_motion, False, 0)
         guess = self._last_motion
         phases = 0
         for source, target in zip(current, previous):
@@ -89,4 +118,5 @@ class Pretracker:
                 return PretrackResult(self._last_motion, True, phases)
             guess = res.transform
         self._last_motion = guess
+        self._icp_fitness = _fitness(current[0], previous[0], guess)
         return PretrackResult(guess, False, phases)

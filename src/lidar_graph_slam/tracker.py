@@ -4,7 +4,9 @@ Every filtered cloud is registered against the current keyframe's cloud, so
 error accumulates per keyframe transition rather than per frame.  A cloud
 becomes a new keyframe when its relative motion or elapsed time crosses any
 of the configured thresholds.  Every cloud is scan-matched; the motion
-guess (from the pre-tracker, else constant motion) only seeds the match.
+guess only seeds the match.  When the pre-tracker gives a guess, the match
+starts from whichever of it and constant motion fits the keyframe better,
+scored on a strided sample of the cloud; without one, from constant motion.
 A keyframe cloud too small to match against is replaced by the next cloud,
 placed at the guess.
 """
@@ -17,7 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .geometry import PointCloud, Pose
-from .registration import MIN_CORRESPONDENCES, RegistrationConfig, align
+from .registration import (MIN_CORRESPONDENCES, RegistrationConfig, align,
+                           score_alignment)
+
+# the seed choice scores every SEED_SAMPLE_STRIDE-th point of the cloud
+SEED_SAMPLE_STRIDE = 16
 
 
 @dataclass
@@ -78,8 +84,10 @@ class Tracker:
         """Process one filtered cloud.
 
         ``guess`` is the estimated motion since the previous cloud (from the
-        pre-tracker); without it the last step is repeated.  A cloud stamped
-        before the current keyframe counts as no time elapsed.
+        pre-tracker); without it the last step is repeated.  With it, the
+        match starts from the guess or the last step, whichever fits the
+        keyframe better (see :meth:`_better_seed`).  A cloud stamped before
+        the current keyframe counts as no time elapsed.
         """
         if self.keyframe is None:
             kf = self._add_keyframe(filtered, Pose.identity(), Pose.identity())
@@ -87,10 +95,8 @@ class Tracker:
 
         kf = self.keyframe
         dt = max(filtered.timestamp - kf.timestamp, 0.0)
-        if guess is not None:
-            guess_rel = self._prev_rel @ guess
-        else:
-            guess_rel = self._prev_rel @ self._last_step
+        constant_rel = self._prev_rel @ self._last_step
+        guess_rel = constant_rel if guess is None else self._prev_rel @ guess
 
         if len(kf.cloud) < MIN_CORRESPONDENCES:
             # nothing to match against: this cloud takes the keyframe's
@@ -99,6 +105,8 @@ class Tracker:
             new_kf = self._add_keyframe(filtered, pose, guess_rel)
             return TrackResult(pose, guess_rel, new_kf, guess_rel, True)
 
+        if guess is not None:
+            guess_rel = self._better_seed(filtered, guess_rel, constant_rel)
         result = align(filtered, kf.cloud, guess_rel, self.reg_cfg)
         self.registration_calls += 1
         if not result.valid:
@@ -118,6 +126,23 @@ class Tracker:
 
         new_kf = self._add_keyframe(filtered, pose, rel)
         return TrackResult(pose, rel, new_kf, rel, False)
+
+    def _better_seed(self, filtered: PointCloud, guessed: Pose,
+                     constant: Pose) -> Pose:
+        """Of the guess seed and the constant-motion seed (poses relative to
+        the keyframe), the one whose fitness on the keyframe is lower, with
+        a tie to constant motion.  The score runs on every
+        ``SEED_SAMPLE_STRIDE``-th point; when that sample is too small to
+        score, the guess seed is kept.
+        """
+        sample = PointCloud(filtered.points[::SEED_SAMPLE_STRIDE])
+        if len(sample) < MIN_CORRESPONDENCES:
+            return guessed
+        max_d = self.reg_cfg.max_correspondence_distance
+        cloud = self.keyframe.cloud
+        guessed_fit, _ = score_alignment(sample, cloud, guessed, max_d)
+        constant_fit, _ = score_alignment(sample, cloud, constant, max_d)
+        return guessed if guessed_fit < constant_fit else constant
 
     def _add_keyframe(self, cloud: PointCloud, pose: Pose,
                       rel: Pose) -> Keyframe:

@@ -28,6 +28,15 @@ def pose_error(estimate: Pose, truth: Pose):
             float(np.degrees(diff.rotation_angle())))
 
 
+def is_valid_pose(pose: Pose) -> bool:
+    """An orthonormal, right-handed rotation (to 1e-9) and a finite
+    translation."""
+    r = pose.rotation
+    return (np.allclose(r.T @ r, np.eye(3), atol=1e-9)
+            and abs(np.linalg.det(r) - 1.0) < 1e-9
+            and bool(np.all(np.isfinite(pose.translation))))
+
+
 def box_surface_cloud(rng: np.random.Generator, n: int = 500,
                       size: float = 2.0) -> PointCloud:
     """Points on three mutually orthogonal faces of a box.

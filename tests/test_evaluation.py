@@ -46,6 +46,18 @@ class TestTumIo:
         with pytest.raises(ValueError):
             read_tum(str(path))
 
+    @pytest.mark.parametrize("bad_line", ["0.1 1 2 3 0 0 inf 1",
+                                          "0.1 nan 2 3 0 0 0 1"],
+                             ids=["inf_quaternion", "nan_translation"])
+    def test_non_finite_field_raises_naming_the_line(self, tmp_path,
+                                                     bad_line):
+        # an inf quaternion used to read as a valid pose (ATE 0.0), a nan
+        # translation to fail later inside the ATE's SVD
+        path = tmp_path / "traj.tum"
+        path.write_text(f"0.0 1 2 3 0 0 0 1\n{bad_line}\n")
+        with pytest.raises(ValueError, match=r"traj\.tum:2: non-finite"):
+            read_tum(str(path))
+
 
 class TestAssociate:
     def test_exact_timestamps(self, rng):

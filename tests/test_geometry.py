@@ -6,18 +6,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
-                                       _se3_exp_rt, _se3_log_rt,
-                                       _so3_left_jacobian,
+                                       _se3_exp_rt, _se3_jacobian,
+                                       _se3_log_rt, _so3_left_jacobian,
                                        _so3_left_jacobian_inv, _se3_q_matrix,
                                        eigen_symmetric_3x3,
                                        estimate_normals, orthonormalize,
                                        se3_adjoint, se3_exp,
-                                       se3_left_jacobian,
                                        se3_left_jacobian_inv,
                                        se3_right_jacobian_inv, se3_log,
                                        so3_exp, so3_log)
 
-from conftest import random_pose, random_rotation
+from conftest import is_valid_pose, random_pose, random_rotation
+
+
+def se3_left_jacobian(twist: np.ndarray) -> np.ndarray:
+    """Left Jacobian of SE(3) at ``twist`` (6x6, translation block first):
+    the reference that ``se3_left_jacobian_inv`` inverts."""
+    twist = np.asarray(twist, dtype=np.float64)
+    rho, omega = twist[..., :3], twist[..., 3:]
+    return _se3_jacobian(_so3_left_jacobian(omega), _se3_q_matrix(rho, omega))
 
 
 finite_twists = st.lists(
@@ -60,15 +67,15 @@ class TestPose:
         p = random_pose(rng, 0.001, 1e-4)
         for _ in range(20):
             p = (p @ p).orthonormalized()
-        assert p.is_valid(tol=1e-9)
+        assert is_valid_pose(p)
 
     def test_orthonormalized_projects_back(self, rng):
         p = random_pose(rng, 1.0, 1.0)
         noisy = Pose(p.rotation + rng.normal(scale=1e-4, size=(3, 3)),
                      p.translation)
-        assert not noisy.is_valid()
+        assert not is_valid_pose(noisy)
         fixed = noisy.orthonormalized()
-        assert fixed.is_valid(tol=1e-9)
+        assert is_valid_pose(fixed)
         assert np.linalg.norm(fixed.rotation - p.rotation) < 1e-3
 
     def test_rotation_angle(self):

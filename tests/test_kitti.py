@@ -7,6 +7,8 @@ from lidar_graph_slam.kitti import (DatasetSequence, ScanFormatError,
                                     discover_sequence, load_kitti_poses,
                                     load_kitti_scan, load_timestamps)
 
+from conftest import is_valid_pose
+
 
 def write_scan(path, pts):
     data = np.zeros((len(pts), 4), dtype="<f4")
@@ -47,7 +49,7 @@ class TestPosesAndTimes:
         poses = load_kitti_poses(str(path))
         assert len(poses) == 3
         assert [p.translation[0] for p in poses] == expected
-        assert all(p.is_valid() for p in poses)
+        assert all(is_valid_pose(p) for p in poses)
 
     def test_load_timestamps(self, tmp_path):
         path = tmp_path / "times.txt"

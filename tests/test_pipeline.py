@@ -4,6 +4,7 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from lidar_graph_slam import pipeline as pipeline_module
 from lidar_graph_slam import registration as registration_module
+from lidar_graph_slam import tracker as tracker_module
 from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, evaluate_trajectories,
@@ -62,6 +64,7 @@ class TestBatchRun:
         assert result.keyframe_count >= 2
         assert result.loop_count == 0
         assert result.dropped_frames == 0
+        assert result.degraded_frames == 0
         report = evaluate_trajectories(result.trajectory, truth)
         assert report.rmse < 0.3
         # per-stage latencies were recorded
@@ -109,6 +112,29 @@ class TestBatchRun:
         report = evaluate_trajectories(result.trajectory,
                                        truth[:12])
         assert report.rmse < 0.3
+
+
+class TestDegradedFrames:
+    def test_failed_match_is_counted_and_still_tracked(self, straight_run,
+                                                       monkeypatch):
+        # the tracker's fifth match (frame 5; frame 0 is the first
+        # keyframe) fails; the loop verifier's matches are left alone
+        clouds = straight_run[0][:12]
+        real_align = tracker_module.align
+        calls = []
+
+        def fifth_fails(source, target, guess, cfg):
+            calls.append(source.timestamp)
+            res = real_align(source, target, guess, cfg)
+            return replace(res, valid=False) if len(calls) == 5 else res
+
+        monkeypatch.setattr(tracker_module, "align", fifth_fails)
+        result = SlamPipeline().run_batch(clouds)
+        assert result.degraded_frames == 1
+        _assert_every_frame_tracked(result, 12)
+        assert calls[4] == clouds[5].timestamp
+        assert clouds[5].timestamp in [tp.timestamp
+                                       for tp in result.trajectory]
 
 
 class TestRunOnce:
@@ -330,14 +356,14 @@ class TestDegenerateScans:
         assert evaluate_trajectories(result.trajectory, truth).rmse < 0.3
 
     def test_scan_before_the_current_keyframe(self, straight_run):
-        # keyframes at 0.0 and 0.6 s; scan 7 comes back to 0.55 s
+        # keyframes at 0.0 and 0.5 s; scan 7 comes back to 0.45 s
         clouds = straight_run[0][:12]
         scan = clouds[7]
-        clouds[7] = PointCloud(scan.points, None, 0.55, scan.frame_id)
+        clouds[7] = PointCloud(scan.points, None, 0.45, scan.frame_id)
         pipeline = SlamPipeline()
         _assert_every_frame_tracked(pipeline.run_batch(clouds), 12)
         assert [kf.timestamp for kf in pipeline.keyframes][:2] == \
-            pytest.approx([0.0, 0.6])
+            pytest.approx([0.0, 0.5])
 
     def test_non_finite_points_dropped_with_warning(self, straight_run,
                                                     caplog):
@@ -416,6 +442,7 @@ class TestRunPipeline:
         assert report["frames"] == len(truth)
         assert report["keyframes"] == result.keyframe_count
         assert report["loops"] == 0
+        assert report["degraded_frames"] == result.degraded_frames == 0
         est = read_tum(str(out / "trajectory.tum"))
         ate = evaluate_trajectories(est, truth)
         assert ate.rmse < 0.3
@@ -456,7 +483,8 @@ class TestCli:
         assert code == 0
         assert (out / "trajectory.tum").exists()
         assert "VERTEX_SE3:QUAT" in (out / "graph.g2o").read_text()
-        assert "keyframes:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "keyframes:" in printed and "degraded: 0" in printed
 
     def test_eval_subcommand(self, straight_run, tmp_path, capsys):
         _, truth = straight_run

@@ -16,7 +16,7 @@ from lidar_graph_slam.pose_graph import (EDGE_FLOOR, EDGE_LOOP, EDGE_ODOMETRY,
                                          default_information)
 from lidar_graph_slam.tracker import Keyframe
 
-from conftest import pose_error, random_pose
+from conftest import is_valid_pose, pose_error, random_pose
 
 
 def dummy_kf(index, pose):
@@ -344,7 +344,7 @@ class TestLoopEdgeNearPi:
         assert report.final_chi2 <= report.initial_chi2
         for pose in graph.keyframe_poses():
             assert np.isfinite(pose.matrix()).all()
-            assert pose.is_valid()
+            assert is_valid_pose(pose)
 
 
 # -- per-edge reference -------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam import pretracker as pretracker_module
-from lidar_graph_slam.geometry import PointCloud, Pose
+from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.pretracker import (Pretracker, PretrackerConfig,
                                          downsample_to_fraction)
+from lidar_graph_slam.registration import RegistrationResult
 
 from conftest import box_surface_cloud, pose_error, random_pose
 
@@ -57,21 +58,22 @@ class TestPretrackerConfig:
             PretrackerConfig(large_cloud_threshold=0)
 
 
-class TestPretracker:
-    def _dense_scene(self, rng, n=8000):
-        return PointCloud(np.vstack([
-            box_surface_cloud(rng, n=n // 2, size=20.0).points,
-            box_surface_cloud(rng, n=n // 2, size=8.0).points + 3.0]))
+def dense_scene(rng, n=8000):
+    return PointCloud(np.vstack([
+        box_surface_cloud(rng, n=n // 2, size=20.0).points,
+        box_surface_cloud(rng, n=n // 2, size=8.0).points + 3.0]))
 
+
+class TestPretracker:
     def test_first_cloud_gives_identity(self, rng):
         pre = Pretracker()
-        res = pre.pretrack(self._dense_scene(rng))
+        res = pre.pretrack(dense_scene(rng))
         assert res.phases_run == 0 and not res.degraded
         terr, rerr = pose_error(res.guess, Pose.identity())
         assert terr == 0.0 and rerr == 0.0
 
     def test_estimates_motion_between_scans(self, rng):
-        scene = self._dense_scene(rng)
+        scene = dense_scene(rng)
         motion = random_pose(rng, 0.8, 0.03)
         pre = Pretracker()
         pre.pretrack(scene)
@@ -90,7 +92,7 @@ class TestPretracker:
         assert pre.registration_calls == 1
 
     def test_constant_velocity_fallback(self, rng):
-        scene = self._dense_scene(rng)
+        scene = dense_scene(rng)
         motion = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
         pre = Pretracker()
         pre.pretrack(scene)
@@ -104,7 +106,7 @@ class TestPretracker:
         assert terr < 0.3
 
     def test_registration_call_budget(self, rng):
-        scene = self._dense_scene(rng)
+        scene = dense_scene(rng)
         pre = Pretracker()
         for _ in range(4):
             pre.pretrack(scene)
@@ -112,7 +114,7 @@ class TestPretracker:
         assert pre.registration_calls <= 6
 
     def test_failed_phase_two_returns_last_motion(self, rng, monkeypatch):
-        scene = self._dense_scene(rng)
+        scene = dense_scene(rng)
         back = Pose(np.eye(3), [-0.5, 0.0, 0.0])    # the inverse of the motion
         pre = Pretracker()
         pre.pretrack(scene)
@@ -129,7 +131,10 @@ class TestPretracker:
             return replace(res, valid=False) if len(calls) == 2 else res
 
         monkeypatch.setattr(pretracker_module, "align", phase_two_fails)
-        res = pre.pretrack(moved.transformed(back))
+        # the motion changes, so the constant-motion seed fits worse than
+        # the last ICP result did and the phases run
+        turn_back = Pose(so3_exp([0.0, 0.0, -0.1]), [-0.5, 0.0, 0.0])
+        res = pre.pretrack(moved.transformed(turn_back))
         assert calls[0] < calls[1]            # phase 1 on the smaller cloud
         assert res.degraded and res.phases_run == 2
         np.testing.assert_array_equal(res.guess.matrix(), first.guess.matrix())
@@ -138,7 +143,64 @@ class TestPretracker:
                              ids=["large-then-small", "small-then-large"])
     def test_large_cloud_on_either_side_runs_one_phase(self, rng, sizes):
         pre = Pretracker(PretrackerConfig(large_cloud_threshold=6000))
-        pre.pretrack(self._dense_scene(rng, sizes[0]))
-        res = pre.pretrack(self._dense_scene(rng, sizes[1]))
+        pre.pretrack(dense_scene(rng, sizes[0]))
+        res = pre.pretrack(dense_scene(rng, sizes[1]))
         assert res.phases_run == 1
         assert pre.registration_calls == 1
+
+
+class TestSkipRule:
+    """The phases run only when the constant-motion seed fits the phase-1
+    pair worse than the last successful ICP result fitted its own pair."""
+
+    def test_constant_velocity_runs_icp_on_the_first_pair_only(
+            self, rng, monkeypatch):
+        # An ICP that returns the true motion, on points whose coordinates
+        # are exact in binary: every pair then fits that motion with a
+        # fitness of exactly 0, so ICP's convergence error cannot decide.
+        step = Pose(np.eye(3), np.array([0.5, 0.25, 0.0]))
+        points = rng.integers(-160, 160, size=(4000, 3)) / 8.0
+        monkeypatch.setattr(
+            pretracker_module, "align",
+            lambda source, target, guess, cfg: RegistrationResult(step, 1,
+                                                                  True))
+        pre = Pretracker()
+        results = [pre.pretrack(PointCloud(points - i * step.translation))
+                   for i in range(6)]
+        assert [r.phases_run for r in results] == [0, 2, 0, 0, 0, 0]
+        assert pre.registration_calls == 2
+        assert not any(r.degraded for r in results)
+        for r in results[1:]:
+            np.testing.assert_array_equal(r.guess.matrix(), step.matrix())
+
+    def test_turn_runs_icp_again(self, rng):
+        scene = dense_scene(rng)
+        step = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
+        turn = Pose(so3_exp([0.0, 0.0, 0.2]), np.array([0.5, 0.2, 0.0]))
+        pre = Pretracker()
+        world = Pose.identity()
+        for motion in [Pose.identity()] + [step] * 3 + [turn]:
+            world = world @ motion
+            res = pre.pretrack(scene.transformed(world.inverse()))
+        assert res.phases_run == 2 and not res.degraded
+        terr, rerr = pose_error(res.guess, turn)
+        assert terr < 0.3 and rerr < 2.0
+
+    @pytest.mark.parametrize("n_points", [0, 5], ids=["empty", "five_points"])
+    def test_tiny_cloud_keeps_the_last_motion(self, rng, n_points):
+        # the seed is not scored against a cloud too small to score: the
+        # phases run, fail and fall back to the last motion, both on the
+        # tiny cloud and on the next one, which matches against it; no
+        # warning (an error under the test settings) is raised
+        scene = dense_scene(rng)
+        back = Pose(np.eye(3), [-0.5, 0.0, 0.0])
+        pre = Pretracker()
+        pre.pretrack(scene)
+        moved = scene.transformed(back)
+        first = pre.pretrack(moved)
+        tiny = PointCloud(moved.transformed(back).points[:n_points])
+        for cloud in (tiny, moved.transformed(back).transformed(back)):
+            res = pre.pretrack(cloud)
+            assert res.degraded and res.phases_run == 1
+            np.testing.assert_array_equal(res.guess.matrix(),
+                                          first.guess.matrix())

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from lidar_graph_slam import tracker as tracker_module
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.registration import ICP_P2P, RegistrationConfig
 from lidar_graph_slam.tracker import (Keyframe, KeyframeCriteria, Tracker,
                                       is_new_keyframe)
 
-from conftest import box_surface_cloud, pose_error
+from conftest import box_surface_cloud, is_valid_pose, pose_error
 
 
 def reg_cfg():
@@ -53,7 +54,7 @@ class TestTracker:
         assert res.new_keyframe is not None
         assert res.new_keyframe.index == 0
         assert res.new_keyframe.accumulated_distance == 0.0
-        assert res.pose.is_valid()
+        assert is_valid_pose(res.pose)
         assert tracker.registration_calls == 0
 
     def test_static_scene_yields_time_keyframes_only(self, rng):
@@ -99,7 +100,7 @@ class TestTracker:
         res = tracker.track(garbage)
         assert res.degraded
         assert res.new_keyframe is None
-        assert res.pose.is_valid()
+        assert is_valid_pose(res.pose)
 
     def test_update_keyframe_pose(self, rng):
         tracker = Tracker(reg_cfg())
@@ -108,3 +109,45 @@ class TestTracker:
         tracker.update_keyframe_pose(better)
         terr, _ = pose_error(tracker.keyframe.pose, better)
         assert terr == 0.0
+
+
+class TestSeedChoice:
+    """With a guess, the match starts from whichever of the guess seed and
+    the constant-motion seed fits the keyframe better; a tie goes to
+    constant motion.  The tracker's constant-motion seed is the identity
+    here: one keyframe, no step yet."""
+
+    def _seed_used(self, rng, monkeypatch, moved_by: Pose, guess: Pose):
+        scene = box_surface_cloud(rng, n=2000, size=20.0)
+        tracker = Tracker(reg_cfg())
+        tracker.track(PointCloud(scene.points, timestamp=0.0))
+        real_align = tracker_module.align
+        seeds = []
+
+        def recording(source, target, seed, cfg):
+            seeds.append(seed)
+            return real_align(source, target, seed, cfg)
+
+        monkeypatch.setattr(tracker_module, "align", recording)
+        cloud = scene.transformed(moved_by.inverse())
+        tracker.track(PointCloud(cloud.points, timestamp=0.1), guess)
+        assert len(seeds) == 1
+        return seeds[0]
+
+    def test_off_guess_loses_to_constant_motion(self, rng, monkeypatch):
+        off = Pose(np.eye(3), np.array([1.5, -1.0, 0.0]))
+        seed = self._seed_used(rng, monkeypatch, Pose.identity(), off)
+        np.testing.assert_array_equal(seed.matrix(), np.eye(4))
+
+    def test_guess_wins_when_constant_motion_is_off(self, rng, monkeypatch):
+        motion = Pose(so3_exp([0.0, 0.0, 0.05]), np.array([1.5, 0.5, 0.0]))
+        seed = self._seed_used(rng, monkeypatch, motion, motion)
+        np.testing.assert_array_equal(seed.matrix(), motion.matrix())
+
+    def test_tie_goes_to_constant_motion(self, rng, monkeypatch):
+        # both seeds leave every sampled point beyond the correspondence
+        # bound, so both fitness values are the capped maximum
+        far = Pose(np.eye(3), np.array([500.0, 0.0, 0.0]))
+        guess = Pose(np.eye(3), np.array([0.0, 500.0, 0.0]))
+        seed = self._seed_used(rng, monkeypatch, far, guess)
+        np.testing.assert_array_equal(seed.matrix(), np.eye(4))
