@@ -58,7 +58,11 @@ def read_tum(path: str) -> List[TimedPose]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            vals = [float(v) for v in line.split()]
+            try:
+                vals = [float(v) for v in line.split()]
+            except ValueError:
+                raise ValueError(f"{path}:{number}: non-numeric field in TUM "
+                                 f"line: {line!r}") from None
             if len(vals) != 8:
                 raise ValueError(f"{path}:{number}: malformed TUM line: "
                                  f"{line!r}")

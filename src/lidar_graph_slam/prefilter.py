@@ -1,9 +1,9 @@
 """Cloud pre-filtering: voxel-grid downsampling and radius outlier removal.
 
-Outlier removal builds one kd-tree over the cloud and asks each point for
-its ``min_neighbors + 1`` nearest neighbours (the point itself included)
-within the radius; the point is kept iff the farthest of them lies within
-the radius.
+Voxel centroids are summed with weighted ``np.bincount`` calls, one per
+axis.  Outlier removal builds one kd-tree over the cloud, lists every pair
+of points within the radius in one query, and keeps a point iff it is in
+at least ``min_neighbors`` of those pairs.
 """
 
 from __future__ import annotations
@@ -65,8 +65,10 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     _, first_idx, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
     n_voxels = len(first_idx)
-    sums = np.zeros((n_voxels, 3))
-    np.add.at(sums, inverse, cloud.points)
+    # bincount sums each voxel's points in input order, as np.add.at does
+    sums = np.stack([np.bincount(inverse, weights=cloud.points[:, axis],
+                                 minlength=n_voxels) for axis in range(3)],
+                    axis=1)
     counts = np.bincount(inverse, minlength=n_voxels).astype(np.float64)
     centroids = sums / counts[:, None]
     order = np.argsort(first_idx, kind="stable")
@@ -77,12 +79,13 @@ def remove_outliers(cloud: PointCloud, radius: float,
                     min_neighbors: int) -> PointCloud:
     """Keep points having >= min_neighbors other points within radius.
 
-    A point passes iff its (min_neighbors + 1)-th nearest neighbour, counting
-    the point itself, is within ``radius``.  The squared distance is summed
-    as cKDTree sums it and compared with ``radius**2``, so the rule equals a
-    closed-ball neighbour count even for points an ulp from the radius.  A
-    cloud of at most ``min_neighbors`` points keeps nothing.  Retained
-    points keep their coordinates and relative order.
+    One ``KdTree.pairs_within`` query lists every pair of points whose
+    squared distance, summed as cKDTree sums it, is ≤ ``radius**2``; a
+    point passes iff it is in at least ``min_neighbors`` pairs.  So the
+    rule is a closed-ball neighbour count, exact even for points an ulp
+    from the radius, and a duplicate point counts as a neighbour.  A cloud
+    of at most ``min_neighbors`` points keeps nothing.  Retained points
+    keep their coordinates and relative order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -91,15 +94,8 @@ def remove_outliers(cloud: PointCloud, radius: float,
     pts = cloud.points
     if len(pts) <= min_neighbors:
         return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
-    # the search keeps every neighbour the exact test below accepts, and a
-    # neighbour it did not find (index n) is beyond the radius
-    idx, _ = KdTree(pts).query_batch(pts, k=min_neighbors + 1,
-                                     max_distance=radius)
-    far = idx[:, min_neighbors]
-    found = far < len(pts)
-    diff = pts[np.where(found, far, 0)] - pts
-    keep = found & ((diff[:, 0] ** 2 + diff[:, 1] ** 2) + diff[:, 2] ** 2
-                    <= radius * radius)
+    pairs = KdTree(pts).pairs_within(radius)
+    keep = np.bincount(pairs.ravel(), minlength=len(pts)) >= min_neighbors
     return PointCloud(pts[keep], None, cloud.timestamp, cloud.frame_id)
 
 

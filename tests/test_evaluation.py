@@ -58,6 +58,14 @@ class TestTumIo:
         with pytest.raises(ValueError, match=r"traj\.tum:2: non-finite"):
             read_tum(str(path))
 
+    def test_non_numeric_field_raises_naming_the_line(self, tmp_path):
+        path = tmp_path / "traj.tum"
+        path.write_text("0.0 1 2 3 0 0 0 1\n0.1 abc 2 3 0 0 0 1\n")
+        with pytest.raises(ValueError,
+                           match=r"traj\.tum:2: non-numeric field in TUM "
+                                 r"line: '0\.1 abc 2 3 0 0 0 1'"):
+            read_tum(str(path))
+
 
 class TestAssociate:
     def test_exact_timestamps(self, rng):

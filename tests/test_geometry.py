@@ -270,6 +270,35 @@ class TestKdTree:
         with pytest.raises(ValueError):
             KdTree(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("radius", [0.7, 1.3, 2.0])
+    def test_pairs_within_is_inclusive(self, radius):
+        # three pairs, each alone within 10 m of the others: at the radius,
+        # an ulp inside it and an ulp outside it
+        offsets = [radius, np.nextafter(radius, 0.0),
+                   np.nextafter(radius, 4.0)]
+        firsts = np.array([[0.0, 20.0 * j, 0.0] for j in range(3)])
+        seconds = firsts + np.array([[d, 0.0, 0.0] for d in offsets])
+        pairs = KdTree(np.vstack([firsts, seconds])).pairs_within(radius)
+        assert sorted(map(tuple, pairs.tolist())) == [(0, 3), (1, 4)]
+
+    def test_pairs_within_counts_duplicates(self):
+        pts = np.array([[1.0, 2.0, 3.0]] * 3 + [[9.0, 9.0, 9.0]])
+        pairs = KdTree(pts).pairs_within(0.5)
+        assert sorted(map(tuple, pairs.tolist())) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_pairs_within_matches_brute_force(self, rng):
+        for radius in (0.3, 0.8, 1.5):
+            pts = rng.uniform(-3.0, 3.0, size=(600, 3))
+            pts[::50] = pts[1::50]          # some duplicates too
+            diff = pts[:, None, :] - pts[None, :, :]
+            sq = (diff[..., 0] ** 2 + diff[..., 1] ** 2) + diff[..., 2] ** 2
+            i, j = np.nonzero(np.triu(sq <= radius * radius, k=1))
+            pairs = KdTree(pts).pairs_within(radius)
+            assert pairs.dtype.kind == "i" and pairs.shape[1] == 2
+            assert np.all(pairs[:, 0] < pairs[:, 1])
+            assert sorted(map(tuple, pairs.tolist())) == \
+                sorted(zip(i.tolist(), j.tolist()))
+
 
 def neighbourhood_covariances(rng, spread, scale=1.0, n=300, k=15):
     """Covariances of n k-point neighbourhoods drawn with axis standard

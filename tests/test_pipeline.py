@@ -522,6 +522,20 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_non_numeric_field_exits_with_code_2(
+            self, straight_run, tmp_path, capsys):
+        _, truth = straight_run
+        est_path = tmp_path / "est.tum"
+        truth_path = tmp_path / "truth.tum"
+        write_tum(str(truth_path), truth)
+        est_path.write_text("0.0 1 2 3 0 0 0 1\nabc 1 2 3 0 0 0 1\n")
+        code = cli_main(["eval", "--est", str(est_path),
+                         "--truth", str(truth_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {est_path}:2: non-numeric field in TUM line" in err
+        assert "'abc 1 2 3 0 0 0 1'" in err
+
 
 class TestStagePlacement:
     """The lookahead worker builds each filtered cloud's kd-tree and GICP

@@ -57,6 +57,22 @@ class TestVoxelDownsample:
         actual = sorted(out.points.tolist())
         np.testing.assert_allclose(actual, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("res", [0.25, 1.0, 3.0])
+    def test_centroids_equal_an_add_at_reference(self, rng, res):
+        # many points per voxel, half of them at negative coordinates: the
+        # centroids are bit-identical to sums taken with np.add.at
+        pts = rng.uniform(-6.0, 6.0, size=(20000, 3))
+        keys, first, inverse = np.unique(np.floor(pts / res), axis=0,
+                                         return_index=True,
+                                         return_inverse=True)
+        inverse = inverse.ravel()
+        sums = np.zeros((len(keys), 3))
+        np.add.at(sums, inverse, pts)
+        centroids = sums / np.bincount(inverse)[:, None]
+        expected = centroids[np.argsort(first, kind="stable")]
+        out = voxel_downsample(PointCloud(pts), res)
+        np.testing.assert_array_equal(out.points, expected)
+
     def test_idempotent(self, rng):
         pts = rng.uniform(-20, 20, size=(5000, 3))
         once = voxel_downsample(PointCloud(pts), 0.7)
