@@ -70,7 +70,11 @@ def read_tum(path: str) -> List[TimedPose]:
                 raise ValueError(f"{path}:{number}: non-finite value in TUM "
                                  f"line: {line!r}")
             ts, tx, ty, tz, qx, qy, qz, qw = vals
-            r = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
+            try:
+                r = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
+            except ValueError:
+                raise ValueError(f"{path}:{number}: zero-norm quaternion in "
+                                 f"TUM line: {line!r}") from None
             out.append(TimedPose(ts, Pose(r, [tx, ty, tz])))
     return out
 

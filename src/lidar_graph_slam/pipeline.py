@@ -1,22 +1,27 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
-Each frame runs one fixed sequence.  The front end drops non-finite points,
-pre-filters the scan and computes the filtered cloud's kd-tree and GICP
-normals; then the pre-tracker estimates the motion from the raw cloud
-(running ICP only when constant motion stops fitting) and the tracker
-matches the filtered cloud against the current keyframe, from the better
-of that guess and constant motion.  A frame whose match fails keeps its
-seed as its pose and is counted as degraded.  When a match makes a new
-keyframe, the floor is detected in its filtered cloud and the back end
-(pose graph, loop closure, optimization) runs inline.  Only keyframes
-carry a floor, so no other frame detects one.
+Each frame runs one fixed sequence.  Non-finite points are dropped when the
+frame is admitted.  The front end pre-filters the scan and computes the
+filtered cloud's kd-tree and GICP normals; the pre-tracker estimates the
+motion from the raw cloud (running ICP only when constant motion stops
+fitting); then the tracker matches the filtered cloud against the current
+keyframe, from the better of that guess and constant motion.  A frame whose
+match fails keeps its seed as its pose and is counted as degraded.  When a
+match makes a new keyframe, the floor is detected in its filtered cloud and
+the back end (pose graph, loop closure, optimization) runs inline.  Only
+keyframes carry a floor, so no other frame detects one.
 
-The front end keeps no state from one frame to the next, so one lookahead
-worker thread runs it for frames i+1 and i+2 while the calling thread
-pre-tracks, tracks and runs the back end of frame i.  The stateful stages
-(pre-tracker, tracker, floor, back end) all run on the calling thread in
-frame order, so every module sees the same inputs in the same order as a
-sequential run, and a stage exception propagates to the caller.
+The pre-tracker runs "in parallel with the filtering process": one
+lookahead worker thread pre-tracks and runs the front ends of up to
+``LOOKAHEAD`` frames ahead, in frame order, while the calling thread tracks
+frame i and runs the back end.  Until frame i's pre-track and front end are
+done, the calling thread runs the queued front ends itself, frame i's first,
+and waits only when none is left.  The front end keeps no state, so its
+thread changes nothing; the stateful pre-tracker runs only on the worker,
+and the tracker, floor and back end only on the calling thread.  Every
+module therefore sees the same inputs in the same order as a sequential
+run.  A stage exception reaches the caller when its own frame is tracked,
+after every earlier frame, and the queued work is then cancelled.
 
 ``run_realtime_sim`` runs the same loop on a simulated clock (see
 :func:`frame_dropped`); it never sleeps, and every frame is either tracked
@@ -33,9 +38,9 @@ import math
 import os
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +58,8 @@ from .tracker import Tracker
 
 log = logging.getLogger(__name__)
 
-# front ends the lookahead worker may run ahead of the frame being tracked
-LOOKAHEAD = 2
+# frames admitted ahead of the one being tracked
+LOOKAHEAD = 4
 
 
 def frame_dropped(arrival: float, starts: Sequence[float],
@@ -106,10 +111,11 @@ class PipelineResult:
     # match against, so their pose is the tracker's seed
     degraded_frames: int
     runtime_seconds: float
-    # Seconds per call of each stage.  prefilter and prepare (the kd-tree
-    # and GICP normals) are measured on the lookahead thread, pretrack
-    # and track on the calling thread, so the two groups overlap.  track
-    # includes floor, one sample per keyframe, and the back end.
+    # Seconds per call of each stage, on the thread that ran it: pretrack
+    # on the lookahead worker, track on the calling thread, prefilter and
+    # prepare (the kd-tree and GICP normals) on whichever ran that frame's
+    # front end.  The stages overlap, and the lists are not in frame order.
+    # track includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
@@ -120,6 +126,15 @@ class PipelineResult:
                 out[stage] = {p: float(np.percentile(arr, q))
                               for p, q in (("p50", 50), ("p90", 90), ("p99", 99))}
         return out
+
+
+@dataclass
+class _Admitted:
+    """A frame admitted but not yet tracked."""
+    arrival: float          # simulated arrival, seconds after the first scan
+    cloud: PointCloud       # its finite points
+    pretrack: Future
+    front_end: Future       # replaced when the calling thread takes it over
 
 
 class SlamPipeline:
@@ -194,27 +209,48 @@ class SlamPipeline:
         for kf, pose in zip(self.keyframes, self.graph.keyframe_poses()):
             kf.pose = pose
 
-    def _front_end(self, cloud: PointCloud):
-        """The stateless stages of one frame; runs on the lookahead thread.
+    def _pretrack(self, cloud: PointCloud):
+        """Pre-track one frame; runs on the lookahead worker, in frame
+        order, and nowhere else."""
+        return self._timed("pretrack", self.pretracker.pretrack
+                           if self.cfg.pretracker_enabled else _off, cloud)
 
-        Returns the finite cloud and the filtered cloud with its alignment
-        state cached on it.
-        """
-        cloud = finite_points(cloud)
+    def _front_end(self, cloud: PointCloud) -> PointCloud:
+        """The filtered cloud with its alignment state cached on it; runs on
+        the lookahead worker or, when it takes the work over, the calling
+        thread."""
         filtered = self._timed("prefilter", prefilter, cloud,
                                self.cfg.prefilter)
         self._timed("prepare", prepare_alignment, filtered,
                     self.cfg.registration)
-        return cloud, filtered
+        return filtered
 
-    def _track(self, front_end: Future) -> float:
-        """Pre-track and track one frame on the calling thread; return the
-        wall time spent waiting for its front end and tracking it."""
+    def _take_over(self, frame: _Admitted) -> bool:
+        """Run ``frame``'s front end on this thread if the worker has not
+        started it, keeping its result or exception for when the frame is
+        tracked; False when the worker has it."""
+        if not frame.front_end.cancel():
+            return False
+        frame.front_end = Future()
+        try:
+            frame.front_end.set_result(self._front_end(frame.cloud))
+        except Exception as exc:
+            frame.front_end.set_exception(exc)
+        return True
+
+    def _track(self, pending: Deque[_Admitted]) -> float:
+        """Track the oldest pending frame on the calling thread; return the
+        wall time spent on it, including any front end of a later frame run
+        while its own pre-track or front end was not done."""
         t0 = time.perf_counter()
-        cloud, filtered = front_end.result()
-        pre = self._timed("pretrack", self.pretracker.pretrack
-                          if self.cfg.pretracker_enabled else _off, cloud)
-        self._timed("track", self._do_track, filtered,
+        frame = pending[0]
+        while not (frame.pretrack.done() and frame.front_end.done()):
+            # only this thread queues work, so once none is left to take
+            # over, none will be
+            if not any(self._take_over(f) for f in pending):
+                wait((frame.pretrack, frame.front_end))
+        pre = frame.pretrack.result()
+        self._timed("track", self._do_track, frame.front_end.result(),
                     pre.guess if pre is not None else None)
         return time.perf_counter() - t0
 
@@ -232,17 +268,18 @@ class SlamPipeline:
         return self._run(clouds, self.cfg.streaming_queue_capacity)
 
     def _run(self, clouds, capacity: float) -> PipelineResult:
-        """Track ``clouds`` in order, with up to ``LOOKAHEAD`` front ends
-        (at most ``capacity``) in flight; ``run_batch`` passes an infinite
-        ``capacity``, so it drops no frame.
+        """Track ``clouds`` in order, with up to ``LOOKAHEAD`` frames (at
+        most ``capacity``) admitted ahead of the one being tracked;
+        ``run_batch`` passes an infinite ``capacity``, so it drops no frame.
 
-        ``pending`` holds the admitted frames not yet tracked, oldest first,
-        as (arrival, front-end future).  A frame's simulated start is known
-        once the frame before it is tracked, so ``starts`` runs up to
-        ``pending[0]`` and lacks the ``unknown`` frames behind it.  The drop
-        rule reads the start ``capacity`` admitted frames back; as fewer
-        than ``capacity`` are unknown, that is ``capacity - unknown`` back
-        in ``starts``.
+        ``pending`` holds the admitted frames not yet tracked, oldest first.
+        A frame's simulated start is known once the frame before it is
+        tracked, so ``starts`` runs up to ``pending[0]`` and lacks the
+        ``unknown`` frames behind it.  The drop rule reads the start
+        ``capacity`` admitted frames back; as fewer than ``capacity`` are
+        unknown, that is ``capacity - unknown`` back in ``starts``.  A
+        frame's simulated cost is the wall time :meth:`_track` spent on it,
+        which includes the later front ends it ran while waiting.
         """
         if self._ran:
             raise RuntimeError("a SlamPipeline runs once; make a new one "
@@ -252,14 +289,16 @@ class SlamPipeline:
         depth = min(LOOKAHEAD, capacity)
         first_ts = None
         starts: List[float] = []    # simulated start of each admitted frame
-        pending: Deque[Tuple[float, Future]] = deque()
+        pending: Deque[_Admitted] = deque()
 
         def track_oldest():
-            finish = starts[-1] + self._track(pending.popleft()[1])
+            finish = starts[-1] + self._track(pending)
+            pending.popleft()
             if pending:
-                starts.append(max(pending[0][0], finish))
+                starts.append(max(pending[0].arrival, finish))
 
-        with ThreadPoolExecutor(max_workers=1) as lookahead:
+        lookahead = ThreadPoolExecutor(max_workers=1)
+        try:
             for cloud in clouds:
                 if first_ts is None:
                     first_ts = cloud.timestamp
@@ -270,12 +309,17 @@ class SlamPipeline:
                     continue
                 if not starts:
                     starts.append(arrival)
-                pending.append((arrival,
-                                lookahead.submit(self._front_end, cloud)))
+                cloud = finite_points(cloud)
+                pending.append(_Admitted(
+                    arrival, cloud, lookahead.submit(self._pretrack, cloud),
+                    lookahead.submit(self._front_end, cloud)))
                 if len(pending) > depth:
                     track_oldest()
             while pending:
                 track_oldest()
+        finally:
+            # after a stage error, the queued tasks would otherwise still run
+            lookahead.shutdown(cancel_futures=True)
         self._optimize_and_sync()
 
         trajectory = self._final_trajectory()

@@ -17,8 +17,8 @@ Trial steps are judged by their cost alone.
 As in fast_gicp, each cloud's kd-tree and GICP surface normals are
 computed once, outside the matching loop, and cached on the cloud; the
 normal comes from a closed-form 3x3 eigensolver.  The pipeline computes
-them with :func:`prepare_alignment` on its lookahead worker thread, so the
-tracker and the loop verifier on the calling thread only read them.  The
+them with :func:`prepare_alignment` in each frame's front end, before the
+frame is tracked, so the tracker and the loop verifier only read them.  The
 plane-to-plane covariance is fully set by the normal, so :func:`align`
 rebuilds a cloud's (N, 3, 3) covariances from it once per call: a kept
 keyframe holds 24 bytes per point of GICP state rather than 72.

@@ -2,8 +2,9 @@
 
 import json
 import os
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -89,8 +90,8 @@ class TestBatchRun:
         same = []
 
         class Checked(SlamPipeline):
-            def _track(self, front_end):
-                wall = super()._track(front_end)
+            def _track(self, pending):
+                wall = super()._track(pending)
                 same.append(self.tracker.keyframe is self.keyframes[-1])
                 return wall
 
@@ -191,8 +192,7 @@ class TestRealtimeSim:
         their starts at 5 and 7.5 s, so it is dropped; frame 5 arrives as
         frame 2 starts and is admitted.
         """
-        scans = [SimpleNamespace(index=j, timestamp=100.0 + j)
-                 for j in range(10)]
+        scans = _one_second_scans()
         for capacity in (1, 2, 3):
             tracked = _fixed_cost_tracked(scans, capacity)[0]
             expected = _reference_schedule(
@@ -205,27 +205,17 @@ class TestRealtimeSim:
         assert frame_dropped(4.0, [0.0, 2.5, 5.0, 7.5], 2)
 
     @pytest.mark.parametrize("capacity, in_flight", [
-        (None, 2),     # run_batch
+        (None, 4),     # run_batch
         (1, 1),
         (2, 2),
-        (3, 2)])
-    def test_front_ends_in_flight(self, monkeypatch, capacity, in_flight):
-        """While a frame is tracked, the worker holds the front ends of at
-        most min(2, capacity) later frames, and every scan is tracked or
-        dropped."""
-        submitted = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                submitted.append(args)
-                return super().submit(fn, *args)
-
-        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor",
-                            CountingPool)
-        scans = [SimpleNamespace(index=j, timestamp=100.0 + j)
-                 for j in range(10)]
-        tracked, ahead, dropped = _fixed_cost_tracked(scans, capacity,
-                                                      submitted)
+        (3, 3),
+        (5, 4)])
+    def test_front_ends_in_flight(self, capacity, in_flight):
+        """While a frame is tracked, min(LOOKAHEAD, capacity) later frames
+        at most are admitted, whose pre-tracks and front ends may run
+        meanwhile; every scan is tracked or dropped."""
+        scans = _one_second_scans()
+        tracked, ahead, dropped = _fixed_cost_tracked(scans, capacity)
         assert max(ahead) == in_flight
         assert len(tracked) + dropped == len(scans)
         if capacity is None:
@@ -250,20 +240,28 @@ def _reference_schedule(arrivals, cost, capacity):
     return tracked
 
 
-def _fixed_cost_tracked(scans, capacity, submitted=None):
+def _one_second_scans():
+    """Ten point-less scans 1 s apart, each carrying its index."""
+    return [SimpleNamespace(index=j, timestamp=100.0 + j,
+                            points=np.empty((0, 3))) for j in range(10)]
+
+
+def _fixed_cost_tracked(scans, capacity):
     """Run scans through a pipeline whose frames each cost 2.5 s; return
-    the tracked indices, the front ends submitted beyond each tracked frame
-    (when ``submitted`` records the submissions) and the dropped count."""
+    the tracked indices, the frames admitted beyond each tracked frame and
+    the dropped count."""
     tracked, ahead = [], []
 
     class FixedCost(SlamPipeline):
+        def _pretrack(self, cloud):
+            return None
+
         def _front_end(self, cloud):
             return cloud.index
 
-        def _track(self, front_end):
-            tracked.append(front_end.result())
-            if submitted is not None:
-                ahead.append(len(submitted) - len(tracked))
+        def _track(self, pending):
+            tracked.append(pending[0].front_end.result())
+            ahead.append(len(pending) - 1)
             return 2.5
 
     cfg = PipelineConfig()
@@ -273,6 +271,86 @@ def _fixed_cost_tracked(scans, capacity, submitted=None):
         cfg.streaming_queue_capacity = capacity
         result = FixedCost(cfg).run_realtime_sim(scans)
     return tracked, ahead, result.dropped_frames
+
+
+def _hold_worker(monkeypatch, clouds):
+    """Keep the lookahead worker in frame 0's pre-track until frame
+    LOOKAHEAD's front end starts, so that the calling thread runs the front
+    ends of frames 0 to LOOKAHEAD itself; return the (thread, timestamp) of
+    every prefilter call."""
+    released = threading.Event()
+    prefiltered = []
+    real_prefilter = pipeline_module.prefilter
+    real_pretrack = Pretracker.pretrack
+
+    def recording_prefilter(cloud, cfg):
+        prefiltered.append((threading.get_ident(), cloud.timestamp))
+        if cloud.timestamp == clouds[pipeline_module.LOOKAHEAD].timestamp:
+            released.set()
+        return real_prefilter(cloud, cfg)
+
+    def holding_pretrack(pretracker, cloud):
+        if cloud.timestamp == clouds[0].timestamp:
+            assert released.wait(timeout=60), "the worker was never released"
+        return real_pretrack(pretracker, cloud)
+
+    monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+    monkeypatch.setattr(Pretracker, "pretrack", holding_pretrack)
+    return prefiltered
+
+
+def _pose_bytes(result):
+    return [(tp.timestamp, tp.pose.matrix().tobytes())
+            for tp in result.trajectory]
+
+
+class TestSchedule:
+    """Which thread runs a front end changes no pose."""
+
+    def test_caller_runs_front_ends_while_the_worker_is_held(
+            self, straight_run, monkeypatch):
+        clouds = straight_run[0]
+        expected = _pose_bytes(SlamPipeline().run_batch(clouds))
+        prefiltered = _hold_worker(monkeypatch, clouds)
+        result = SlamPipeline().run_batch(clouds)
+        caller = threading.get_ident()
+        held = {c.timestamp for c in clouds[:pipeline_module.LOOKAHEAD + 1]}
+        assert {thread for thread, ts in prefiltered if ts in held} == \
+            {caller}
+        assert _pose_bytes(result) == expected
+
+    def test_fast_thread_switching_loses_no_sample(self, straight_run):
+        # both threads append stage latencies and hand front ends over;
+        # switching threads every microsecond would expose a lost update
+        clouds = straight_run[0][:12]
+        expected = _pose_bytes(SlamPipeline().run_batch(clouds))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = SlamPipeline().run_batch(clouds)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _pose_bytes(result) == expected
+        for stage in ("prefilter", "prepare", "pretrack", "track"):
+            assert len(result.stage_latencies[stage]) == len(clouds)
+
+    def test_caller_that_never_takes_over_a_front_end(self, straight_run,
+                                                       monkeypatch):
+        clouds = straight_run[0]
+        expected = _pose_bytes(SlamPipeline().run_batch(clouds))
+        threads = []
+        real_prefilter = pipeline_module.prefilter
+
+        def recording_prefilter(cloud, cfg):
+            threads.append(threading.get_ident())
+            return real_prefilter(cloud, cfg)
+
+        monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+        monkeypatch.setattr(Future, "cancel", lambda future: False)
+        result = SlamPipeline().run_batch(clouds)
+        assert len(threads) == len(clouds)
+        assert threading.get_ident() not in threads
+        assert _pose_bytes(result) == expected
 
 
 class TestStageErrors:
@@ -291,6 +369,72 @@ class TestStageErrors:
         monkeypatch.setattr(pipeline_module, "prefilter", failing_on_fifth)
         with pytest.raises(RuntimeError, match="frame 5"):
             SlamPipeline().run_batch(clouds[:8])
+
+    def test_error_in_a_front_end_the_caller_ran_waits_for_its_frame(
+            self, straight_run, monkeypatch):
+        clouds = straight_run[0][:12]
+        _hold_worker(monkeypatch, clouds)
+        held_prefilter = pipeline_module.prefilter
+        failed_on, tracked = [], []
+        real_track = tracker_module.Tracker.track
+
+        def failing_on_frame_2(cloud, cfg):
+            if cloud.timestamp == clouds[2].timestamp:
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("prefilter failed on frame 2")
+            return held_prefilter(cloud, cfg)
+
+        def recording_track(tracker, cloud, guess):
+            tracked.append(cloud.timestamp)
+            return real_track(tracker, cloud, guess)
+
+        monkeypatch.setattr(pipeline_module, "prefilter", failing_on_frame_2)
+        monkeypatch.setattr(tracker_module.Tracker, "track", recording_track)
+        with pytest.raises(RuntimeError, match="frame 2"):
+            SlamPipeline().run_batch(clouds)
+        assert failed_on == [threading.get_ident()]
+        assert tracked == [clouds[0].timestamp, clouds[1].timestamp]
+
+    def test_stage_error_cancels_the_queued_work(self, straight_run,
+                                                 monkeypatch):
+        """Once a stage error reaches the caller, no queued pre-track or
+        front end starts.  The worker is held in frame 4's pre-track until
+        the pipeline has shut its pool down, so any queued task the
+        shutdown did not cancel would start after the release."""
+        clouds = straight_run[0][:12]
+        released = threading.Event()
+        started = []    # (stage, whether the worker was released by then)
+        real_prefilter = pipeline_module.prefilter
+        real_pretrack = Pretracker.pretrack
+
+        def failing_on_frame_2(cloud, cfg):
+            started.append(("prefilter", released.is_set()))
+            if cloud.timestamp == clouds[2].timestamp:
+                raise RuntimeError("prefilter failed on frame 2")
+            return real_prefilter(cloud, cfg)
+
+        def holding_pretrack(pretracker, cloud):
+            started.append(("pretrack", released.is_set()))
+            if cloud.timestamp == clouds[4].timestamp:
+                assert released.wait(timeout=60), "never released"
+            return real_pretrack(pretracker, cloud)
+
+        class ReleasingPool(ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
+
+        monkeypatch.setattr(pipeline_module, "prefilter", failing_on_frame_2)
+        monkeypatch.setattr(Pretracker, "pretrack", holding_pretrack)
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor",
+                            ReleasingPool)
+        with pytest.raises(RuntimeError, match="frame 2"):
+            SlamPipeline().run_batch(clouds)
+        assert released.is_set()
+        assert not any(after for _, after in started)
+        # frames 5 and 6 were admitted, but their pre-tracks never started
+        assert sum(stage == "pretrack" for stage, _ in started) <= 5
 
     def test_floor_error_on_a_keyframe_reaches_the_caller(self, straight_run,
                                                           monkeypatch):
@@ -379,6 +523,7 @@ class TestDegenerateScans:
         warnings = [rec.getMessage() for rec in caplog.records]
         assert len(warnings) == 1
         assert f"dropped {n_bad} non-finite points" in warnings[0]
+        assert caplog.records[0].thread == threading.get_ident()
 
 
 class TestRejectedLoop:
@@ -536,52 +681,92 @@ class TestCli:
         assert f"error: {est_path}:2: non-numeric field in TUM line" in err
         assert "'abc 1 2 3 0 0 0 1'" in err
 
+    def test_eval_zero_norm_quaternion_exits_with_code_2(
+            self, straight_run, tmp_path, capsys):
+        _, truth = straight_run
+        est_path = tmp_path / "est.tum"
+        truth_path = tmp_path / "truth.tum"
+        write_tum(str(truth_path), truth)
+        est_path.write_text("0.0 1 2 3 0 0 0 0\n")
+        code = cli_main(["eval", "--est", str(est_path),
+                         "--truth", str(truth_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {est_path}:1: zero-norm quaternion in TUM line" in err
+        assert "'0.0 1 2 3 0 0 0 0'" in err
+
 
 class TestStagePlacement:
-    """The lookahead worker builds each filtered cloud's kd-tree and GICP
-    normals; the calling thread only reads them, and pre-tracks every
-    frame in order."""
+    """Each filtered cloud's kd-tree and GICP normals are built once, on
+    either thread, before the tracker reads them; the worker alone
+    pre-tracks, every frame in order."""
 
-    def test_alignment_state_is_built_on_the_worker(self, straight_run,
-                                                    monkeypatch):
+    def test_alignment_state_is_built_once_before_its_track(
+            self, straight_run, monkeypatch):
         clouds = straight_run[0][:8]
-        filtered, trees, eigen_threads, pretracked = [], [], [], []
+        caller = threading.get_ident()
+        # (event, points, built on the calling thread inside Tracker.track)
+        events, filtered, tracking = [], {}, [False]
         real_prefilter = pipeline_module.prefilter
-        real_eigen = registration_module.eigen_symmetric_3x3
-        real_pretrack = Pretracker.pretrack
+        real_covariances = registration_module.neighborhood_covariances
+        real_track = tracker_module.Tracker.track
 
         def recording_prefilter(cloud, cfg):
-            filtered.append(real_prefilter(cloud, cfg))
-            return filtered[-1]
+            out = real_prefilter(cloud, cfg)
+            filtered[cloud.timestamp] = out
+            return out
+
+        def building(event, points):
+            inside = tracking[0] and threading.get_ident() == caller
+            events.append((event, points, inside))
 
         class RecordingTree(registration_module.KdTree):
             def __init__(self, points):
-                trees.append((threading.get_ident(), points))
+                building("tree", points)
                 super().__init__(points)
 
-        def recording_eigen(a):
-            eigen_threads.append(threading.get_ident())
-            return real_eigen(a)
+        def recording_covariances(points, idx):
+            building("normals", points)
+            return real_covariances(points, idx)
+
+        def recording_track(tracker, cloud, guess):
+            events.append(("track", cloud.points, False))
+            tracking[0] = True
+            try:
+                return real_track(tracker, cloud, guess)
+            finally:
+                tracking[0] = False
+
+        monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+        monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
+        monkeypatch.setattr(registration_module, "neighborhood_covariances",
+                            recording_covariances)
+        monkeypatch.setattr(tracker_module.Tracker, "track", recording_track)
+        SlamPipeline().run_batch(clouds)
+
+        assert not any(inside for _, _, inside in events)
+        for cloud in clouds:
+            points = filtered[cloud.timestamp].points
+            mine = [event for event, pts, _ in events if pts is points]
+            assert mine == ["tree", "normals", "track"]
+
+    def test_pretrack_runs_on_the_worker_in_frame_order(self, straight_run,
+                                                        monkeypatch):
+        clouds = straight_run[0][:8]
+        pretracked = []
+        real_pretrack = Pretracker.pretrack
 
         def recording_pretrack(pretracker, cloud):
             pretracked.append((threading.get_ident(), cloud.timestamp))
             return real_pretrack(pretracker, cloud)
 
-        monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
-        monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
-        monkeypatch.setattr(registration_module, "eigen_symmetric_3x3",
-                            recording_eigen)
         monkeypatch.setattr(Pretracker, "pretrack", recording_pretrack)
         SlamPipeline().run_batch(clouds)
 
-        caller = threading.get_ident()
-        tracked_trees = [thread for thread, points in trees
-                         if any(points is f.points for f in filtered)]
-        assert len(tracked_trees) == len(clouds)
-        assert caller not in tracked_trees
-        assert len(eigen_threads) == len(clouds)
-        assert caller not in eigen_threads
-        assert pretracked == [(caller, c.timestamp) for c in clouds]
+        threads = {thread for thread, _ in pretracked}
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+        assert [ts for _, ts in pretracked] == [c.timestamp for c in clouds]
 
     def test_floor_runs_once_per_keyframe_on_the_calling_thread(
             self, straight_run, monkeypatch):
