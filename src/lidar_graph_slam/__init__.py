@@ -17,18 +17,17 @@ from .pipeline import PipelineResult, SlamPipeline, run_pipeline
 from .pose_graph import OptimizationReport, PoseGraph
 from .prefilter import PrefilterConfig, prefilter, remove_outliers, voxel_downsample
 from .pretracker import Pretracker, PretrackerConfig
-from .registration import (GICP, ICP_P2P, RegistrationConfig,
-                           RegistrationResult, align, score_alignment)
+from .registration import (RegistrationConfig, RegistrationResult, align,
+                           score_alignment)
 from .scan_context import ScanContext, ScanContextParams, make_scan_context
 from .tracker import Keyframe, KeyframeCriteria, Tracker, is_new_keyframe
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AteReport", "FloorCoefficients", "FloorConfig", "GICP", "ICP_P2P",
-    "KdTree", "Keyframe", "KeyframeCriteria", "LoopCandidate",
-    "LoopConfig", "LoopDetector", "OptimizationReport", "PipelineConfig",
-    "PipelineResult",
+    "AteReport", "FloorCoefficients", "FloorConfig", "KdTree", "Keyframe",
+    "KeyframeCriteria", "LoopCandidate", "LoopConfig", "LoopDetector",
+    "OptimizationReport", "PipelineConfig", "PipelineResult",
     "PointCloud", "Pose", "PoseGraph", "PrefilterConfig", "Pretracker",
     "PretrackerConfig", "RegistrationConfig", "RegistrationResult",
     "ScanContext", "ScanContextParams", "SlamPipeline", "TimedPose", "Tracker",

@@ -17,16 +17,22 @@ from .tracker import KeyframeCriteria
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored.
+    A key set on two lines raises ``ValueError`` naming both."""
     out: Dict[str, str] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} already set on "
+                             f"line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -107,7 +113,6 @@ _KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
     "radius": ("prefilter", "radius", _finite),
     "min_neighbors": ("prefilter", "min_neighbors", int),
     # scan matching
-    "registration_method": ("registration", "method", str),
     "max_iterations": ("registration", "max_iterations", int),
     "transformation_epsilon": ("registration", "transformation_epsilon",
                                _finite),

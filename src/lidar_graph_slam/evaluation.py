@@ -121,7 +121,7 @@ def compute_ate(pairs: Sequence[Tuple[int, int]],
     alignment = None
     if align:
         # rank-1 (collinear) trajectories are aligned too
-        alignment, _ = kabsch(est_pts, tru_pts)
+        alignment = kabsch(est_pts, tru_pts)
         est_pts = alignment.apply(est_pts)
     errors = np.linalg.norm(est_pts - tru_pts, axis=1)
     mean = float(np.mean(errors))

@@ -82,14 +82,13 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
 
 def kabsch(src: np.ndarray, dst: np.ndarray):
     """Least-squares rigid transform mapping (N, 3) ``src`` onto ``dst``
-    (SVD of the cross-covariance, det forced to +1), and the descending
-    singular values by which a caller may refuse rank-deficient pairs."""
+    (SVD of the cross-covariance, det forced to +1)."""
     src, dst = (np.asarray(a, dtype=np.float64) for a in (src, dst))
     mu_s, mu_d = src.mean(axis=0), dst.mean(axis=0)
-    u, s, vt = np.linalg.svd((src - mu_s).T @ (dst - mu_d))
+    u, _, vt = np.linalg.svd((src - mu_s).T @ (dst - mu_d))
     d = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return Pose(r, mu_d - r @ mu_s), s
+    return Pose(r, mu_d - r @ mu_s)
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ class LoopDetector:
             self.registration_calls += 1
             if not res.converged or not res.valid:
                 continue
-            fitness, _ = score_alignment(
+            fitness = score_alignment(
                 query.cloud, cand.cloud, res.transform,
                 self.reg_cfg.max_correspondence_distance)
             if fitness > self.cfg.fitness_accept_threshold:

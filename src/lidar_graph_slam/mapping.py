@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 import numpy as np
@@ -40,26 +39,3 @@ def write_ply(path: str, cloud: PointCloud):
     with open(path, "wb") as f:
         f.write(header.encode("ascii"))
         f.write(cloud.points.astype("<f4").tobytes())
-
-
-def read_ply(path: str) -> PointCloud:
-    """Read back PLY files written by :func:`write_ply`; a header or vertex
-    body cut short raises ``ValueError``."""
-    with open(path, "rb") as f:
-        header = b""
-        while not header.endswith(b"end_header\n"):
-            line = f.readline()
-            if not line:
-                raise ValueError("truncated PLY header")
-            header += line
-        count = 0
-        for line in header.decode("ascii").splitlines():
-            if line.startswith("element vertex"):
-                count = int(line.split()[-1])
-        expected = count * 12
-        body = f.read(expected)
-    if len(body) != expected:
-        raise ValueError(f"truncated PLY body: expected {expected} vertex "
-                         f"bytes, found {len(body)}")
-    data = np.frombuffer(body, dtype="<f4").reshape(-1, 3)
-    return PointCloud(data.astype(np.float64))

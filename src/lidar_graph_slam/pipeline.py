@@ -3,7 +3,7 @@
 Each frame runs one fixed sequence.  Non-finite points are dropped when the
 frame is admitted.  The front end pre-filters the scan and computes the
 filtered cloud's kd-tree and GICP normals; the pre-tracker estimates the
-motion from the raw cloud (running ICP only when constant motion stops
+motion from the raw cloud (running GICP only when constant motion stops
 fitting); then the tracker matches the filtered cloud against the current
 keyframe, from the better of that guess and constant motion.  A frame whose
 match fails keeps its seed as its pose and is counted as degraded.  When a
@@ -221,8 +221,7 @@ class SlamPipeline:
         thread."""
         filtered = self._timed("prefilter", prefilter, cloud,
                                self.cfg.prefilter)
-        self._timed("prepare", prepare_alignment, filtered,
-                    self.cfg.registration)
+        self._timed("prepare", prepare_alignment, filtered)
         return filtered
 
     def _take_over(self, frame: _Admitted) -> bool:

@@ -6,10 +6,13 @@ for small clouds a second registration at a finer scale seeded with the
 first result.  A phase runs only when both this cloud and the previous one
 have it.
 
+Each phase matches with GICP (:func:`~.registration.align`), the matcher
+the tracker and the loop verifier use, under its own looser settings.
+
 The phases run only when the scene shows that the motion changed.  Before
 them, the constant-motion seed (the last estimated motion) is scored on the
-phase-1 pair; if it fits no worse than the last successful ICP run's result
-fitted its own pair, the seed is the guess and no ICP runs.  Every frame
+phase-1 pair; if it fits no worse than the last successful match's result
+fitted its own pair, the seed is the guess and no phase runs.  Every frame
 still stores its phase clouds, so the next frame can match against them.
 """
 
@@ -21,13 +24,13 @@ from typing import List, Optional
 import numpy as np
 
 from .geometry import PointCloud, Pose
-from .registration import (ICP_P2P, MIN_CORRESPONDENCES, RegistrationConfig,
-                           align, score_alignment)
+from .registration import (MIN_CORRESPONDENCES, RegistrationConfig, align,
+                           score_alignment)
 
-# point-to-point ICP settings of every phase
-PHASE_ICP = RegistrationConfig(method=ICP_P2P, max_iterations=20,
-                               transformation_epsilon=0.02,
-                               max_correspondence_distance=4.0)
+# GICP settings of every phase
+PHASE_MATCHING = RegistrationConfig(max_iterations=20,
+                                    transformation_epsilon=0.02,
+                                    max_correspondence_distance=4.0)
 
 
 @dataclass
@@ -76,9 +79,8 @@ def _fitness(source: PointCloud, target: PointCloud,
     correspondence bound, or None when either cloud is too small to score."""
     if min(len(source), len(target)) < MIN_CORRESPONDENCES:
         return None
-    fitness, _ = score_alignment(source, target, motion,
-                                 PHASE_ICP.max_correspondence_distance)
-    return fitness
+    return score_alignment(source, target, motion,
+                           PHASE_MATCHING.max_correspondence_distance)
 
 
 class Pretracker:
@@ -88,9 +90,9 @@ class Pretracker:
         self.cfg = cfg or PretrackerConfig()
         self._previous: List[PointCloud] = []   # the last cloud, per phase
         self._last_motion = Pose.identity()
-        # phase-1 fitness the last successful ICP run reached on its pair;
+        # phase-1 fitness the last successful match reached on its pair;
         # None until one has run
-        self._icp_fitness: Optional[float] = None
+        self._matched_fitness: Optional[float] = None
         self.registration_calls = 0
 
     def pretrack(self, cloud: PointCloud) -> PretrackResult:
@@ -102,21 +104,21 @@ class Pretracker:
         previous, self._previous = self._previous, current
         if not previous:
             return PretrackResult(self._last_motion, False, 0)
-        if self._icp_fitness is not None:
+        if self._matched_fitness is not None:
             seed_fitness = _fitness(current[0], previous[0],
                                     self._last_motion)
             if seed_fitness is not None and \
-                    seed_fitness <= self._icp_fitness:
+                    seed_fitness <= self._matched_fitness:
                 return PretrackResult(self._last_motion, False, 0)
         guess = self._last_motion
         phases = 0
         for source, target in zip(current, previous):
-            res = align(source, target, guess, PHASE_ICP)
+            res = align(source, target, guess, PHASE_MATCHING)
             self.registration_calls += 1
             phases += 1
             if not res.valid:
                 return PretrackResult(self._last_motion, True, phases)
             guess = res.transform
         self._last_motion = guess
-        self._icp_fitness = _fitness(current[0], previous[0], guess)
+        self._matched_fitness = _fitness(current[0], previous[0], guess)
         return PretrackResult(guess, False, phases)

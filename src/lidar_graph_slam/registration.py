@@ -1,12 +1,12 @@
-"""Scan matching backends behind one interface.
+"""GICP scan matching: the one matcher of the pre-tracker, the tracker and
+the loop verifier.
 
-Both methods estimate the rigid transform mapping the source cloud onto the
-target cloud, starting from an initial guess: point-to-point ICP
-(closed-form SVD step; the pre-tracker's matcher) and GICP (plane-to-plane,
-Gauss-Newton on the se(3) twist; the tracker's and the loop verifier's
-matcher).  GICP takes each Gauss-Newton step only if it does not raise the
-cost: a step that does ends the match as converged, and a singular system
-ends it as not converged.
+:func:`align` estimates the rigid transform mapping the source cloud onto
+the target cloud, starting from an initial guess, by plane-to-plane GICP
+(Segal, Hähnel and Thrun, RSS 2009): Gauss-Newton on the se(3) twist.  It
+takes each Gauss-Newton step only if it does not raise the cost: a step
+that does ends the match as converged, and a singular system ends it as
+not converged.
 
 Each GICP iteration forms the per-pair Mahalanobis matrix
 M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
@@ -30,7 +30,7 @@ search, and it ends by checking that at least
 ``MIN_CORRESPONDENCES`` source points match at the final estimate.  How
 well the clouds fit there is a separate question, answered by
 :func:`score_alignment` (as PCL keeps ``align`` and ``getFitnessScore``
-apart); only the loop verifier asks it.
+apart); the pre-tracker, the tracker and the loop verifier ask it.
 """
 
 from __future__ import annotations
@@ -41,11 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (KdTree, PointCloud, Pose, _hat, eigen_symmetric_3x3,
-                       kabsch, neighborhood_covariances, se3_exp, so3_log)
-
-ICP_P2P = "ICP_P2P"
-GICP = "GICP"
-METHODS = (ICP_P2P, GICP)
+                       neighborhood_covariances, se3_exp)
 
 MIN_CORRESPONDENCES = 10
 GICP_EPSILON = 1e-3
@@ -56,15 +52,11 @@ _CHECK_PREFIX = 100
 
 @dataclass
 class RegistrationConfig:
-    method: str = GICP
     max_iterations: int = 64
     transformation_epsilon: float = 0.1
     max_correspondence_distance: float = 2.0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown registration method {self.method!r}; "
-                             f"expected one of {METHODS}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.transformation_epsilon <= 0:
@@ -79,25 +71,8 @@ class RegistrationResult:
     iterations_used: int
     converged: bool
     # False when the match failed: too few correspondences at some
-    # iteration or at the final estimate, or a degenerate ICP step
+    # iteration or at the final estimate
     valid: bool = True
-
-
-# ---------------------------------------------------------------------------
-# Closed-form rigid alignment of matched pairs (ICP point-to-point step)
-# ---------------------------------------------------------------------------
-
-def rigid_align_pairs(src: np.ndarray, dst: np.ndarray) -> Pose:
-    """Least-squares rigid transform mapping src points onto dst points
-    (:func:`~.geometry.kabsch`).  Raises on fewer than 3 pairs and on
-    rank-deficient input (e.g. collinear pairs).
-    """
-    if len(src) < 3:
-        raise ValueError("need at least 3 correspondence pairs")
-    pose, s = kabsch(src, dst)
-    if s[1] < 1e-12 * max(s[0], 1e-300):
-        raise ValueError("rank-deficient cross-covariance (degenerate pairs)")
-    return pose
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +125,14 @@ def compute_gicp_covariances(cloud: PointCloud, k: int = 15) -> np.ndarray:
     return out
 
 
-def prepare_alignment(cloud: PointCloud, cfg: RegistrationConfig) -> None:
-    """Compute and cache what :func:`align` reads of ``cloud`` under ``cfg``:
-    its kd-tree and, for GICP, its normals, from which ``align`` builds the
-    covariances.  A cloud too small for ``align`` to match is left alone."""
+def prepare_alignment(cloud: PointCloud) -> None:
+    """Compute and cache what :func:`align` reads of ``cloud``: its kd-tree
+    and its normals, from which ``align`` builds the covariances.  A cloud
+    too small for ``align`` to match is left alone."""
     if len(cloud) < MIN_CORRESPONDENCES:
         return
     cloud_kdtree(cloud)
-    if cfg.method == GICP:
-        compute_gicp_normals(cloud)
+    compute_gicp_normals(cloud)
 
 
 def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
@@ -261,20 +235,16 @@ def _enough_matches(tree: KdTree, moved: np.ndarray,
 
 
 def score_alignment(source: PointCloud, target: PointCloud, transform: Pose,
-                    max_correspondence_distance: float):
-    """(fitness, overlap) of ``source`` on ``target`` at ``transform``.
-
-    Fitness is the mean squared nearest-target distance of the source
-    points, each capped at ``max_correspondence_distance`` so that poor
-    overlap cannot pass for a good fit; overlap is the fraction of source
-    points with a target within that distance.
+                    max_correspondence_distance: float) -> float:
+    """Fitness of ``source`` on ``target`` at ``transform``: the mean
+    squared nearest-target distance of the source points, each capped at
+    ``max_correspondence_distance`` so that poor overlap cannot pass for a
+    good fit.
     """
     max_d = max_correspondence_distance
     _, dist = cloud_kdtree(target).query_batch(transform.apply(source.points),
                                                max_distance=max_d)
-    fitness = float(np.mean(np.minimum(dist, max_d) ** 2))
-    overlap = float(np.mean(dist <= max_d))
-    return fitness, overlap
+    return float(np.mean(np.minimum(dist, max_d) ** 2))
 
 
 def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
@@ -297,10 +267,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     transform = guess
     max_d = cfg.max_correspondence_distance
 
-    cov_src = cov_dst = None
-    if cfg.method == GICP:
-        cov_src = compute_gicp_covariances(source)
-        cov_dst = compute_gicp_covariances(target)
+    cov_src = compute_gicp_covariances(source)
+    cov_dst = compute_gicp_covariances(target)
 
     converged = False
     iterations = 0
@@ -311,36 +279,25 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
         if int(mask.sum()) < MIN_CORRESPONDENCES:
             return RegistrationResult(transform, iterations, False, False)
         src_sel = source.points[mask]
-        moved_sel = moved[mask]
-        dst_sel = target.points[idx[mask]]
-
-        if cfg.method == ICP_P2P:
-            try:
-                delta_pose = rigid_align_pairs(moved_sel, dst_sel)
-            except ValueError:
-                return RegistrationResult(transform, iterations, False, False)
-            delta = np.concatenate([
-                delta_pose.translation,
-                so3_log(delta_pose.rotation)])
-        else:  # GICP
-            cs = cov_src[mask]
-            cd = cov_dst[idx[mask]]
-            h, g, cost0 = _gicp_normal_equations(src_sel, dst_sel, cs, cd,
-                                                 transform)
-            try:
-                step = -np.linalg.solve(h, g)
-            except np.linalg.LinAlgError:
-                break
-            delta = step
-            delta_pose = se3_exp(step)
-            if _gicp_cost(src_sel, dst_sel, cs, cd,
-                          delta_pose @ transform) > cost0:
-                # the step would raise the cost: keep the current estimate
-                converged = True
-                break
+        matched = idx[mask]
+        dst_sel = target.points[matched]
+        cs = cov_src[mask]
+        cd = cov_dst[matched]
+        h, g, cost0 = _gicp_normal_equations(src_sel, dst_sel, cs, cd,
+                                             transform)
+        try:
+            step = -np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            break
+        delta_pose = se3_exp(step)
+        if _gicp_cost(src_sel, dst_sel, cs, cd,
+                      delta_pose @ transform) > cost0:
+            # the step would raise the cost: keep the current estimate
+            converged = True
+            break
 
         transform = (delta_pose @ transform).orthonormalized()
-        if _update_norm(delta) < cfg.transformation_epsilon:
+        if _update_norm(step) < cfg.transformation_epsilon:
             converged = True
             break
 

@@ -114,7 +114,10 @@ def straight_then_curve_trajectory(straight: float = 80.0,
     pts = [np.array([x, 0.0]) for x in np.arange(0.0, straight, step)]
     n_arc = int(curve_radius * curve_angle / step)
     center = np.array([straight, curve_radius])
-    for i in range(n_arc + 1):
+    # an arc shorter than one step contributes its end point alone
+    first = 0 if n_arc else 1
+    n_arc = max(n_arc, 1)
+    for i in range(first, n_arc + 1):
         a = curve_angle * i / n_arc
         pts.append(center + curve_radius * np.array([np.sin(a), -np.cos(a)]))
     return _follow_waypoints(np.array(pts), rate_hz)

@@ -140,8 +140,8 @@ class Tracker:
             return guessed
         max_d = self.reg_cfg.max_correspondence_distance
         cloud = self.keyframe.cloud
-        guessed_fit, _ = score_alignment(sample, cloud, guessed, max_d)
-        constant_fit, _ = score_alignment(sample, cloud, constant, max_d)
+        guessed_fit = score_alignment(sample, cloud, guessed, max_d)
+        constant_fit = score_alignment(sample, cloud, constant, max_d)
         return guessed if guessed_fit < constant_fit else constant
 
     def _add_keyframe(self, cloud: PointCloud, pose: Pose,

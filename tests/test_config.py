@@ -12,12 +12,12 @@ class TestParser:
     def test_basic_lines(self):
         text = """
         # a comment
-        registration_method = GICP
+        floor_mode = PLANAR
 
         max_iterations = 32   # trailing comment
         """
         kv = parse_config_text(text)
-        assert kv == {"registration_method": "GICP", "max_iterations": "32"}
+        assert kv == {"floor_mode": "PLANAR", "max_iterations": "32"}
 
     def test_equals_in_value_preserved(self):
         assert parse_config_text("a = b=c") == {"a": "b=c"}
@@ -25,6 +25,14 @@ class TestParser:
     def test_missing_equals_raises(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("just words")
+
+    @pytest.mark.parametrize("second", ["48", "32"])
+    def test_key_set_twice_raises_naming_both_lines(self, second):
+        # the same value twice is refused too
+        text = f"max_iterations = 32\n# a comment\n max_iterations= {second}\n"
+        with pytest.raises(ValueError, match=r"line 3: key 'max_iterations' "
+                                             r"already set on line 1"):
+            parse_config_text(text)
 
     def test_parse_bool(self):
         assert _parse_bool("True") and _parse_bool("1") and _parse_bool("on")
@@ -36,7 +44,6 @@ class TestParser:
 class TestBinding:
     def test_defaults_without_file(self):
         cfg = PipelineConfig()
-        assert cfg.registration.method == "GICP"
         assert cfg.pretracker_enabled and cfg.floor_enabled
         assert cfg.optimize_every_n_keyframes == 3
 
@@ -47,7 +54,6 @@ class TestBinding:
             "outlier_removal_method": "RADIUS",
             "radius": "0.8",
             "min_neighbors": "3",
-            "registration_method": "ICP_P2P",
             "max_iterations": "48",
             "transformation_epsilon": "0.01",
             "max_correspondence_distance": "1.5",
@@ -77,7 +83,6 @@ class TestBinding:
         assert cfg.prefilter.downsample_resolution == 0.5
         assert cfg.prefilter.radius == 0.8
         assert cfg.prefilter.min_neighbors == 3
-        assert cfg.registration.method == "ICP_P2P"
         assert cfg.registration.max_iterations == 48
         assert not cfg.pretracker_enabled
         assert cfg.pretracker.phase1_keep_fraction == 0.04
@@ -104,7 +109,8 @@ class TestBinding:
 
 
 # each value breaks a check of the section it belongs to, or is a number
-# the file's converter refuses (nan, inf)
+# the file's converter refuses (nan, inf); registration_method is no longer
+# a key, so a file that still sets it fails as an unknown key
 BAD_VALUES = [
     ("max_iterations", "0"),
     ("downsample_resolution", "-1"),
@@ -148,3 +154,12 @@ class TestRejection:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "velodyne" not in err
+
+    def test_cli_key_set_twice_exits_with_code_2(self, tmp_path, capsys):
+        conf = tmp_path / "twice.conf"
+        conf.write_text("radius = 0.8\nradius = 0.5\n")
+        code = cli_main(["run", "--config", str(conf), "--dataset",
+                         str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2: key 'radius' already set on line 1" in err

@@ -108,9 +108,26 @@ class TestRigidAlignment:
     def test_recovers_applied_transform(self, rng):
         truth = random_pose(rng, 5.0, 1.0)
         pts = rng.normal(size=(30, 3))
-        est, _ = kabsch(pts, truth.apply(pts))
+        est = kabsch(pts, truth.apply(pts))
         terr, rerr = pose_error(est, truth)
         assert terr < 1e-10 and rerr < 1e-8
+
+    def test_no_reflection(self, rng):
+        # mirrored data must still yield a proper rotation (det = +1)
+        src = rng.normal(size=(30, 3))
+        dst = src * np.array([1.0, 1.0, -1.0])
+        est = kabsch(src, dst)
+        assert np.linalg.det(est.rotation) == pytest.approx(1.0)
+
+    def test_collinear_points_are_aligned(self, rng):
+        # rank-1 input, as from a straight trajectory: the rotation about
+        # the line is free, but a proper one maps every point onto dst
+        truth = random_pose(rng, 5.0, 1.0)
+        src = np.outer(np.arange(10.0), [1.0, 0.0, 0.0])
+        est = kabsch(src, truth.apply(src))
+        assert np.linalg.det(est.rotation) == pytest.approx(1.0)
+        np.testing.assert_allclose(est.apply(src), truth.apply(src),
+                                   rtol=0, atol=1e-9)
 
 
 class TestComputeAte:

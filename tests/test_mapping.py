@@ -4,8 +4,31 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.mapping import build_map, read_ply, write_ply
+from lidar_graph_slam.mapping import build_map, write_ply
 from lidar_graph_slam.tracker import Keyframe
+
+
+def read_ply(path: str) -> PointCloud:
+    """Read back PLY files written by ``write_ply``; a header or vertex
+    body cut short raises ``ValueError``."""
+    with open(path, "rb") as f:
+        header = b""
+        while not header.endswith(b"end_header\n"):
+            line = f.readline()
+            if not line:
+                raise ValueError("truncated PLY header")
+            header += line
+        count = 0
+        for line in header.decode("ascii").splitlines():
+            if line.startswith("element vertex"):
+                count = int(line.split()[-1])
+        expected = count * 12
+        body = f.read(expected)
+    if len(body) != expected:
+        raise ValueError(f"truncated PLY body: expected {expected} vertex "
+                         f"bytes, found {len(body)}")
+    data = np.frombuffer(body, dtype="<f4").reshape(-1, 3)
+    return PointCloud(data.astype(np.float64))
 
 
 def kf(cloud, index):

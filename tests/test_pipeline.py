@@ -25,7 +25,7 @@ from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
                                        run_pipeline)
 from lidar_graph_slam.prefilter import prefilter
 from lidar_graph_slam.pretracker import Pretracker
-from lidar_graph_slam.registration import GICP, RegistrationConfig, align
+from lidar_graph_slam.registration import align
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory,
                                         write_kitti_sequence)
@@ -809,6 +809,5 @@ class TestFrontEndStartsNoThreads:
         pretracker.pretrack(clouds[0])
         pre = pretracker.pretrack(clouds[1])
         assert pre.phases_run == 2 and not pre.degraded
-        res = align(filtered[1], filtered[0], pre.guess,
-                    RegistrationConfig(method=GICP))
+        res = align(filtered[1], filtered[0], pre.guess, cfg.registration)
         assert res.valid

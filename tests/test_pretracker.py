@@ -10,6 +10,8 @@ from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.pretracker import (Pretracker, PretrackerConfig,
                                          downsample_to_fraction)
 from lidar_graph_slam.registration import RegistrationResult
+from lidar_graph_slam.synthetic import (make_world, render_sequence,
+                                        straight_then_curve_trajectory)
 
 from conftest import box_surface_cloud, pose_error, random_pose
 
@@ -132,7 +134,7 @@ class TestPretracker:
 
         monkeypatch.setattr(pretracker_module, "align", phase_two_fails)
         # the motion changes, so the constant-motion seed fits worse than
-        # the last ICP result did and the phases run
+        # the last match did and the phases run
         turn_back = Pose(so3_exp([0.0, 0.0, -0.1]), [-0.5, 0.0, 0.0])
         res = pre.pretrack(moved.transformed(turn_back))
         assert calls[0] < calls[1]            # phase 1 on the smaller cloud
@@ -151,13 +153,14 @@ class TestPretracker:
 
 class TestSkipRule:
     """The phases run only when the constant-motion seed fits the phase-1
-    pair worse than the last successful ICP result fitted its own pair."""
+    pair worse than the last successful match fitted its own pair."""
 
     def test_constant_velocity_runs_icp_on_the_first_pair_only(
             self, rng, monkeypatch):
-        # An ICP that returns the true motion, on points whose coordinates
-        # are exact in binary: every pair then fits that motion with a
-        # fitness of exactly 0, so ICP's convergence error cannot decide.
+        # A matcher that returns the true motion, on points whose
+        # coordinates are exact in binary: every pair then fits that motion
+        # with a fitness of exactly 0, so the matcher's convergence error
+        # cannot decide.
         step = Pose(np.eye(3), np.array([0.5, 0.25, 0.0]))
         points = rng.integers(-160, 160, size=(4000, 3)) / 8.0
         monkeypatch.setattr(
@@ -204,3 +207,20 @@ class TestSkipRule:
             assert res.degraded and res.phases_run == 1
             np.testing.assert_array_equal(res.guess.matrix(),
                                           first.guess.matrix())
+
+
+class TestAccuracy:
+    def test_guesses_follow_a_straight_run(self):
+        # 21 noiseless scans 1 m apart on a straight line; the guesses
+        # were biased toward too little motion (up to 1.14 m off) when the
+        # phases ran point-to-point ICP
+        traj = straight_then_curve_trajectory(straight=20.0, curve_radius=40.0,
+                                              curve_angle=0.25)[:21]
+        xy = np.array([[p.translation[0], p.translation[1]] for _, p in traj])
+        clouds, truth = render_sequence(make_world(xy, seed=4), traj)
+        pre = Pretracker()
+        pre.pretrack(clouds[0])
+        for i in range(1, len(clouds)):
+            guess = pre.pretrack(clouds[i]).guess
+            terr, _ = pose_error(guess, truth[i - 1].inverse() @ truth[i])
+            assert terr < 0.1, f"scan {i}: {terr:.3f} m"

@@ -5,7 +5,7 @@ import pytest
 
 from lidar_graph_slam import tracker as tracker_module
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.registration import ICP_P2P, RegistrationConfig
+from lidar_graph_slam.registration import RegistrationConfig
 from lidar_graph_slam.tracker import (Keyframe, KeyframeCriteria, Tracker,
                                       is_new_keyframe)
 
@@ -13,7 +13,7 @@ from conftest import box_surface_cloud, is_valid_pose, pose_error
 
 
 def reg_cfg():
-    return RegistrationConfig(method=ICP_P2P, max_iterations=50,
+    return RegistrationConfig(max_iterations=50,
                               transformation_epsilon=1e-5,
                               max_correspondence_distance=2.0)
 

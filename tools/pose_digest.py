@@ -4,10 +4,11 @@
 
 For each benchmark workload (``perfbench/workloads.py``) and seed, it runs
 the default pipeline once on the in-memory scans and prints one line: the
-workload, the seed, the keyframe and loop counts, and the SHA-256 of every
-trajectory timestamp, rotation and translation as float64 bytes.  Two
-checkouts that print the same lines return bit-identical poses; the
-script compares nothing itself.
+workload, the seed, the keyframe and loop counts, the ATE RMSE against the
+workload's ground truth, and the SHA-256 of every trajectory timestamp,
+rotation and translation as float64 bytes.  Two checkouts that print the
+same lines return bit-identical poses; where the digests differ, the ATE
+shows what the change did to accuracy.  The script compares nothing itself.
 """
 
 import argparse
@@ -21,6 +22,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
+from lidar_graph_slam.evaluation import evaluate_trajectories  # noqa: E402
 from lidar_graph_slam.pipeline import SlamPipeline  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -44,8 +46,9 @@ def main(argv=None) -> int:
         for seed in args.seed:
             scene = WORKLOADS[name](seed)
             result = SlamPipeline().run_batch(scene.clouds)
+            ate = evaluate_trajectories(result.trajectory, scene.truth).rmse
             print(f"{name} seed {seed}: keyframes {result.keyframe_count} "
-                  f"loops {result.loop_count} "
+                  f"loops {result.loop_count} ate_rmse_m {ate:.6f} "
                   f"sha256 {pose_digest(result.trajectory)}", flush=True)
     return 0
 
