@@ -24,7 +24,9 @@ from lidar_graph_slam.pipeline import SlamPipeline
 from lidar_graph_slam.pose_graph import PoseGraph
 from lidar_graph_slam.prefilter import prefilter, remove_outliers, voxel_downsample
 from lidar_graph_slam.pretracker import Pretracker
-from lidar_graph_slam.registration import RegistrationConfig, align
+from lidar_graph_slam.registration import (RegistrationConfig,
+                                           _gicp_cost, _gicp_normal_equations,
+                                           compute_gicp_covariances, align)
 from lidar_graph_slam.scan_context import (descriptor_distance,
                                            make_scan_context)
 from lidar_graph_slam.synthetic import (make_world, render_scan,
@@ -120,6 +122,34 @@ class TestRegistrationRecovery:
             terr, rerr = pose_error(res.transform, truth)
             assert terr < 1e-3
             assert rerr < 0.05
+
+    def test_gicp_gradient_matches_finite_differences(self):
+        """2 g[:3], the translation gradient the Gauss-Newton solver steps
+        on, against central differences of the GICP cost.  g[3:] leaves out
+        the rotation dependence of the combined covariance, as Gauss-Newton
+        does, so it is not the exact rotation gradient."""
+        rng = np.random.default_rng(12)
+        worst = 0.0
+        for _ in range(20):
+            cloud_a = box_surface_cloud(rng, n=100)
+            cloud_b = PointCloud(cloud_a.points
+                                 + rng.normal(scale=0.05, size=(100, 3)))
+            args = (cloud_a.points, cloud_b.points,
+                    compute_gicp_covariances(cloud_a, k=10),
+                    compute_gicp_covariances(cloud_b, k=10))
+            transform = random_pose(rng, 0.3, 0.1)
+            _, g, _ = _gicp_normal_equations(*args, transform)
+            h = 1e-6
+            fd = np.zeros(3)
+            for j in range(3):
+                delta = np.zeros(6)
+                delta[j] = h
+                cp = _gicp_cost(*args, se3_exp(delta) @ transform)
+                cm = _gicp_cost(*args, se3_exp(-delta) @ transform)
+                fd[j] = (cp - cm) / (2.0 * h)
+            scale = max(1.0, float(np.max(np.abs(fd))))
+            worst = max(worst, float(np.max(np.abs(2.0 * g[:3] - fd))) / scale)
+        assert worst < 1e-5
 
 
 class TestPoseGraphRing:

@@ -420,15 +420,14 @@ class TestGicpKernel:
             assert _gicp_cost(*args) == cost
 
     def test_translation_gradient_matches_finite_differences(self, rng):
-        """2 g[:3], the translation gradient the Gauss-Newton solver steps
-        on, is the exact translation gradient of the cost.
+        """2 g[:3] is the exact translation gradient of the cost.
 
         Gauss-Newton drops the derivative of M = (C_q + R C_s R^T)^-1 with
         respect to the rotation, so g[3:] is not the rotation gradient and
         only the translation block, on which M does not depend, is checked.
         """
-        for n in [100] * 20 + [300] * 5:
-            src, dst, cov_a, cov_b, transform = noisy_pair(rng, n)
+        for _ in range(5):
+            src, dst, cov_a, cov_b, transform = noisy_pair(rng)
             _, g, _ = _gicp_normal_equations(src, dst, cov_a, cov_b,
                                              transform)
             step = 1e-6
