@@ -10,7 +10,7 @@ from .config import PipelineConfig, parse_config_text
 from .evaluation import (AteReport, TimedPose, associate, compute_ate,
                          evaluate_trajectories, read_tum, write_tum)
 from .floor import FloorCoefficients, FloorConfig, detect_floor
-from .geometry import KdTree, PointCloud, Pose, estimate_normals, se3_exp, se3_log
+from .geometry import KdTree, PointCloud, Pose, se3_exp, se3_log
 from .loop_closure import LoopCandidate, LoopConfig, LoopDetector
 from .mapping import build_map, write_ply
 from .pipeline import PipelineResult, SlamPipeline, run_pipeline
@@ -32,7 +32,7 @@ __all__ = [
     "PretrackerConfig", "RegistrationConfig", "RegistrationResult",
     "ScanContext", "ScanContextParams", "SlamPipeline", "TimedPose", "Tracker",
     "align", "associate", "build_map", "compute_ate", "detect_floor",
-    "estimate_normals", "evaluate_trajectories", "is_new_keyframe",
+    "evaluate_trajectories", "is_new_keyframe",
     "make_scan_context", "parse_config_text", "prefilter", "read_tum",
     "remove_outliers",
     "run_pipeline", "score_alignment", "se3_exp", "se3_log",

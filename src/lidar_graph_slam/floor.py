@@ -1,8 +1,9 @@
 """Ground-plane extraction.
 
-Planar mode: clip by height, discard points with non-vertical normals, then
-RANSAC plane fit refined by total least squares.  Rough-terrain mode: clip
-by horizontal distance from the sensor and fit a single least-squares plane.
+Planar mode: clip to a height slab, RANSAC-fit a near-horizontal plane to
+every point in it, and refine the best plane by total least squares.
+Rough-terrain mode: clip by horizontal distance from the sensor and fit a
+single least-squares plane.
 Coefficients follow a*x + b*y + c*z + d = 0 with (a, b, c) unit length and
 c > 0.
 """
@@ -14,16 +15,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import PointCloud, eigen_symmetric_3x3, estimate_normals
+from .geometry import PointCloud, eigen_symmetric_3x3
 
 MODE_PLANAR = "PLANAR"
 MODE_ROUGH = "ROUGH"
 
 # RANSAC scoring holds at most about this many point-plane distances at once
 _SCORE_CHUNK = 1 << 20
-# plane hypotheses drawn per cloud, and neighbours per normal estimate
+# plane hypotheses drawn per cloud, and the fewest slab points fitted
 RANSAC_ITERATIONS = 200
-NORMAL_KNN = 10
+MIN_SLAB_POINTS = 10
 
 
 @dataclass
@@ -32,8 +33,6 @@ class FloorCoefficients:
     b: float
     c: float
     d: float
-    timestamp: float = 0.0
-    mode: str = MODE_PLANAR
     valid: bool = True
 
     @property
@@ -82,8 +81,8 @@ def fit_plane_lsq(points: np.ndarray) -> Tuple[np.ndarray, float]:
     return n, d
 
 
-def _invalid(timestamp: float, mode: str) -> FloorCoefficients:
-    return FloorCoefficients(0.0, 0.0, 1.0, 0.0, timestamp, mode, valid=False)
+def _invalid() -> FloorCoefficients:
+    return FloorCoefficients(0.0, 0.0, 1.0, 0.0, valid=False)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,46 +130,34 @@ def _inlier_counts(points: np.ndarray, normals: np.ndarray,
 
 def detect_floor_planar(cloud: PointCloud,
                         cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
-    """Clip, normal-filter, and RANSAC-fit the ground plane."""
+    """Clip to the height slab and RANSAC-fit the ground plane."""
     cfg = cfg or FloorConfig()
     z = cloud.points[:, 2]
-    clipped = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
-    if len(clipped) < max(3, NORMAL_KNN):
-        return _invalid(cloud.timestamp, MODE_PLANAR)
+    slab = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
+    n_pts = len(slab)
+    if n_pts < MIN_SLAB_POINTS:
+        return _invalid()
 
-    with_normals = estimate_normals(PointCloud(clipped), k=NORMAL_KNN)
-    nz = with_normals.normals[:, 2]
+    # a triple that repeats an index has a zero cross product, so
+    # _ground_hypotheses drops it like any other degenerate triple
+    draws = np.random.default_rng(cfg.seed).integers(
+        n_pts, size=(RANSAC_ITERATIONS, 3))
     cos_max = np.cos(cfg.normal_vertical_max_angle)
-    vertical = nz >= cos_max
-    vertical &= np.isfinite(nz)
-    candidates = clipped[vertical]
-    if len(candidates) < max(50, NORMAL_KNN):
-        # near structures the slab degenerates into mixed floor/wall strips
-        # whose local normals are unreliable; fall back to all clipped
-        # points and let the axis-constrained model fit sort them out
-        candidates = clipped
-
-    n_pts = len(candidates)
-    rng = np.random.default_rng(cfg.seed)
-    draws = [rng.choice(n_pts, size=3, replace=False)
-             for _ in range(RANSAC_ITERATIONS)]
-    normals, offsets = _ground_hypotheses(
-        candidates[np.array(draws, dtype=np.intp).reshape(-1, 3)], cos_max)
-    counts = _inlier_counts(candidates, normals, offsets,
+    normals, offsets = _ground_hypotheses(slab[draws], cos_max)
+    counts = _inlier_counts(slab, normals, offsets,
                             cfg.ransac_inlier_threshold)
     if not np.any(counts):
-        return _invalid(cloud.timestamp, MODE_PLANAR)
+        return _invalid()
     best = int(np.argmax(counts))       # the first with the most inliers
     if counts[best] < n_pts * cfg.min_inlier_fraction:
-        return _invalid(cloud.timestamp, MODE_PLANAR)
-    best_inliers = np.abs(candidates @ normals[best] + offsets[best]) \
+        return _invalid()
+    best_inliers = np.abs(slab @ normals[best] + offsets[best]) \
         <= cfg.ransac_inlier_threshold
 
-    n, d = fit_plane_lsq(candidates[best_inliers])
+    n, d = fit_plane_lsq(slab[best_inliers])
     if n[2] < cos_max:
-        return _invalid(cloud.timestamp, MODE_PLANAR)
-    return FloorCoefficients(n[0], n[1], n[2], d, cloud.timestamp, MODE_PLANAR,
-                             valid=True)
+        return _invalid()
+    return FloorCoefficients(n[0], n[1], n[2], d, valid=True)
 
 
 def detect_floor_rough(cloud: PointCloud,
@@ -180,12 +167,11 @@ def detect_floor_rough(cloud: PointCloud,
     horiz = np.linalg.norm(cloud.points[:, :2], axis=1)
     near = cloud.points[horiz <= cfg.rough_clip_radius]
     if len(near) < 3:
-        return _invalid(cloud.timestamp, MODE_ROUGH)
+        return _invalid()
     n, d = fit_plane_lsq(near)
     rms = float(np.sqrt(np.mean((near @ n + d) ** 2)))
     valid = rms <= 2.0 * cfg.ransac_inlier_threshold
-    return FloorCoefficients(n[0], n[1], n[2], d, cloud.timestamp, MODE_ROUGH,
-                             valid=valid)
+    return FloorCoefficients(n[0], n[1], n[2], d, valid=valid)
 
 
 def detect_floor(cloud: PointCloud,

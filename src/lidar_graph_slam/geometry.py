@@ -22,12 +22,12 @@ from scipy.spatial import cKDTree
 class PointCloud:
     """A timestamped set of 3D points with optional per-point unit normals.
 
-    ``normals`` rows with non-finite entries mark points whose normal could
-    not be estimated (degenerate neighborhoods).
+    The library fills in no ``normals``; GICP caches its own on the cloud
+    (``registration.compute_gicp_normals``).
     """
 
     points: np.ndarray                      # (N, 3)
-    normals: Optional[np.ndarray] = None    # (N, 3) unit vectors or NaN rows
+    normals: Optional[np.ndarray] = None    # (N, 3) unit vectors
     timestamp: float = 0.0
     frame_id: str = ""
 
@@ -456,27 +456,3 @@ def neighborhood_covariances(points: np.ndarray,
                               ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
     return np.stack([xx, xy, xz, xy, yy, yz, xz, yz, zz],
                     axis=1).reshape(-1, 3, 3) / k
-
-
-def estimate_normals(cloud: PointCloud, k: int = 10) -> PointCloud:
-    """Per-point normals from the smallest eigenvector of the k-NN covariance.
-
-    Normals are unit length and oriented toward the +z hemisphere (ties keep
-    +z).  Degenerate neighborhoods (rank < 2, e.g. collinear points) get NaN
-    rows.
-    """
-    if k < 3:
-        raise ValueError("normal estimation needs k >= 3")
-    if len(cloud) < k:
-        raise ValueError(f"cloud of {len(cloud)} points is smaller than k={k}")
-    tree = KdTree(cloud.points)
-    idx, _ = tree.query_batch(cloud.points, k=k)
-    eigvals, normals = eigen_symmetric_3x3(
-        neighborhood_covariances(cloud.points, idx))        # ascending
-    # rank < 2: the two largest eigenvalues must be clearly nonzero
-    scale = np.maximum(eigvals[:, 2], 1e-300)
-    degenerate = eigvals[:, 1] / scale < 1e-9
-    flip = normals[:, 2] < 0.0
-    normals[flip] = -normals[flip]
-    normals[degenerate] = np.nan
-    return PointCloud(cloud.points, normals, cloud.timestamp, cloud.frame_id)

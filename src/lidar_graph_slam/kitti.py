@@ -52,19 +52,36 @@ def load_kitti_scan(path: str, timestamp: float = 0.0) -> PointCloud:
     return PointCloud(pts, None, timestamp, frame_id=os.path.basename(path))
 
 
+def _read_rows(path: str, width: int) -> np.ndarray:
+    """(R, width) floats from whitespace-separated text rows; blank lines
+    and ``#`` comments are skipped.  A row of another width or with a
+    non-numeric field raises ValueError naming the file and the line."""
+    rows = []
+    with open(path) as f:
+        for number, line in enumerate(f, 1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            if len(fields) != width:
+                raise ValueError(f"{path}:{number}: expected {width} values, "
+                                 f"found {len(fields)}: {line.strip()!r}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError:
+                raise ValueError(f"{path}:{number}: non-numeric field: "
+                                 f"{line.strip()!r}") from None
+    return np.array(rows, dtype=np.float64).reshape(-1, width)
+
+
 def load_kitti_poses(path: str) -> List[Pose]:
     """Ground-truth poses from 12-value rows (3x4 row-major matrices)."""
-    data = np.loadtxt(path).reshape(-1, 12)
-    poses = []
-    for row in data:
-        m = row.reshape(3, 4)
-        poses.append(Pose(m[:, :3], m[:, 3]))
-    return poses
+    return [Pose(m[:, :3], m[:, 3])
+            for m in _read_rows(path, 12).reshape(-1, 3, 4)]
 
 
 def load_timestamps(path: str) -> List[float]:
     """times.txt: one float (seconds) per line."""
-    return [float(x) for x in np.atleast_1d(np.loadtxt(path))]
+    return _read_rows(path, 1)[:, 0].tolist()
 
 
 def discover_sequence(dataset_dir: str) -> DatasetSequence:

@@ -8,7 +8,11 @@ from lidar_graph_slam.floor import (MODE_PLANAR, MODE_ROUGH, FloorConfig,
                                     FloorCoefficients, detect_floor,
                                     detect_floor_planar, detect_floor_rough,
                                     fit_plane_lsq)
-from lidar_graph_slam.geometry import PointCloud, estimate_normals
+from lidar_graph_slam.geometry import PointCloud
+from lidar_graph_slam.prefilter import PrefilterConfig, prefilter
+from lidar_graph_slam.synthetic import (make_world, render_sequence,
+                                        square_loop_trajectory,
+                                        straight_then_curve_trajectory)
 
 SENSOR_HEIGHT = 1.7
 
@@ -33,22 +37,15 @@ def reference_floor_planar(cloud, cfg=None):
     """
     cfg = cfg or FloorConfig()
     z = cloud.points[:, 2]
-    clipped = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
-    invalid = FloorCoefficients(0.0, 0.0, 1.0, 0.0, cloud.timestamp,
-                                MODE_PLANAR, valid=False)
-    if len(clipped) < max(3, floor.NORMAL_KNN):
+    slab = cloud.points[(z >= cfg.clip_min_z) & (z <= cfg.clip_max_z)]
+    invalid = FloorCoefficients(0.0, 0.0, 1.0, 0.0, valid=False)
+    if len(slab) < floor.MIN_SLAB_POINTS:
         return invalid
-    nz = estimate_normals(PointCloud(clipped), k=floor.NORMAL_KNN).normals[:, 2]
     cos_max = np.cos(cfg.normal_vertical_max_angle)
-    candidates = clipped[(nz >= cos_max) & np.isfinite(nz)]
-    if len(candidates) < max(50, floor.NORMAL_KNN):
-        candidates = clipped
-    rng = np.random.default_rng(cfg.seed)
     best_count = 0
     best_inliers = None
-    n_pts = len(candidates)
-    for _ in range(floor.RANSAC_ITERATIONS):
-        sample = candidates[rng.choice(n_pts, size=3, replace=False)]
+    for triple in ransac_draws(len(slab), cfg):
+        sample = slab[triple]
         normal = np.cross(sample[1] - sample[0], sample[2] - sample[0])
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
@@ -59,25 +56,29 @@ def reference_floor_planar(cloud, cfg=None):
         if normal[2] < cos_max:
             continue
         d = -normal @ sample[0]
-        dist = np.abs(candidates @ normal + d)
+        dist = np.abs(slab @ normal + d)
         count = int((dist <= cfg.ransac_inlier_threshold).sum())
         if count > best_count:
             best_count = count
             best_inliers = dist <= cfg.ransac_inlier_threshold
-    if best_inliers is None or best_count < n_pts * cfg.min_inlier_fraction:
+    if best_inliers is None or best_count < len(slab) * cfg.min_inlier_fraction:
         return invalid
-    n, d = fit_plane_lsq(candidates[best_inliers])
+    n, d = fit_plane_lsq(slab[best_inliers])
     if n[2] < cos_max:
         return invalid
-    return FloorCoefficients(n[0], n[1], n[2], d, cloud.timestamp,
-                             MODE_PLANAR, valid=True)
+    return FloorCoefficients(n[0], n[1], n[2], d, valid=True)
 
 
 def ransac_draws(n_pts, cfg):
-    """The index triples RANSAC draws from ``n_pts`` candidates."""
-    rng = np.random.default_rng(cfg.seed)
-    return np.array([rng.choice(n_pts, size=3, replace=False)
-                     for _ in range(floor.RANSAC_ITERATIONS)])
+    """The index triples RANSAC draws from ``n_pts`` slab points."""
+    return np.random.default_rng(cfg.seed).integers(
+        n_pts, size=(floor.RANSAC_ITERATIONS, 3))
+
+
+def distinct(draws):
+    """Whether each triple's three indices differ."""
+    return ((draws[:, 0] != draws[:, 1]) & (draws[:, 1] != draws[:, 2])
+            & (draws[:, 0] != draws[:, 2]))
 
 
 def assert_matches_reference(cloud, cfg=None):
@@ -140,9 +141,8 @@ class TestPlanarMode:
     def test_no_floor_in_clip_band_is_invalid(self, rng):
         # everything well above the clip band
         pts = rng.uniform(-5, 5, size=(500, 3))
-        coeffs = detect_floor_planar(PointCloud(pts, timestamp=4.0))
+        coeffs = detect_floor_planar(PointCloud(pts))
         assert not coeffs.valid
-        assert coeffs.timestamp == 4.0
 
     def test_wall_only_scene_is_invalid(self, rng):
         # vertical strip inside the clip band: no ground-like plane exists
@@ -152,6 +152,29 @@ class TestPlanarMode:
         wall += rng.normal(scale=0.01, size=wall.shape)
         coeffs = detect_floor_planar(PointCloud(wall))
         assert not coeffs.valid
+
+    def test_prefiltered_rendered_scans(self):
+        # what the pipeline hands the floor: every 5th scan of runs like the
+        # benchmark's (a 1 m loop, a straight-then-curve path, a 2.5 m-per-
+        # scan square) through a rendered world, prefiltered as by default
+        loop = square_loop_trajectory(side=50.0, step=1.0, overshoot=11.0)
+        straight = straight_then_curve_trajectory(
+            straight=110.0, curve_radius=40.0, curve_angle=1.0, step=1.0)
+        fast = square_loop_trajectory(side=36.0, step=2.5, corner_radius=12.0)
+        cfg = PrefilterConfig()
+        for traj, world_seed, noise, curl in ((loop, 1, 0.02, 0.002),
+                                              (straight, 4, 0.0, 0.0),
+                                              (fast, 1, 0.02, 0.002)):
+            xy = np.array([p.translation[:2] for _, p in traj])
+            world = make_world(xy, seed=world_seed, corridor=12.0)
+            clouds, _ = render_sequence(world, traj[::5], noise_sigma=noise,
+                                        curl=curl, seed=1)
+            for cloud in clouds:
+                coeffs = detect_floor_planar(prefilter(cloud, cfg))
+                assert coeffs.valid
+                angle, offset = plane_errors(
+                    coeffs, np.array([0.0, 0.0, 1.0]), SENSOR_HEIGHT)
+                assert angle < 0.5 and offset < 0.02
 
     def test_deterministic(self, rng):
         cloud = floor_wall_scene(rng)
@@ -196,11 +219,11 @@ class TestPlanarKernelMatchesReference:
         # that grid, so many hypotheses tie for the most inliers
         low, high = two_level_grids(-2.3, -1.2)
         cloud = PointCloud(np.vstack([low, high]))
-        cfg = FloorConfig(seed=3)
+        cfg = FloorConfig(seed=0)
         draws = ransac_draws(len(cloud), cfg)
         on_low = np.all(draws < len(low), axis=1)
         on_high = np.all(draws >= len(low), axis=1)
-        single = np.flatnonzero(on_low | on_high)
+        single = np.flatnonzero((on_low | on_high) & distinct(draws))
         # the first and the last tied hypothesis lie on different grids,
         # so a rule keeping the last one would pick the other plane
         assert on_low[single[0]] != on_low[single[-1]]
@@ -227,6 +250,26 @@ class TestPlanarKernelMatchesReference:
         assert got.valid and got.d == pytest.approx(2.5, abs=1e-9)
         # the line alone: every triple is degenerate, so no floor
         assert not assert_matches_reference(PointCloud(line), cfg).valid
+
+    def test_repeated_index_triples_make_no_hypothesis(self, chunk):
+        # a slab of the 10 points a floor needs: about a quarter of the
+        # draws repeat an index, and such a triple spans no plane
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(-5.0, 5.0, size=(10, 2))
+        slab = np.column_stack([xy, np.full(len(xy), -SENSOR_HEIGHT)])
+        cfg = FloorConfig()
+        draws = ransac_draws(len(slab), cfg)
+        repeated = ~distinct(draws)
+        assert np.any(repeated)
+        cos_max = np.cos(cfg.normal_vertical_max_angle)
+        normals, _ = floor._ground_hypotheses(slab[draws[repeated]], cos_max)
+        assert len(normals) == 0
+        normals, _ = floor._ground_hypotheses(slab[draws], cos_max)
+        assert len(normals) == np.count_nonzero(~repeated)
+        got = assert_matches_reference(PointCloud(slab), cfg)
+        assert got.valid and got.d == pytest.approx(SENSOR_HEIGHT, abs=1e-9)
+        # nine points are too few
+        assert not assert_matches_reference(PointCloud(slab[1:]), cfg).valid
 
     def test_slab_without_ground_like_plane_is_invalid(self, rng, chunk):
         # a 45-degree slope fills the clip band: every hypothesis is steep
@@ -282,10 +325,13 @@ class TestRoughMode:
 class TestModeDispatchAndConfig:
     def test_detect_floor_dispatches(self, rng):
         cloud = floor_wall_scene(rng)
-        planar = detect_floor(cloud, FloorConfig(mode=MODE_PLANAR))
-        rough = detect_floor(cloud, FloorConfig(mode=MODE_ROUGH))
-        assert planar.mode == MODE_PLANAR
-        assert rough.mode == MODE_ROUGH
+        planar_cfg = FloorConfig(mode=MODE_PLANAR)
+        rough_cfg = FloorConfig(mode=MODE_ROUGH)
+        planar = detect_floor(cloud, planar_cfg)
+        rough = detect_floor(cloud, rough_cfg)
+        assert planar == detect_floor_planar(cloud, planar_cfg)
+        assert rough == detect_floor_rough(cloud, rough_cfg)
+        assert planar != rough
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

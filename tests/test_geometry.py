@@ -1,4 +1,4 @@
-"""Core geometry: poses, Lie-group maps, k-NN, and normal estimation."""
+"""Core geometry: poses, Lie-group maps, k-NN, and the 3x3 eigen-solver."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
                                        _se3_exp_rt, _se3_jacobian,
                                        _se3_log_rt, _so3_left_jacobian,
                                        _so3_left_jacobian_inv, _se3_q_matrix,
-                                       eigen_symmetric_3x3,
-                                       estimate_normals, orthonormalize,
+                                       eigen_symmetric_3x3, orthonormalize,
                                        se3_adjoint, se3_exp,
                                        se3_left_jacobian_inv,
                                        se3_right_jacobian_inv, se3_log,
@@ -357,36 +356,3 @@ class TestEigenSymmetric3x3:
         upper = np.triu(cov)
         for a, b in zip(eigen_symmetric_3x3(cov), eigen_symmetric_3x3(upper)):
             np.testing.assert_array_equal(a, b)
-
-
-class TestNormals:
-    def test_flat_plane_gives_vertical_normals(self, rng):
-        xy = rng.uniform(-5, 5, size=(300, 2))
-        cloud = PointCloud(np.column_stack([xy, np.zeros(300)]))
-        out = estimate_normals(cloud, k=10)
-        np.testing.assert_allclose(np.abs(out.normals[:, 2]), 1.0, atol=1e-9)
-        # orientation convention: toward +z
-        assert np.all(out.normals[:, 2] > 0)
-
-    def test_tilted_plane_normal(self, rng):
-        n_true = np.array([1.0, 1.0, 4.0])
-        n_true /= np.linalg.norm(n_true)
-        basis = np.linalg.svd(n_true[None])[2][1:]
-        uv = rng.uniform(-3, 3, size=(200, 2))
-        cloud = PointCloud(uv @ basis)
-        out = estimate_normals(cloud, k=10)
-        dots = np.abs(out.normals @ n_true)
-        np.testing.assert_allclose(dots, 1.0, atol=1e-9)
-
-    def test_collinear_neighborhood_is_nan(self):
-        line = np.column_stack([np.linspace(0, 1, 20), np.zeros(20),
-                                np.zeros(20)])
-        out = estimate_normals(PointCloud(line), k=5)
-        assert np.isnan(out.normals).all()
-
-    def test_input_validation(self, rng):
-        cloud = PointCloud(rng.normal(size=(10, 3)))
-        with pytest.raises(ValueError):
-            estimate_normals(cloud, k=2)
-        with pytest.raises(ValueError):
-            estimate_normals(cloud, k=11)

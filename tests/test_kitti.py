@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lidar_graph_slam.cli import main as cli_main
 from lidar_graph_slam.kitti import (DatasetSequence, ScanFormatError,
                                     discover_sequence, load_kitti_poses,
                                     load_kitti_scan, load_timestamps)
@@ -14,6 +15,22 @@ def write_scan(path, pts):
     data = np.zeros((len(pts), 4), dtype="<f4")
     data[:, :3] = pts
     data.tofile(path)
+
+
+def make_dataset(root, n=3, with_poses=True):
+    velo = root / "velodyne"
+    velo.mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(n):
+        write_scan(velo / f"{i:06d}.bin", rng.normal(size=(50, 3)))
+    (root / "times.txt").write_text(
+        "".join(f"{0.1 * i:.6f}\n" for i in range(n)))
+    if with_poses:
+        rows = []
+        for i in range(n):
+            m = np.hstack([np.eye(3), [[float(i)], [0.0], [0.0]]])
+            rows.append(" ".join(str(v) for v in m.ravel()))
+        (root / "poses.txt").write_text("\n".join(rows) + "\n")
 
 
 class TestLoadScan:
@@ -68,23 +85,8 @@ class TestDatasetSequence:
 
 
 class TestDiscoverSequence:
-    def _make_dataset(self, root, n=3, with_poses=True):
-        velo = root / "velodyne"
-        velo.mkdir()
-        rng = np.random.default_rng(0)
-        for i in range(n):
-            write_scan(velo / f"{i:06d}.bin", rng.normal(size=(50, 3)))
-        (root / "times.txt").write_text(
-            "".join(f"{0.1 * i:.6f}\n" for i in range(n)))
-        if with_poses:
-            rows = []
-            for i in range(n):
-                m = np.hstack([np.eye(3), [[float(i)], [0.0], [0.0]]])
-                rows.append(" ".join(str(v) for v in m.ravel()))
-            (root / "poses.txt").write_text("\n".join(rows) + "\n")
-
     def test_discovers_scans_times_and_poses(self, tmp_path):
-        self._make_dataset(tmp_path)
+        make_dataset(tmp_path)
         seq = discover_sequence(str(tmp_path))
         assert len(seq) == 3
         assert seq.scan_paths == sorted(seq.scan_paths)
@@ -92,7 +94,7 @@ class TestDiscoverSequence:
         assert len(seq.ground_truth) == 3
 
     def test_missing_times_synthesizes_10hz(self, tmp_path):
-        self._make_dataset(tmp_path, with_poses=False)
+        make_dataset(tmp_path, with_poses=False)
         (tmp_path / "times.txt").unlink()
         seq = discover_sequence(str(tmp_path))
         np.testing.assert_allclose(seq.timestamps, [0.0, 0.1, 0.2])
@@ -103,15 +105,41 @@ class TestDiscoverSequence:
 
     def test_extra_pose_rows_are_cut_to_the_scans(self, tmp_path):
         # a partly copied sequence: 3 pose and time rows, 2 scans
-        self._make_dataset(tmp_path)
+        make_dataset(tmp_path)
         (tmp_path / "velodyne" / "000002.bin").unlink()
         seq = discover_sequence(str(tmp_path))
         assert len(seq.ground_truth) == len(seq) == 2
         assert seq.ground_truth_timestamps == [0.0, 0.1]
 
     def test_short_times_file_raises(self, tmp_path):
-        self._make_dataset(tmp_path)
+        make_dataset(tmp_path)
         (tmp_path / "times.txt").write_text("0.0\n")
         with pytest.raises(ValueError):
             discover_sequence(str(tmp_path))
 
+
+class TestLoadErrorsInCli:
+    """``slam run`` on a malformed text file exits with code 2 and names
+    the file and the line."""
+
+    def run(self, root):
+        return cli_main(["run", "--dataset", str(root),
+                         "--out", str(root / "out")])
+
+    def test_short_pose_row(self, tmp_path, capsys):
+        make_dataset(tmp_path)
+        poses = tmp_path / "poses.txt"
+        rows = poses.read_text().splitlines()
+        rows[2] = " ".join(rows[2].split()[:11])
+        poses.write_text("\n".join(rows) + "\n")
+        assert self.run(tmp_path) == 2
+        assert f"error: {poses}:3: expected 12 values, found 11" in \
+            capsys.readouterr().err
+
+    def test_non_numeric_time(self, tmp_path, capsys):
+        make_dataset(tmp_path)
+        times = tmp_path / "times.txt"
+        times.write_text("abc\n0.1\n0.2\n")
+        assert self.run(tmp_path) == 2
+        assert f"error: {times}:1: non-numeric field: 'abc'" in \
+            capsys.readouterr().err

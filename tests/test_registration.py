@@ -243,6 +243,14 @@ class TestGicpInternals:
         np.testing.assert_allclose(vals[:, 1:], 1.0, atol=1e-9)
         np.testing.assert_allclose(np.abs(vecs[:, 2, 0]), 1.0, atol=1e-9)
 
+    def test_normals_of_a_tilted_plane(self, rng):
+        n_true = np.array([1.0, 1.0, 4.0])
+        n_true /= np.linalg.norm(n_true)
+        basis = np.linalg.svd(n_true[None])[2][1:]
+        uv = rng.uniform(-3, 3, size=(200, 2))
+        normals = compute_gicp_normals(PointCloud(uv @ basis), k=15)
+        np.testing.assert_allclose(np.abs(normals @ n_true), 1.0, atol=1e-9)
+
     def test_covariances_cached_per_cloud(self, rng):
         # the normals are cached; the covariances are rebuilt from them on
         # every call, so two calls give equal arrays, not one object
