@@ -1,4 +1,5 @@
-"""Core geometric types: point clouds, SE(3) poses, k-NN search, normals.
+"""Core geometric types: point clouds, SE(3) poses, k-NN search, voxel keys,
+normals.
 
 Everything downstream (filtering, registration, graph optimization) is built
 on the types in this module.  Pose math and point storage are always
@@ -358,6 +359,32 @@ class KdTree:
         for axis in range(1, pts.shape[1]):
             sq += diff[:, axis] ** 2
         return pairs[sq <= radius * radius]
+
+
+# ---------------------------------------------------------------------------
+# Voxel grids
+# ---------------------------------------------------------------------------
+
+# a packed key holds each cell index in 21 bits, offset to non-negative
+_KEY_OFFSET = 1 << 20
+
+
+def voxel_keys(points: np.ndarray, resolution: float):
+    """Each point's cell in the axis-aligned grid of side ``resolution``
+    anchored at the origin.
+
+    Returns the (N, 3) int64 cell indices, by floor division so that
+    negative coordinates land in the correct cell, and one int64 key per
+    point packing them (21 bits each, offset to non-negative), so cells
+    group with one flat sort instead of a lexicographic row sort.  A cell
+    index outside [-2**20, 2**20) does not fit and raises ``ValueError``.
+    """
+    cells = np.floor(points / resolution).astype(np.int64)
+    if np.any((cells < -_KEY_OFFSET) | (cells >= _KEY_OFFSET)):
+        raise ValueError("cloud extent too large for this voxel resolution")
+    shifted = cells + _KEY_OFFSET
+    keys = (shifted[:, 0] << 42) | (shifted[:, 1] << 21) | shifted[:, 2]
+    return cells, keys
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,11 @@ class PipelineResult:
     degraded_frames: int
     runtime_seconds: float
     # Seconds per call of each stage, on the thread that ran it: pretrack
-    # on the lookahead worker, track on the calling thread, prefilter and
-    # prepare (the kd-tree and GICP normals) on whichever ran that frame's
-    # front end.  The stages overlap, and the lists are not in frame order.
-    # track includes floor, one sample per keyframe, and the back end.
+    # (which also computes its phase clouds' k-NN normals) on the lookahead
+    # worker, track on the calling thread, prefilter and prepare (the
+    # filtered cloud's kd-tree and voxel GICP normals) on whichever ran that
+    # frame's front end.  The stages overlap, and the lists are not in frame
+    # order.  track includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KdTree, PointCloud
+from .geometry import KdTree, PointCloud, voxel_keys
 
 DOWNSAMPLE_VOXELGRID = "VOXELGRID"
 DOWNSAMPLE_NONE = "NONE"
@@ -46,22 +46,15 @@ class PrefilterConfig:
 def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     """Replace all points of each occupied voxel by their centroid.
 
-    The grid is axis-aligned with side ``resolution`` and anchored at the
-    origin; voxel keys use floor division so negative coordinates land in
-    the correct cell.  Output order follows first occurrence of each voxel.
+    The grid is that of :func:`~.geometry.voxel_keys`: axis-aligned with
+    side ``resolution`` and anchored at the origin.  Output order follows
+    first occurrence of each voxel.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
-    keys3 = np.floor(cloud.points / resolution).astype(np.int64)
-    # pack the 3 cell indices into one int64 (21 bits each, offset to
-    # non-negative): one flat sort instead of a lexicographic row sort
-    offset = 1 << 20
-    if np.any(np.abs(keys3) >= offset):
-        raise ValueError("cloud extent too large for this voxel resolution")
-    keys = ((keys3[:, 0] + offset) << 42) | ((keys3[:, 1] + offset) << 21) \
-        | (keys3[:, 2] + offset)
+    _, keys = voxel_keys(cloud.points, resolution)
     _, first_idx, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)
     n_voxels = len(first_idx)

@@ -7,7 +7,14 @@ first result.  A phase runs only when both this cloud and the previous one
 have it.
 
 Each phase matches with GICP (:func:`~.registration.align`), the matcher
-the tracker and the loop verifier use, under its own looser settings.
+the tracker and the loop verifier use, under its own looser settings.  The
+strided phase clouds lie on no grid, so they keep normals from each point's
+``PHASE_NORMAL_NEIGHBOURS`` nearest neighbours, cached on them before they
+are matched, where filtered clouds take theirs from 0.75 m voxel moments.
+Voxel normals on the phase clouds were measured and rejected: at 0.75 m
+cells the median guess error went 0.043 -> 0.114 m on fast_revisit and
+0.007 -> 0.595 m on no_revisit, and one-thread pre-tracking on no_revisit
+went 0.40 -> 0.99 s; at 4 m and 2 m cells fast_revisit ATE went to 1.03 m.
 
 The phases run only when the scene shows that the motion changed.  Before
 them, the constant-motion seed (the last estimated motion) is scored on the
@@ -25,12 +32,14 @@ import numpy as np
 
 from .geometry import PointCloud, Pose
 from .registration import (MIN_CORRESPONDENCES, RegistrationConfig, align,
-                           score_alignment)
+                           prepare_alignment, score_alignment)
 
 # GICP settings of every phase
 PHASE_MATCHING = RegistrationConfig(max_iterations=20,
                                     transformation_epsilon=0.02,
                                     max_correspondence_distance=4.0)
+# neighbours of each phase cloud point's k-NN normal
+PHASE_NORMAL_NEIGHBOURS = 15
 
 
 @dataclass
@@ -113,6 +122,8 @@ class Pretracker:
         guess = self._last_motion
         phases = 0
         for source, target in zip(current, previous):
+            for phase_cloud in (source, target):
+                prepare_alignment(phase_cloud, PHASE_NORMAL_NEIGHBOURS)
             res = align(source, target, guess, PHASE_MATCHING)
             self.registration_calls += 1
             phases += 1

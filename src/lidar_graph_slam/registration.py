@@ -15,13 +15,23 @@ stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
 Trial steps are judged by their cost alone.
 
 As in fast_gicp, each cloud's kd-tree and GICP surface normals are
-computed once, outside the matching loop, and cached on the cloud; the
-normal comes from a closed-form 3x3 eigensolver.  The pipeline computes
-them with :func:`prepare_alignment` in each frame's front end, before the
-frame is tracked, so the tracker and the loop verifier only read them.  The
+computed once, outside the matching loop, and cached on the cloud.  The
+pipeline computes them with :func:`prepare_alignment` in each frame's front
+end, before the frame is tracked, so the tracker and the loop verifier only
+read them; :func:`align` computes whatever a cloud lacks, the same way.  The
 plane-to-plane covariance is fully set by the normal, so :func:`align`
 rebuilds a cloud's (N, 3, 3) covariances from it once per call: a kept
 keyframe holds 24 bytes per point of GICP state rather than 72.
+
+A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
+2009) and VGICP take distributions per voxel: the pre-filter leaves at most
+one point per 0.25 m cell, so each point gets the smallest axis of the
+scatter of its ``NORMAL_CELL`` = 0.75 m cell (:func:`voxel_normals`).  A
+cell of fewer than ``MIN_CELL_POINTS`` points gives a zero normal, so
+covariance I: 43-51 % of the filtered points on the benchmark workloads.
+The pre-tracker's strided phase clouds lie on no grid and keep normals from
+each point's k nearest neighbours, which it caches through
+:func:`prepare_alignment` before it matches (:mod:`.pretracker` says why).
 
 :func:`align` only estimates the transform.  Its kd-tree queries are
 bounded at ``max_correspondence_distance``, inclusive (see
@@ -41,10 +51,15 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (KdTree, PointCloud, Pose, _hat, eigen_symmetric_3x3,
-                       neighborhood_covariances, se3_exp)
+                       neighborhood_covariances, se3_exp, voxel_keys)
 
 MIN_CORRESPONDENCES = 10
 GICP_EPSILON = 1e-3
+# side of the cells whose moments give a cloud's voxel normals: 3x the
+# pre-filter's 0.25 m grid
+NORMAL_CELL = 0.75
+# a cell of fewer points gives its points a zero normal, so covariance I
+MIN_CELL_POINTS = 5
 # align's final check counts matches among this many source points first,
 # and queries the rest only when they fall short
 _CHECK_PREFIX = 100
@@ -96,43 +111,78 @@ def cloud_kdtree(cloud: PointCloud) -> KdTree:
     return cache["kdtree"]
 
 
-def compute_gicp_normals(cloud: PointCloud, k: int = 15) -> np.ndarray:
-    """(N, 3) unit normals, each the smallest axis of its point's k-NN
-    covariance, computed once and cached on the cloud."""
-    k = min(k, len(cloud))
-    if k < 3:
-        raise ValueError("covariance estimation needs k >= 3 points")
-    cache = _cloud_cache(cloud)
-    key = ("gicp_normals", k)
-    if key not in cache:
-        idx, _ = cloud_kdtree(cloud).query_batch(cloud.points, k=k)
-        _, cache[key] = eigen_symmetric_3x3(
-            neighborhood_covariances(cloud.points, idx))
-    return cache[key]
+def voxel_normals(points: np.ndarray) -> np.ndarray:
+    """(N, 3) normals, each the smallest axis of the scatter of the points
+    in its ``NORMAL_CELL`` voxel, or zero where that voxel holds fewer than
+    ``MIN_CELL_POINTS`` points.
 
-
-def compute_gicp_covariances(cloud: PointCloud, k: int = 15) -> np.ndarray:
-    """Per-point covariances regularized to eigenvalues (1, 1, GICP_EPSILON).
-
-    The smallest axis of each k-NN covariance is treated as the local
-    surface normal direction n, mimicking plane-to-plane GICP; the result
-    is I - (1 - GICP_EPSILON) n n^T, built afresh on each call from the
-    cached normals (:func:`compute_gicp_normals`).
+    Each cell's count, sums and second moments are accumulated from the
+    points' offsets to the cell's own corner, so distant coordinates do not
+    cancel in the scatter.
     """
-    normal = compute_gicp_normals(cloud, k)
+    cells, keys = voxel_keys(points, NORMAL_CELL)
+    _, inverse, counts = np.unique(keys, return_inverse=True,
+                                   return_counts=True)
+    n_cells = len(counts)
+    local = points - cells * NORMAL_CELL
+    x, y, z = local.T
+    sums = [np.bincount(inverse, weights=a, minlength=n_cells)
+            for a in (x, y, z)]
+    scatter = np.empty((n_cells, 3, 3))
+    for i, j, a in ((0, 0, x * x), (0, 1, x * y), (0, 2, x * z),
+                    (1, 1, y * y), (1, 2, y * z), (2, 2, z * z)):
+        scatter[:, i, j] = np.bincount(inverse, weights=a,
+                                       minlength=n_cells) \
+            - sums[i] * sums[j] / counts
+    _, normal = eigen_symmetric_3x3(scatter)    # reads the upper triangle
+    normal[counts < MIN_CELL_POINTS] = 0.0
+    return normal[inverse]
+
+
+def compute_gicp_normals(cloud: PointCloud,
+                         k: Optional[int] = None) -> np.ndarray:
+    """(N, 3) normals of ``cloud``, computed on the first call and cached on
+    the cloud; later calls return the cached normals.
+
+    The first call picks the estimator: :func:`voxel_normals`, or with
+    ``k`` given, the smallest axis of each point's k-NN covariance.
+    """
+    cache = _cloud_cache(cloud)
+    if "gicp_normals" not in cache:
+        if k is None:
+            cache["gicp_normals"] = voxel_normals(cloud.points)
+        else:
+            k = min(k, len(cloud))
+            if k < 3:
+                raise ValueError("covariance estimation needs k >= 3 points")
+            idx, _ = cloud_kdtree(cloud).query_batch(cloud.points, k=k)
+            _, cache["gicp_normals"] = eigen_symmetric_3x3(
+                neighborhood_covariances(cloud.points, idx))
+    return cache["gicp_normals"]
+
+
+def compute_gicp_covariances(cloud: PointCloud) -> np.ndarray:
+    """Per-point covariances I - (1 - GICP_EPSILON) n n^T, built afresh on
+    each call from the cached normals n (:func:`compute_gicp_normals`).
+
+    A unit normal gives eigenvalues (1, 1, GICP_EPSILON), a disc along the
+    local surface, as in plane-to-plane GICP; a zero normal gives I.
+    """
+    normal = compute_gicp_normals(cloud)
     out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
     out[:, [0, 1, 2], [0, 1, 2]] += 1.0
     return out
 
 
-def prepare_alignment(cloud: PointCloud) -> None:
+def prepare_alignment(cloud: PointCloud, k: Optional[int] = None) -> None:
     """Compute and cache what :func:`align` reads of ``cloud``: its kd-tree
-    and its normals, from which ``align`` builds the covariances.  A cloud
-    too small for ``align`` to match is left alone."""
+    and its normals (:func:`compute_gicp_normals`, k-NN ones when ``k`` is
+    given), from which ``align`` builds the covariances.  A cloud too small
+    for ``align`` to match is left alone."""
     if len(cloud) < MIN_CORRESPONDENCES:
         return
     cloud_kdtree(cloud)
-    compute_gicp_normals(cloud)
+    compute_gicp_normals(cloud, k)
 
 
 def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:

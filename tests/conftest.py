@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
+from lidar_graph_slam.registration import (compute_gicp_covariances,
+                                           compute_gicp_normals)
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
@@ -26,6 +28,14 @@ def pose_error(estimate: Pose, truth: Pose):
     diff = truth.inverse() @ estimate
     return (float(np.linalg.norm(diff.translation)),
             float(np.degrees(diff.rotation_angle())))
+
+
+def knn_gicp_covariances(cloud: PointCloud, k: int) -> np.ndarray:
+    """GICP covariances of a cloud with no normals yet, from k-NN normals:
+    the estimator the pre-tracker gives its phase clouds."""
+    assert not hasattr(cloud, "_derived_cache")
+    compute_gicp_normals(cloud, k)
+    return compute_gicp_covariances(cloud)
 
 
 def is_valid_pose(pose: Pose) -> bool:

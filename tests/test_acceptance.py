@@ -26,7 +26,7 @@ from lidar_graph_slam.prefilter import prefilter, remove_outliers, voxel_downsam
 from lidar_graph_slam.pretracker import Pretracker
 from lidar_graph_slam.registration import (RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
-                                           compute_gicp_covariances, align)
+                                           align)
 from lidar_graph_slam.scan_context import (descriptor_distance,
                                            make_scan_context)
 from lidar_graph_slam.synthetic import (make_world, render_scan,
@@ -35,7 +35,8 @@ from lidar_graph_slam.synthetic import (make_world, render_scan,
                                         straight_then_curve_trajectory)
 from lidar_graph_slam.tracker import Keyframe, Tracker
 
-from conftest import box_surface_cloud, pose_error, random_pose
+from conftest import (box_surface_cloud, knn_gicp_covariances, pose_error,
+                      random_pose)
 
 
 def trajectory_xy(traj):
@@ -135,8 +136,8 @@ class TestRegistrationRecovery:
             cloud_b = PointCloud(cloud_a.points
                                  + rng.normal(scale=0.05, size=(100, 3)))
             args = (cloud_a.points, cloud_b.points,
-                    compute_gicp_covariances(cloud_a, k=10),
-                    compute_gicp_covariances(cloud_b, k=10))
+                    knn_gicp_covariances(cloud_a, k=10),
+                    knn_gicp_covariances(cloud_b, k=10))
             transform = random_pose(rng, 0.3, 0.1)
             _, g, _ = _gicp_normal_equations(*args, transform)
             h = 1e-6

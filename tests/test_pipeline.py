@@ -708,7 +708,7 @@ class TestStagePlacement:
         # (event, points, built on the calling thread inside Tracker.track)
         events, filtered, tracking = [], {}, [False]
         real_prefilter = pipeline_module.prefilter
-        real_covariances = registration_module.neighborhood_covariances
+        real_normals = registration_module.voxel_normals
         real_track = tracker_module.Tracker.track
 
         def recording_prefilter(cloud, cfg):
@@ -725,9 +725,9 @@ class TestStagePlacement:
                 building("tree", points)
                 super().__init__(points)
 
-        def recording_covariances(points, idx):
+        def recording_normals(points):
             building("normals", points)
-            return real_covariances(points, idx)
+            return real_normals(points)
 
         def recording_track(tracker, cloud, guess):
             events.append(("track", cloud.points, False))
@@ -739,8 +739,8 @@ class TestStagePlacement:
 
         monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
         monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
-        monkeypatch.setattr(registration_module, "neighborhood_covariances",
-                            recording_covariances)
+        monkeypatch.setattr(registration_module, "voxel_normals",
+                            recording_normals)
         monkeypatch.setattr(tracker_module.Tracker, "track", recording_track)
         SlamPipeline().run_batch(clouds)
 

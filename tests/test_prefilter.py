@@ -7,9 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from lidar_graph_slam.geometry import PointCloud
+from lidar_graph_slam.geometry import PointCloud, voxel_keys
 from lidar_graph_slam.prefilter import (PrefilterConfig, prefilter,
                                         remove_outliers, voxel_downsample)
+
+
+class TestVoxelKeys:
+    def test_keys_sort_cells_lexicographically(self):
+        # every combination of the extreme and middle cells on each axis
+        edge = [-(1 << 20), -1, 0, 1, (1 << 20) - 1]
+        cells = np.stack(np.meshgrid(edge, edge, edge, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+        got, keys = voxel_keys(cells + 0.5, 1.0)
+        np.testing.assert_array_equal(got, cells)
+        assert len(np.unique(keys)) == len(cells)
+        np.testing.assert_array_equal(np.argsort(keys),
+                                      np.lexsort(cells.T[::-1]))
+        assert keys.min() == 0
 
 
 class TestVoxelDownsample:
@@ -42,6 +56,22 @@ class TestVoxelDownsample:
         pts = np.array([[1e9, 0.0, 0.0]])
         with pytest.raises(ValueError):
             voxel_downsample(PointCloud(pts), 0.25)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("coordinate, fits", [
+        (-float(1 << 20), True),            # cell -2**20 packs to 0
+        (float(1 << 20) - 0.5, True),       # cell 2**20 - 1
+        (float(1 << 20), False),
+        (-float(1 << 20) - 0.5, False)])
+    def test_extent_limits(self, axis, coordinate, fits):
+        point = np.zeros((1, 3))
+        point[0, axis] = coordinate
+        if fits:
+            out = voxel_downsample(PointCloud(point), 1.0)
+            np.testing.assert_array_equal(out.points, point)
+        else:
+            with pytest.raises(ValueError, match="extent too large"):
+                voxel_downsample(PointCloud(point), 1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(hnp.arrays(np.float64, (50, 3),

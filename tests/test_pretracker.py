@@ -7,9 +7,11 @@ import pytest
 
 from lidar_graph_slam import pretracker as pretracker_module
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.pretracker import (Pretracker, PretrackerConfig,
+from lidar_graph_slam.pretracker import (PHASE_NORMAL_NEIGHBOURS, Pretracker,
+                                         PretrackerConfig,
                                          downsample_to_fraction)
-from lidar_graph_slam.registration import RegistrationResult
+from lidar_graph_slam.registration import (RegistrationResult,
+                                           compute_gicp_normals)
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory)
 
@@ -84,6 +86,21 @@ class TestPretracker:
         terr, rerr = pose_error(res.guess, motion)
         assert terr < 0.3
         assert rerr < 2.0
+
+    def test_phase_clouds_keep_knn_normals(self, rng):
+        # strided phase clouds lie on no grid, so the pre-tracker caches
+        # k-NN normals on both clouds of each pair before it matches
+        scene = dense_scene(rng)
+        pre = Pretracker()
+        pre.pretrack(scene)
+        targets = pre._previous
+        res = pre.pretrack(scene.transformed(random_pose(rng, 0.5, 0.02)))
+        assert res.phases_run == 2
+        for cloud in targets + pre._previous:
+            fresh = PointCloud(cloud.points)
+            compute_gicp_normals(fresh, PHASE_NORMAL_NEIGHBOURS)
+            np.testing.assert_array_equal(compute_gicp_normals(cloud),
+                                          compute_gicp_normals(fresh))
 
     def test_large_cloud_runs_single_phase(self, rng):
         scene = PointCloud(rng.uniform(-30, 30, size=(70_000, 3)))

@@ -10,7 +10,9 @@ from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
                                        neighborhood_covariances, se3_exp,
                                        so3_exp)
 from lidar_graph_slam.pipeline import SlamPipeline
-from lidar_graph_slam.registration import (GICP_EPSILON, MIN_CORRESPONDENCES,
+from lidar_graph_slam.prefilter import PrefilterConfig, prefilter
+from lidar_graph_slam.registration import (GICP_EPSILON, MIN_CELL_POINTS,
+                                           MIN_CORRESPONDENCES, NORMAL_CELL,
                                            RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
                                            _inverse_symmetric_3x3,
@@ -18,12 +20,13 @@ from lidar_graph_slam.registration import (GICP_EPSILON, MIN_CORRESPONDENCES,
                                            compute_gicp_covariances,
                                            compute_gicp_normals, align,
                                            cloud_kdtree, prepare_alignment,
-                                           score_alignment)
+                                           score_alignment, voxel_normals)
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory)
+from lidar_graph_slam.tracker import KeyframeCriteria, Tracker
 
-from conftest import (box_surface_cloud, pose_error, random_pose,
-                      random_rotation)
+from conftest import (box_surface_cloud, knn_gicp_covariances, pose_error,
+                      random_pose, random_rotation)
 
 
 def tight_config():
@@ -232,35 +235,155 @@ class TestFinalCheck:
         assert sizes[-2:] == [prefix, len(source) - prefix]
 
 
+def grid_plane(normal, offset, half_width=3.0, spacing=0.25):
+    """Noiseless points of the plane through ``offset`` with unit
+    ``normal``, one per ``spacing`` step of a square lattice in the plane."""
+    basis = np.linalg.svd(np.asarray(normal)[None])[2][1:]
+    ticks = np.arange(-half_width, half_width, spacing) + spacing / 2
+    uv = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    return PointCloud(uv @ basis + offset)
+
+
+def voxel_reference_normals(points):
+    """Reference for voxel_normals: each NORMAL_CELL cell's points gathered
+    one cell at a time, and the smallest eigenvector of their centered
+    scatter by np.linalg.eigh; zero for cells below MIN_CELL_POINTS."""
+    cells = np.floor(points / NORMAL_CELL).astype(np.int64)
+    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    out = np.zeros_like(points)
+    for cell in np.unique(inverse):
+        members = np.flatnonzero(inverse == cell)
+        if len(members) >= MIN_CELL_POINTS:
+            centered = points[members] - points[members].mean(axis=0)
+            out[members] = np.linalg.eigh(centered.T @ centered)[1][:, 0]
+    return out
+
+
 class TestGicpInternals:
-    def test_covariances_are_disc_shaped(self, rng):
-        # flat plane: smallest eigenvalue epsilon along z, ones in plane
-        xy = rng.uniform(-5, 5, size=(400, 2))
-        cloud = PointCloud(np.column_stack([xy, np.zeros(400)]))
-        cov = compute_gicp_covariances(cloud, k=15)
+    """Filtered clouds' normals come from NORMAL_CELL voxel moments."""
+
+    def test_covariances_are_disc_shaped(self):
+        # flat plane sampled like a filtered cloud, one point per 0.25 m:
+        # smallest eigenvalue epsilon along z, ones in plane
+        cloud = grid_plane([0.0, 0.0, 1.0], [0.0, 0.0, 0.1])
+        cov = compute_gicp_covariances(cloud)
         vals, vecs = np.linalg.eigh(cov)
         np.testing.assert_allclose(vals[:, 0], 1e-3, atol=1e-9)
         np.testing.assert_allclose(vals[:, 1:], 1.0, atol=1e-9)
         np.testing.assert_allclose(np.abs(vecs[:, 2, 0]), 1.0, atol=1e-9)
+        np.testing.assert_allclose(
+            np.abs(compute_gicp_normals(cloud)[:, 2]), 1.0, atol=1e-9)
 
     def test_normals_of_a_tilted_plane(self, rng):
+        # noiseless, and 1 km from the origin: each cell's moments are
+        # taken about its own corner; moments of the raw coordinates would
+        # cancel, and tilt the normals by about 1e-7 rad
         n_true = np.array([1.0, 1.0, 4.0])
         n_true /= np.linalg.norm(n_true)
         basis = np.linalg.svd(n_true[None])[2][1:]
-        uv = rng.uniform(-3, 3, size=(200, 2))
-        normals = compute_gicp_normals(PointCloud(uv @ basis), k=15)
-        np.testing.assert_allclose(np.abs(normals @ n_true), 1.0, atol=1e-9)
+        uv = rng.uniform(-3, 3, size=(3000, 2))
+        cloud = PointCloud(uv @ basis + [1e3, -6e2, 2e2])
+        normals = compute_gicp_normals(cloud)
+        full = np.linalg.norm(normals, axis=1) > 0
+        assert full.mean() > 0.9
+        np.testing.assert_allclose(np.linalg.norm(normals[full], axis=1),
+                                   1.0, atol=1e-12)
+        sin_angle = np.linalg.norm(np.cross(normals[full], n_true), axis=1)
+        assert sin_angle.max() < 1e-9
+
+    def test_sparse_cell_gives_zero_normal_and_identity(self, rng):
+        # one cell of MIN_CELL_POINTS points, one of a point fewer
+        corner = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        offsets = rng.uniform(0.05, 0.7, size=(2 * MIN_CELL_POINTS - 1, 3))
+        points = offsets.copy()
+        points[:MIN_CELL_POINTS] += corner[0]
+        points[MIN_CELL_POINTS:] += corner[1]
+        cloud = PointCloud(points)
+        normals = compute_gicp_normals(cloud)
+        np.testing.assert_allclose(
+            np.linalg.norm(normals[:MIN_CELL_POINTS], axis=1), 1.0)
+        np.testing.assert_array_equal(normals[MIN_CELL_POINTS:], 0.0)
+        cov = compute_gicp_covariances(cloud)
+        for c in cov[MIN_CELL_POINTS:]:
+            np.testing.assert_array_equal(c, np.eye(3))
+
+    def test_normals_match_per_cell_reference(self, rng):
+        # a noisy box far from the origin, cells cut across its edges
+        cloud = box_surface_cloud(rng, n=3000, size=4.0)
+        points = cloud.points + rng.normal(scale=0.02, size=cloud.points.shape)
+        points += [120.0, -80.0, 15.0]
+        normals = voxel_normals(points)
+        ref = voxel_reference_normals(points)
+        full = np.linalg.norm(ref, axis=1) > 0
+        assert 0.5 < full.mean() < 1.0
+        np.testing.assert_array_equal(normals[~full], 0.0)
+        sin_angle = np.linalg.norm(np.cross(normals, ref), axis=1)
+        assert sin_angle[full].max() < 1e-9
+
+    def test_extent_beyond_the_key_range_raises(self):
+        # the pre-filter's voxel keys, so the same limit and error
+        far = PointCloud(np.array([[NORMAL_CELL * (1 << 20), 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="extent too large"):
+            compute_gicp_normals(far)
+
+    def test_all_sparse_cloud_matches_point_to_point(self, rng):
+        # no cell holds MIN_CELL_POINTS points, so every covariance is I
+        # and align matches point to point; a small motion is recovered
+        target = box_surface_cloud(rng, n=300, size=40.0)
+        assert not np.any(compute_gicp_normals(target))
+        truth = random_pose(rng, 0.2, 0.01)
+        source = target.transformed(truth.inverse())
+        res = align(source, target, cfg=tight_config())
+        np.testing.assert_array_equal(compute_gicp_covariances(source),
+                                      np.broadcast_to(np.eye(3),
+                                                      (len(source), 3, 3)))
+        assert res.valid and res.converged
+        terr, rerr = pose_error(res.transform, truth)
+        assert terr < 1e-6 and rerr < 1e-4
 
     def test_covariances_cached_per_cloud(self, rng):
         # the normals are cached; the covariances are rebuilt from them on
         # every call, so two calls give equal arrays, not one object
         cloud = box_surface_cloud(rng, n=200)
-        assert compute_gicp_normals(cloud, k=15) is \
-            compute_gicp_normals(cloud, k=15)
-        a = compute_gicp_covariances(cloud, k=15)
-        b = compute_gicp_covariances(cloud, k=15)
+        assert compute_gicp_normals(cloud) is compute_gicp_normals(cloud)
+        a = compute_gicp_covariances(cloud)
+        b = compute_gicp_covariances(cloud)
         assert a is not b
         np.testing.assert_array_equal(a, b)
+
+    def test_first_call_picks_the_estimator(self, rng):
+        # k-NN normals cached first are what align and later calls read
+        cloud = box_surface_cloud(rng, n=300)
+        prepare_alignment(cloud, k=15)
+        np.testing.assert_array_equal(compute_gicp_covariances(cloud),
+                                      broadcast_gicp_covariances(cloud, 15))
+        assert compute_gicp_normals(cloud) is compute_gicp_normals(cloud, 7)
+
+
+class TestUnpreparedTracking:
+    """align computes what prepare_alignment would have cached, so the
+    pipeline (which prepares every filtered cloud) and a caller that does
+    not prepare track identically."""
+
+    def test_unprepared_clouds_track_bit_identically(self):
+        traj = straight_then_curve_trajectory(straight=6.0, curve_radius=30.0,
+                                              curve_angle=0.1, step=1.0)
+        xy = np.array([[t.translation[0], t.translation[1]] for _, t in traj])
+        clouds, _ = render_sequence(make_world(xy, seed=3, corridor=12.0),
+                                    traj, max_range=30.0)
+        cfg = PrefilterConfig()
+        poses = []
+        for prepare in (False, True):
+            tracker = Tracker(criteria=KeyframeCriteria(delta_trans=3.0))
+            run = []
+            for cloud in clouds:
+                filtered = prefilter(cloud, cfg)
+                if prepare:
+                    prepare_alignment(filtered)
+                run.append(tracker.track(filtered).pose.matrix())
+            assert tracker.registration_calls == len(clouds) - 1
+            poses.append(np.array(run))
+        np.testing.assert_array_equal(poses[0], poses[1])
 
 
 def broadcast_gicp_covariances(cloud, k):
@@ -293,11 +416,12 @@ class TestAlignmentState:
 
     @pytest.mark.parametrize("k", [3, 10, 15, 40])
     def test_covariances_equal_broadcast_reference(self, rng, k):
+        # the k-NN estimator, which the pre-tracker's phase clouds keep
         xy = rng.uniform(-5, 5, size=(300, 2))
         for cloud in (box_surface_cloud(rng, n=300),
                       PointCloud(np.column_stack([xy, 0.01 * xy[:, 0]])),
                       PointCloud(rng.normal(size=(25, 3)))):
-            assert np.array_equal(compute_gicp_covariances(cloud, k=k),
+            assert np.array_equal(knn_gicp_covariances(cloud, k),
                                   broadcast_gicp_covariances(cloud, k))
 
     def test_prepared_cloud_caches_tree_and_normals(self, rng):
@@ -360,8 +484,8 @@ def noisy_pair(rng, n=300):
     """Box cloud, a noisy copy, their covariances and a small transform."""
     cloud_a = box_surface_cloud(rng, n=n)
     cloud_b = PointCloud(cloud_a.points + rng.normal(scale=0.05, size=(n, 3)))
-    cov_a = compute_gicp_covariances(cloud_a, k=10)
-    cov_b = compute_gicp_covariances(cloud_b, k=10)
+    cov_a = knn_gicp_covariances(cloud_a, 10)
+    cov_b = knn_gicp_covariances(cloud_b, 10)
     return (cloud_a.points, cloud_b.points, cov_a, cov_b,
             random_pose(rng, 0.3, 0.1))
 
@@ -384,7 +508,7 @@ class TestGicpKernel:
                                    atol=1e-10)
 
     def test_rotated_covariances_match_matmul(self, rng):
-        cov = compute_gicp_covariances(box_surface_cloud(rng, n=300), k=10)
+        cov = knn_gicp_covariances(box_surface_cloud(rng, n=300), 10)
         cov = cov * rng.uniform(0.1, 10.0, size=(len(cov), 1, 1))
         for _ in range(5):
             r = random_rotation(rng, np.pi)
@@ -400,9 +524,9 @@ class TestGicpKernel:
 
     def test_covariances_match_eigen_reconstruction(self, rng):
         # reference: V diag(eps, 1, 1) V^T from the k-NN covariance's
-        # eigenvectors V
+        # eigenvectors V, for the pre-tracker's estimator
         cloud = box_surface_cloud(rng, n=300)
-        cov = compute_gicp_covariances(cloud, k=10)
+        cov = knn_gicp_covariances(cloud, 10)
         idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=10)
         nb = cloud.points[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
