@@ -27,8 +27,15 @@ A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
 2009) and VGICP take distributions per voxel: the pre-filter leaves at most
 one point per 0.25 m cell, so each point gets the smallest axis of the
 scatter of its ``NORMAL_CELL`` = 0.75 m cell (:func:`voxel_normals`).  A
-cell of fewer than ``MIN_CELL_POINTS`` points gives a zero normal, so
-covariance I: 43-51 % of the filtered points on the benchmark workloads.
+cell of fewer than ``MIN_CELL_POINTS`` = 3 points, too few to span a plane,
+gives a zero normal, so covariance I: 12-13 % of the filtered points on the
+benchmark workloads.  With 5 points as the minimum, 43-51 % of the points
+got covariance I, and each match was noisier: redrawing the 2 cm range
+noise moved a 5 m loop_ring match by 2.9 mm (standard deviation), against
+2.0 mm with 3 and 1.2 mm with 15-NN normals.  That was enough to change
+which frames became keyframes and to spread loop_ring's ATE over
+0.383-0.422 m across noise seeds; with 3 it spreads over 0.405-0.427 m
+(15-NN normals: 0.403-0.415 m).
 The pre-tracker's strided phase clouds lie on no grid and keep normals from
 each point's k nearest neighbours, which it caches through
 :func:`prepare_alignment` before it matches (:mod:`.pretracker` says why).
@@ -59,7 +66,7 @@ GICP_EPSILON = 1e-3
 # pre-filter's 0.25 m grid
 NORMAL_CELL = 0.75
 # a cell of fewer points gives its points a zero normal, so covariance I
-MIN_CELL_POINTS = 5
+MIN_CELL_POINTS = 3
 # align's final check counts matches among this many source points first,
 # and queries the rest only when they fall short
 _CHECK_PREFIX = 100
