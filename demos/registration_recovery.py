@@ -4,7 +4,7 @@ Renders one scan of a synthetic world, applies known random rigid motions
 to copies of it, and asks :func:`align` to recover each motion.  Reports
 the accuracy, the iteration count and the wall time.
 
-Run:  python3 demos/registration_backends.py
+Run:  python3 demos/registration_recovery.py
 """
 
 import time

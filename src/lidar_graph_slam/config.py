@@ -129,13 +129,11 @@ _KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
     "keyframe_delta_time": ("keyframes", "delta_time", _finite),
     # floor detector
     "floor_enabled": (None, "floor_enabled", _parse_bool),
-    "floor_mode": ("floor", "mode", str),
     "floor_clip_min_z": ("floor", "clip_min_z", _finite),
     "floor_clip_max_z": ("floor", "clip_max_z", _finite),
     "floor_normal_max_angle": ("floor", "normal_vertical_max_angle", _degrees),
     "floor_ransac_threshold": ("floor", "ransac_inlier_threshold", _finite),
     "floor_min_inlier_fraction": ("floor", "min_inlier_fraction", _finite),
-    "floor_rough_clip_radius": ("floor", "rough_clip_radius", _finite),
     # loop detector
     "loop_search_radius": ("loop", "search_radius", _finite),
     "loop_min_accum_distance": ("loop", "min_accumulated_distance", _finite),

@@ -1,9 +1,7 @@
 """Ground-plane extraction.
 
-Planar mode: clip to a height slab, RANSAC-fit a near-horizontal plane to
-every point in it, and refine the best plane by total least squares.
-Rough-terrain mode: clip by horizontal distance from the sensor and fit a
-single least-squares plane.
+Clip to a height slab, RANSAC-fit a near-horizontal plane to every point in
+it, and refine the best plane by total least squares.
 Coefficients follow a*x + b*y + c*z + d = 0 with (a, b, c) unit length and
 c > 0.
 """
@@ -16,9 +14,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import PointCloud, eigen_symmetric_3x3
-
-MODE_PLANAR = "PLANAR"
-MODE_ROUGH = "ROUGH"
 
 # RANSAC scoring holds at most about this many point-plane distances at once
 _SCORE_CHUNK = 1 << 20
@@ -39,31 +34,23 @@ class FloorCoefficients:
     def normal(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c])
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return pts @ self.normal + self.d
-
 
 @dataclass
 class FloorConfig:
-    mode: str = MODE_PLANAR
     clip_min_z: float = -2.5
     clip_max_z: float = -1.0
     normal_vertical_max_angle: float = np.deg2rad(20.0)
     ransac_inlier_threshold: float = 0.1
     min_inlier_fraction: float = 0.3
-    rough_clip_radius: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (MODE_PLANAR, MODE_ROUGH):
-            raise ValueError(f"unknown floor mode {self.mode!r}")
         if self.clip_min_z >= self.clip_max_z:
             raise ValueError("clip_min_z must be below clip_max_z")
         if not 0.0 < self.normal_vertical_max_angle < np.pi / 2:
             raise ValueError("normal_vertical_max_angle must be in (0, pi/2)")
-        if self.ransac_inlier_threshold <= 0 or self.rough_clip_radius <= 0:
-            raise ValueError("thresholds must be positive")
+        if self.ransac_inlier_threshold <= 0:
+            raise ValueError("ransac_inlier_threshold must be positive")
         if not 0.0 <= self.min_inlier_fraction <= 1.0:
             raise ValueError("min_inlier_fraction must be in [0, 1]")
 
@@ -128,8 +115,8 @@ def _inlier_counts(points: np.ndarray, normals: np.ndarray,
     return counts
 
 
-def detect_floor_planar(cloud: PointCloud,
-                        cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
+def detect_floor(cloud: PointCloud,
+                 cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
     """Clip to the height slab and RANSAC-fit the ground plane."""
     cfg = cfg or FloorConfig()
     z = cloud.points[:, 2]
@@ -158,25 +145,3 @@ def detect_floor_planar(cloud: PointCloud,
     if n[2] < cos_max:
         return _invalid()
     return FloorCoefficients(n[0], n[1], n[2], d, valid=True)
-
-
-def detect_floor_rough(cloud: PointCloud,
-                       cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
-    """Least-squares plane over points near the sensor (rough terrain)."""
-    cfg = cfg or FloorConfig()
-    horiz = np.linalg.norm(cloud.points[:, :2], axis=1)
-    near = cloud.points[horiz <= cfg.rough_clip_radius]
-    if len(near) < 3:
-        return _invalid()
-    n, d = fit_plane_lsq(near)
-    rms = float(np.sqrt(np.mean((near @ n + d) ** 2)))
-    valid = rms <= 2.0 * cfg.ransac_inlier_threshold
-    return FloorCoefficients(n[0], n[1], n[2], d, valid=valid)
-
-
-def detect_floor(cloud: PointCloud,
-                 cfg: Optional[FloorConfig] = None) -> FloorCoefficients:
-    cfg = cfg or FloorConfig()
-    if cfg.mode == MODE_ROUGH:
-        return detect_floor_rough(cloud, cfg)
-    return detect_floor_planar(cloud, cfg)

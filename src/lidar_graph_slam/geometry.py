@@ -377,11 +377,19 @@ def voxel_keys(points: np.ndarray, resolution: float):
     negative coordinates land in the correct cell, and one int64 key per
     point packing them (21 bits each, offset to non-negative), so cells
     group with one flat sort instead of a lexicographic row sort.  A cell
-    index outside [-2**20, 2**20) does not fit and raises ``ValueError``.
+    index outside [-2**20, 2**20) does not fit and raises ``ValueError``,
+    as does a NaN or infinite coordinate, with its own message.
     """
-    cells = np.floor(points / resolution).astype(np.int64)
-    if np.any((cells < -_KEY_OFFSET) | (cells >= _KEY_OFFSET)):
+    cells = np.floor(points / resolution)
+    # NaN fails both comparisons, so a non-finite point never reaches the
+    # integer cast
+    if not np.all((cells >= -_KEY_OFFSET) & (cells < _KEY_OFFSET)):
+        bad = ~np.isfinite(points).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{int(bad.sum())} non-finite points, the first "
+                             f"at row {int(np.argmax(bad))}")
         raise ValueError("cloud extent too large for this voxel resolution")
+    cells = cells.astype(np.int64)
     shifted = cells + _KEY_OFFSET
     keys = (shifted[:, 0] << 42) | (shifted[:, 1] << 21) | shifted[:, 2]
     return cells, keys

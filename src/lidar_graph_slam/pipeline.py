@@ -1,15 +1,16 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
 Each frame runs one fixed sequence.  Non-finite points are dropped when the
-frame is admitted.  The front end pre-filters the scan and computes the
-filtered cloud's kd-tree and GICP normals; the pre-tracker estimates the
-motion from the raw cloud (running GICP only when constant motion stops
-fitting); then the tracker matches the filtered cloud against the current
-keyframe, from the better of that guess and constant motion.  A frame whose
-match fails keeps its seed as its pose and is counted as degraded.  When a
-match makes a new keyframe, the floor is detected in its filtered cloud and
-the back end (pose graph, loop closure, optimization) runs inline.  Only
-keyframes carry a floor, so no other frame detects one.
+frame is admitted.  The front end pre-filters the scan; the pre-tracker
+estimates the motion from the raw cloud (running GICP only when constant
+motion stops fitting); then the tracker matches the filtered cloud against
+the current keyframe, from the better of that guess and constant motion.
+That match computes the filtered cloud's GICP normals, and a keyframe's
+kd-tree is built by the first match against it, so only keyframes get one.
+A frame whose match fails keeps its seed as its pose and is counted as
+degraded.  When a match makes a new keyframe, the floor is detected in its
+filtered cloud and the back end (pose graph, loop closure, optimization)
+runs inline.  Only keyframes carry a floor, so no other frame detects one.
 
 The pre-tracker runs "in parallel with the filtering process": one
 lookahead worker thread pre-tracks and runs the front ends of up to
@@ -53,7 +54,6 @@ from .mapping import build_map, write_ply
 from .pose_graph import PoseGraph
 from .prefilter import prefilter
 from .pretracker import Pretracker
-from .registration import prepare_alignment
 from .tracker import Tracker
 
 log = logging.getLogger(__name__)
@@ -113,10 +113,10 @@ class PipelineResult:
     runtime_seconds: float
     # Seconds per call of each stage, on the thread that ran it: pretrack
     # (which also computes its phase clouds' k-NN normals) on the lookahead
-    # worker, track on the calling thread, prefilter and prepare (the
-    # filtered cloud's kd-tree and voxel GICP normals) on whichever ran that
-    # frame's front end.  The stages overlap, and the lists are not in frame
-    # order.  track includes floor, one sample per keyframe, and the back end.
+    # worker, track (which also computes the filtered cloud's voxel GICP
+    # normals) on the calling thread, prefilter on whichever ran that frame's
+    # front end.  The stages overlap, and the lists are not in frame order.
+    # track includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
@@ -156,8 +156,7 @@ class SlamPipeline:
         self._kf_since_opt = 0
         self._ran = False
         self._latencies: Dict[str, List[float]] = {
-            "prefilter": [], "floor": [], "prepare": [], "pretrack": [],
-            "track": []}
+            "prefilter": [], "floor": [], "pretrack": [], "track": []}
 
     # -- per-stage handlers -------------------------------------------------
 
@@ -217,13 +216,9 @@ class SlamPipeline:
                            if self.cfg.pretracker_enabled else _off, cloud)
 
     def _front_end(self, cloud: PointCloud) -> PointCloud:
-        """The filtered cloud with its alignment state cached on it; runs on
-        the lookahead worker or, when it takes the work over, the calling
-        thread."""
-        filtered = self._timed("prefilter", prefilter, cloud,
-                               self.cfg.prefilter)
-        self._timed("prepare", prepare_alignment, filtered)
-        return filtered
+        """The filtered cloud; runs on the lookahead worker or, when it
+        takes the work over, the calling thread."""
+        return self._timed("prefilter", prefilter, cloud, self.cfg.prefilter)
 
     def _take_over(self, frame: _Admitted) -> bool:
         """Run ``frame``'s front end on this thread if the worker has not

@@ -40,9 +40,6 @@ from .geometry import (SO3_LOG_PI_MARGIN, Pose, _hat, _se3_exp_rt,
 from .loop_closure import LoopCandidate
 from .tracker import Keyframe
 
-NODE_KEYFRAME = "KEYFRAME"
-NODE_FLOOR_PLANE = "FLOOR_PLANE"
-
 EDGE_ODOMETRY = "ODOMETRY"
 EDGE_LOOP = "LOOP"
 EDGE_FLOOR = "FLOOR"
@@ -61,9 +58,8 @@ _UPDATE_TOL = 1e-8
 @dataclass
 class GraphNode:
     id: int
-    kind: str
-    pose: Optional[Pose] = None          # KEYFRAME state
-    plane: Optional[np.ndarray] = None   # FLOOR_PLANE state (a, b, c, d)
+    pose: Optional[Pose] = None          # a keyframe's state
+    plane: Optional[np.ndarray] = None   # the floor plane's (a, b, c, d)
 
 
 @dataclass
@@ -156,7 +152,7 @@ class PoseGraph:
             pose = prev @ rel
             self._add_edge(EDGE_ODOMETRY, node_id - 1, node_id, rel,
                            default_information(EDGE_ODOMETRY))
-        self.nodes[node_id] = GraphNode(node_id, NODE_KEYFRAME, pose=pose)
+        self.nodes[node_id] = GraphNode(node_id, pose=pose)
         return node_id
 
     def add_loop(self, loop: LoopCandidate,
@@ -205,8 +201,7 @@ class PoseGraph:
                 return None
         if FLOOR_PLANE_ID not in self.nodes:
             self.nodes[FLOOR_PLANE_ID] = GraphNode(
-                FLOOR_PLANE_ID, NODE_FLOOR_PLANE,
-                plane=np.array([0.0, 0.0, 1.0, 0.0]))
+                FLOOR_PLANE_ID, plane=np.array([0.0, 0.0, 1.0, 0.0]))
         info = information if information is not None else \
             default_information(EDGE_FLOOR)
         return self._add_edge(EDGE_FLOOR, kf_node_id, FLOOR_PLANE_ID, coeffs,

@@ -15,13 +15,12 @@ stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
 Trial steps are judged by their cost alone.
 
 As in fast_gicp, each cloud's kd-tree and GICP surface normals are
-computed once, outside the matching loop, and cached on the cloud.  The
-pipeline computes them with :func:`prepare_alignment` in each frame's front
-end, before the frame is tracked, so the tracker and the loop verifier only
-read them; :func:`align` computes whatever a cloud lacks, the same way.  The
-plane-to-plane covariance is fully set by the normal, so :func:`align`
-rebuilds a cloud's (N, 3, 3) covariances from it once per call: a kept
-keyframe holds 24 bytes per point of GICP state rather than 72.
+computed once, outside the matching loop, and cached on the cloud:
+:func:`align` computes them the first time it matches the cloud, the
+kd-tree only for the target it searches, so in the pipeline only keyframes
+get one.  The plane-to-plane covariance is fully set by the normal, so
+:func:`align` rebuilds a cloud's (N, 3, 3) covariances from it once per
+call: a keyframe holds 24 bytes per point of GICP state rather than 72.
 
 A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
 2009) and VGICP take distributions per voxel: the pre-filter leaves at most

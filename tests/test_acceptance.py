@@ -15,8 +15,7 @@ from scipy.spatial import cKDTree
 from lidar_graph_slam.config import PipelineConfig
 from lidar_graph_slam.evaluation import (TimedPose, compute_ate,
                                          evaluate_trajectories)
-from lidar_graph_slam.floor import (FloorConfig, detect_floor_planar,
-                                    detect_floor_rough)
+from lidar_graph_slam.floor import detect_floor
 from lidar_graph_slam.geometry import PointCloud, Pose, se3_exp, so3_exp
 from lidar_graph_slam.kitti import discover_sequence, load_kitti_scan
 from lidar_graph_slam.loop_closure import LoopCandidate, LoopConfig, LoopDetector
@@ -208,27 +207,13 @@ class TestFloorDetection:
         successes = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            coeffs = detect_floor_planar(self._scene(rng))
+            coeffs = detect_floor(self._scene(rng))
             if not coeffs.valid:
                 continue
             angle = np.degrees(np.arccos(np.clip(coeffs.c, -1.0, 1.0)))
             if angle <= 0.5 and abs(coeffs.d - 1.7) <= 0.02:
                 successes += 1
         assert successes >= 99
-
-    def test_rough_mode_under_noise(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            tilt = so3_exp([np.deg2rad(4.0), np.deg2rad(-2.0), 0.0])
-            xy = rng.uniform(-3.0, 3.0, size=(800, 2))
-            pts = np.column_stack([xy, np.full(800, -1.7)]) @ tilt.T
-            pts += rng.normal(scale=0.05, size=pts.shape)
-            coeffs = detect_floor_rough(PointCloud(pts))
-            assert coeffs.valid
-            true_n = tilt @ np.array([0.0, 0.0, 1.0])
-            angle = np.degrees(np.arccos(
-                np.clip(coeffs.normal @ true_n, -1.0, 1.0)))
-            assert angle <= 2.0
 
 
 class TestScanContextProperties:

@@ -12,12 +12,12 @@ class TestParser:
     def test_basic_lines(self):
         text = """
         # a comment
-        floor_mode = PLANAR
+        floor_enabled = true
 
         max_iterations = 32   # trailing comment
         """
         kv = parse_config_text(text)
-        assert kv == {"floor_mode": "PLANAR", "max_iterations": "32"}
+        assert kv == {"floor_enabled": "true", "max_iterations": "32"}
 
     def test_equals_in_value_preserved(self):
         assert parse_config_text("a = b=c") == {"a": "b=c"}
@@ -64,7 +64,6 @@ class TestBinding:
             "keyframe_delta_angle": "0.5",
             "keyframe_delta_time": "3.0",
             "floor_enabled": "true",
-            "floor_mode": "ROUGH",
             "floor_clip_min_z": "-3.0",
             "floor_clip_max_z": "-0.5",
             "floor_normal_max_angle": "30",
@@ -87,7 +86,7 @@ class TestBinding:
         assert not cfg.pretracker_enabled
         assert cfg.pretracker.phase1_keep_fraction == 0.04
         assert cfg.keyframes.delta_trans == 2.0
-        assert cfg.floor.mode == "ROUGH"
+        assert cfg.floor.clip_min_z == -3.0
         # angle comes in degrees and is stored in radians
         assert cfg.floor.normal_vertical_max_angle == pytest.approx(
             np.deg2rad(30.0))
@@ -101,6 +100,15 @@ class TestBinding:
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_dict({"warp_drive": "engaged"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("floor_mode", "ROUGH"), ("floor_rough_clip_radius", "3.0")])
+    def test_removed_floor_keys_are_unknown(self, key, value):
+        # the floor has one detector, so a file that still picks a mode
+        # fails as one that sets any unknown key
+        with pytest.raises(ValueError,
+                           match=rf"unknown config keys: \['{key}'\]"):
+            PipelineConfig.from_dict({key: value})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "slam.conf"
         path.write_text("keyframe_delta_trans = 1.25\n")
@@ -109,8 +117,9 @@ class TestBinding:
 
 
 # each value breaks a check of the section it belongs to, or is a number
-# the file's converter refuses (nan, inf); registration_method is no longer
-# a key, so a file that still sets it fails as an unknown key
+# the file's converter refuses (nan, inf); registration_method, floor_mode
+# and floor_rough_clip_radius are no longer keys, so a file that still sets
+# one fails as an unknown key
 BAD_VALUES = [
     ("max_iterations", "0"),
     ("downsample_resolution", "-1"),
@@ -121,6 +130,7 @@ BAD_VALUES = [
     ("registration_method", "ICP_P2PLANE"),
     ("downsample_method", "VOXELGRIDD"),
     ("floor_mode", "BANANA"),
+    ("floor_rough_clip_radius", "3.0"),
     ("sc_rings", "0"),
     ("sc_sectors", "0"),
     ("sc_max_range", "-1"),

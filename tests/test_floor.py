@@ -1,13 +1,11 @@
-"""Ground-plane extraction in planar and rough-terrain modes."""
+"""Ground-plane extraction: RANSAC over a height slab."""
 
 import numpy as np
 import pytest
 
 from lidar_graph_slam import floor
-from lidar_graph_slam.floor import (MODE_PLANAR, MODE_ROUGH, FloorConfig,
-                                    FloorCoefficients, detect_floor,
-                                    detect_floor_planar, detect_floor_rough,
-                                    fit_plane_lsq)
+from lidar_graph_slam.floor import (FloorConfig, FloorCoefficients,
+                                    detect_floor, fit_plane_lsq)
 from lidar_graph_slam.geometry import PointCloud
 from lidar_graph_slam.prefilter import PrefilterConfig, prefilter
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
@@ -32,7 +30,7 @@ def floor_wall_scene(rng, tilt=None, noise=0.01, n_floor=1500, n_wall=600):
 def reference_floor_planar(cloud, cfg=None):
     """Planar floor detection scoring one RANSAC hypothesis at a time.
 
-    The per-hypothesis loop ``detect_floor_planar`` replaced; it keeps the
+    The per-hypothesis loop ``detect_floor`` replaced; it keeps the
     first hypothesis whose inlier count beats every earlier one.
     """
     cfg = cfg or FloorConfig()
@@ -82,7 +80,7 @@ def distinct(draws):
 
 
 def assert_matches_reference(cloud, cfg=None):
-    got = detect_floor_planar(cloud, cfg)
+    got = detect_floor(cloud, cfg)
     want = reference_floor_planar(cloud, cfg)
     assert (got.a, got.b, got.c, got.d, got.valid) == \
         (want.a, want.b, want.c, want.d, want.valid)
@@ -123,7 +121,7 @@ class TestFitPlaneLsq:
 class TestPlanarMode:
     def test_finds_floor_despite_wall(self, rng):
         cloud = floor_wall_scene(rng)
-        coeffs = detect_floor_planar(cloud)
+        coeffs = detect_floor(cloud)
         assert coeffs.valid
         angle, offset = plane_errors(coeffs, np.array([0.0, 0.0, 1.0]),
                                      SENSOR_HEIGHT)
@@ -131,17 +129,17 @@ class TestPlanarMode:
         assert offset < 0.02
 
     def test_coefficient_convention(self, rng):
-        coeffs = detect_floor_planar(floor_wall_scene(rng))
+        coeffs = detect_floor(floor_wall_scene(rng))
         # unit normal with c > 0; points on the plane satisfy ax+by+cz+d = 0
         assert np.linalg.norm(coeffs.normal) == pytest.approx(1.0)
         assert coeffs.c > 0
-        on_plane = np.array([[3.0, -2.0, -SENSOR_HEIGHT]])
-        assert abs(coeffs.distance(on_plane)[0]) < 0.05
+        on_plane = np.array([3.0, -2.0, -SENSOR_HEIGHT])
+        assert abs(on_plane @ coeffs.normal + coeffs.d) < 0.05
 
     def test_no_floor_in_clip_band_is_invalid(self, rng):
         # everything well above the clip band
         pts = rng.uniform(-5, 5, size=(500, 3))
-        coeffs = detect_floor_planar(PointCloud(pts))
+        coeffs = detect_floor(PointCloud(pts))
         assert not coeffs.valid
 
     def test_wall_only_scene_is_invalid(self, rng):
@@ -150,7 +148,7 @@ class TestPlanarMode:
         wall = np.column_stack([np.full(800, 5.0),
                                 yz[:, 0], -1.75 + 0.7 * yz[:, 1]])
         wall += rng.normal(scale=0.01, size=wall.shape)
-        coeffs = detect_floor_planar(PointCloud(wall))
+        coeffs = detect_floor(PointCloud(wall))
         assert not coeffs.valid
 
     def test_prefiltered_rendered_scans(self):
@@ -170,7 +168,7 @@ class TestPlanarMode:
             clouds, _ = render_sequence(world, traj[::5], noise_sigma=noise,
                                         curl=curl, seed=1)
             for cloud in clouds:
-                coeffs = detect_floor_planar(prefilter(cloud, cfg))
+                coeffs = detect_floor(prefilter(cloud, cfg))
                 assert coeffs.valid
                 angle, offset = plane_errors(
                     coeffs, np.array([0.0, 0.0, 1.0]), SENSOR_HEIGHT)
@@ -178,13 +176,13 @@ class TestPlanarMode:
 
     def test_deterministic(self, rng):
         cloud = floor_wall_scene(rng)
-        a = detect_floor_planar(cloud)
-        b = detect_floor_planar(cloud)
+        a = detect_floor(cloud)
+        b = detect_floor(cloud)
         assert (a.a, a.b, a.c, a.d) == (b.a, b.b, b.c, b.d)
 
 
 class TestPlanarKernelMatchesReference:
-    """``detect_floor_planar`` scores all hypotheses in one pass; its
+    """``detect_floor`` scores all hypotheses in one pass; its
     coefficients must equal those of the one-at-a-time reference loop."""
 
     @pytest.fixture(params=["default_chunk", "one_plane_per_chunk"])
@@ -287,52 +285,7 @@ class TestPlanarKernelMatchesReference:
         assert assert_matches_reference(PointCloud(ground)).valid
 
 
-class TestRoughMode:
-    def test_tilted_plane_under_noise(self, rng):
-        from lidar_graph_slam.geometry import so3_exp
-        tilt = so3_exp([np.deg2rad(5.0), 0.0, 0.0])
-        xy = rng.uniform(-3.0, 3.0, size=(800, 2))
-        pts = np.column_stack([xy, np.full(800, -SENSOR_HEIGHT)]) @ tilt.T
-        pts += rng.normal(scale=0.05, size=pts.shape)
-        coeffs = detect_floor_rough(PointCloud(pts))
-        assert coeffs.valid
-        true_n = tilt @ np.array([0.0, 0.0, 1.0])
-        angle, _ = plane_errors(coeffs, true_n, 0.0)
-        assert angle < 2.0
-
-    def test_clips_by_horizontal_radius(self, rng):
-        # near points flat, far points wildly sloped: only near ones count
-        near_xy = rng.uniform(-2.0, 2.0, size=(300, 2))
-        near = np.column_stack([near_xy, np.full(300, -SENSOR_HEIGHT)])
-        far_xy = rng.uniform(5.0, 10.0, size=(300, 2))
-        far = np.column_stack([far_xy, far_xy[:, 0] * 2.0])
-        coeffs = detect_floor_rough(PointCloud(np.vstack([near, far])))
-        assert coeffs.valid
-        angle, offset = plane_errors(coeffs, np.array([0.0, 0.0, 1.0]),
-                                     SENSOR_HEIGHT)
-        assert angle < 0.5 and offset < 0.02
-
-    def test_non_planar_neighborhood_is_invalid(self, rng):
-        pts = rng.uniform(-2.0, 2.0, size=(500, 3))
-        coeffs = detect_floor_rough(PointCloud(pts))
-        assert not coeffs.valid
-
-    def test_too_few_points_invalid(self):
-        coeffs = detect_floor_rough(PointCloud(np.zeros((2, 3))))
-        assert not coeffs.valid
-
-
 class TestModeDispatchAndConfig:
-    def test_detect_floor_dispatches(self, rng):
-        cloud = floor_wall_scene(rng)
-        planar_cfg = FloorConfig(mode=MODE_PLANAR)
-        rough_cfg = FloorConfig(mode=MODE_ROUGH)
-        planar = detect_floor(cloud, planar_cfg)
-        rough = detect_floor(cloud, rough_cfg)
-        assert planar == detect_floor_planar(cloud, planar_cfg)
-        assert rough == detect_floor_rough(cloud, rough_cfg)
-        assert planar != rough
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FloorConfig(clip_min_z=-1.0, clip_max_z=-2.0)

@@ -331,7 +331,7 @@ class TestSchedule:
         finally:
             sys.setswitchinterval(interval)
         assert _pose_bytes(result) == expected
-        for stage in ("prefilter", "prepare", "pretrack", "track"):
+        for stage in ("prefilter", "pretrack", "track"):
             assert len(result.stage_latencies[stage]) == len(clouds)
 
     def test_caller_that_never_takes_over_a_front_end(self, straight_run,
@@ -697,11 +697,11 @@ class TestCli:
 
 
 class TestStagePlacement:
-    """Each filtered cloud's kd-tree and GICP normals are built once, on
-    either thread, before the tracker reads them; the worker alone
+    """The tracker builds each filtered cloud's GICP normals, and a
+    keyframe's kd-tree, once, on the calling thread; the worker alone
     pre-tracks, every frame in order."""
 
-    def test_alignment_state_is_built_once_before_its_track(
+    def test_alignment_state_is_built_once_inside_track(
             self, straight_run, monkeypatch):
         clouds = straight_run[0][:8]
         caller = threading.get_ident()
@@ -744,11 +744,34 @@ class TestStagePlacement:
         monkeypatch.setattr(tracker_module.Tracker, "track", recording_track)
         SlamPipeline().run_batch(clouds)
 
-        assert not any(inside for _, _, inside in events)
         for cloud in clouds:
             points = filtered[cloud.timestamp].points
-            mine = [event for event, pts, _ in events if pts is points]
-            assert mine == ["tree", "normals", "track"]
+            mine = [(event, inside) for event, pts, inside in events
+                    if pts is points]
+            assert mine[0] == ("track", False)
+            assert all(inside for _, inside in mine[1:])
+            built = [event for event, _ in mine[1:]]
+            assert built.count("normals") == 1 and built.count("tree") <= 1
+
+    def test_only_keyframe_clouds_carry_a_kdtree(self, straight_run,
+                                                 monkeypatch):
+        filtered = []
+        real_prefilter = pipeline_module.prefilter
+
+        def recording_prefilter(cloud, cfg):
+            filtered.append(real_prefilter(cloud, cfg))
+            return filtered[-1]
+
+        monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+        pipeline = SlamPipeline()
+        pipeline.run_batch(straight_run[0])
+
+        keyframe_ids = {id(kf.cloud) for kf in pipeline.keyframes}
+        with_tree = [c for c in filtered
+                     if "kdtree" in getattr(c, "_derived_cache", {})]
+        assert len(with_tree) >= 2
+        assert {id(c) for c in with_tree} <= keyframe_ids
+        assert len(with_tree) < len(filtered)
 
     def test_pretrack_runs_on_the_worker_in_frame_order(self, straight_run,
                                                         monkeypatch):

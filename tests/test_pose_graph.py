@@ -83,7 +83,8 @@ class TestConstruction:
         graph.add_floor(0, FloorCoefficients(0.0, 0.0, 1.0, 1.7))
         assert graph.keyframe_node_ids == [0, 1, 2, 3]
         assert sorted(graph.nodes) == [FLOOR_PLANE_ID, 0, 1, 2, 3]
-        assert graph.nodes[FLOOR_PLANE_ID].kind == "FLOOR_PLANE"
+        assert graph.nodes[FLOOR_PLANE_ID].pose is None
+        assert graph.nodes[FLOOR_PLANE_ID].plane is not None
         assert [e.id for e in graph.edges] == list(range(len(graph.edges)))
 
     @pytest.mark.parametrize("query, candidate", [
@@ -113,9 +114,8 @@ class TestConstruction:
         coeffs = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
         for node_id in graph.keyframe_node_ids[:3]:
             assert graph.add_floor(node_id, coeffs) is not None
-        plane_nodes = [n for n in graph.nodes.values()
-                       if n.kind == "FLOOR_PLANE"]
-        assert len(plane_nodes) == 1
+        plane_nodes = [n for n in graph.nodes.values() if n.plane is not None]
+        assert [n.id for n in plane_nodes] == [FLOOR_PLANE_ID]
         assert len([e for e in graph.edges if e.kind == EDGE_FLOOR]) == 3
 
     def test_invalid_floor_ignored(self):

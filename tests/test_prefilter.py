@@ -57,6 +57,16 @@ class TestVoxelDownsample:
         with pytest.raises(ValueError):
             voxel_downsample(PointCloud(pts), 0.25)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_named(self, bad):
+        # not mistaken for a cloud too large for the grid, and no
+        # RuntimeWarning from casting them to cells
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError,
+                           match="1 non-finite points, the first at row 2"):
+            voxel_downsample(PointCloud(pts), 0.25)
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("coordinate, fits", [
         (-float(1 << 20), True),            # cell -2**20 packs to 0

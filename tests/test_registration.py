@@ -326,6 +326,13 @@ class TestGicpInternals:
         with pytest.raises(ValueError, match="extent too large"):
             compute_gicp_normals(far)
 
+    def test_non_finite_points_are_named(self, rng):
+        points = box_surface_cloud(rng, n=50).points.copy()
+        points[[7, 30], 0] = np.nan
+        with pytest.raises(ValueError,
+                           match="2 non-finite points, the first at row 7"):
+            voxel_normals(points)
+
     def test_all_sparse_cloud_matches_point_to_point(self, rng):
         # no cell holds MIN_CELL_POINTS points, so every covariance is I
         # and align matches point to point; a small motion is recovered
@@ -361,9 +368,9 @@ class TestGicpInternals:
 
 
 class TestUnpreparedTracking:
-    """align computes what prepare_alignment would have cached, so the
-    pipeline (which prepares every filtered cloud) and a caller that does
-    not prepare track identically."""
+    """align computes what prepare_alignment would have cached, so clouds
+    prepared before they are tracked and clouds that are not (as in the
+    pipeline) track identically."""
 
     def test_unprepared_clouds_track_bit_identically(self):
         traj = straight_then_curve_trajectory(straight=6.0, curve_radius=30.0,
