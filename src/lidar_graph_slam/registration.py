@@ -8,19 +8,20 @@ takes each Gauss-Newton step only if it does not raise the cost: a step
 that does ends the match as converged, and a singular system ends it as
 not converged.
 
-Each GICP iteration forms the per-pair Mahalanobis matrix
-M = (C_q + R C_s R^T)^-1 once, by a closed-form symmetric 3x3 inverse, and
-builds the Gauss-Newton system from it with one matrix product over the
-stacked Jacobians, as in fast_gicp / VGICP (Koide et al., ICRA 2021).
-Trial steps are judged by their cost alone.
+Every covariance is the plane-to-plane disc I - (1 - GICP_EPSILON) n n^T
+of its point's normal n (zero where no normal is found), so each pair's
+combined covariance is 2I minus a rank-2 term in the two normals, and its
+inverse has a closed form through a 2x2 matrix (:func:`_gicp_pairs`).  The
+cost, the gradient and the Gauss-Newton matrix are computed from the
+normals directly, batched over the pairs as in fast_gicp / VGICP (Koide et
+al., ICRA 2021): no 3x3 covariance is formed or inverted.  Trial steps
+are judged by their cost alone.
 
 As in fast_gicp, each cloud's kd-tree and GICP surface normals are
 computed once, outside the matching loop, and cached on the cloud:
 :func:`align` computes them the first time it matches the cloud, the
 kd-tree only for the target it searches, so in the pipeline only keyframes
-get one.  The plane-to-plane covariance is fully set by the normal, so
-:func:`align` rebuilds a cloud's (N, 3, 3) covariances from it once per
-call: a keyframe holds 24 bytes per point of GICP state rather than 72.
+get one.  A keyframe holds 24 bytes per point of GICP state.
 
 A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
 2009) and VGICP take distributions per voxel: the pre-filter leaves at most
@@ -97,7 +98,7 @@ class RegistrationResult:
 
 
 # ---------------------------------------------------------------------------
-# GICP covariances, cost, and normal equations
+# GICP normals, cost, and normal equations
 # ---------------------------------------------------------------------------
 
 def _cloud_cache(cloud: PointCloud) -> dict:
@@ -167,104 +168,97 @@ def compute_gicp_normals(cloud: PointCloud,
     return cache["gicp_normals"]
 
 
-def compute_gicp_covariances(cloud: PointCloud) -> np.ndarray:
-    """Per-point covariances I - (1 - GICP_EPSILON) n n^T, built afresh on
-    each call from the cached normals n (:func:`compute_gicp_normals`).
-
-    A unit normal gives eigenvalues (1, 1, GICP_EPSILON), a disc along the
-    local surface, as in plane-to-plane GICP; a zero normal gives I.
-    """
-    normal = compute_gicp_normals(cloud)
-    out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
-    out[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    return out
-
-
 def prepare_alignment(cloud: PointCloud, k: Optional[int] = None) -> None:
     """Compute and cache what :func:`align` reads of ``cloud``: its kd-tree
     and its normals (:func:`compute_gicp_normals`, k-NN ones when ``k`` is
-    given), from which ``align`` builds the covariances.  A cloud too small
-    for ``align`` to match is left alone."""
+    given).  A cloud too small for ``align`` to match is left alone."""
     if len(cloud) < MIN_CORRESPONDENCES:
         return
     cloud_kdtree(cloud)
     compute_gicp_normals(cloud, k)
 
 
-def _inverse_symmetric_3x3(a: np.ndarray) -> np.ndarray:
-    """Batched inverse of symmetric 3x3 matrices by adjugate over determinant.
+def _gicp_pairs(src, dst, src_normals, dst_normals, transform):
+    """Per-pair GICP terms at ``transform``, from the normals alone.
 
-    Only the upper triangle of ``a`` is read.  A matrix whose determinant is
-    not above 1e-300 gets a zero inverse, so its pair drops out of every
-    GICP sum.
+    Each pair's combined covariance is C = 2I - kappa U U^T with
+    kappa = 1 - GICP_EPSILON and U = [a b], a the target normal and
+    b = R n_s the rotated source normal, so by Woodbury its inverse is
+    M = I/2 + U K U^T / 4 with the 2x2 K = (I/kappa - U^T U / 2)^-1.  K is
+    positive definite for every pair, zero normals included
+    (U^T U <= 2 < 2/kappa), so no pair is singular.
+
+    Returns p = R s + t, d = p - q, a and b as (3, n) columns; the entries
+    e12, e22 and the determinant of K^-1; (w_a, w_b) = K c with
+    c = (a.d, b.d); and the cost sum_i d_i^T M_i d_i, which is
+    sum_i |d_i|^2 / 2 + c_i^T K c_i / 4.
     """
-    a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
-    a11, a12, a22 = a[:, 1, 1], a[:, 1, 2], a[:, 2, 2]
-    c00 = a11 * a22 - a12 * a12
-    c01 = a02 * a12 - a01 * a22
-    c02 = a01 * a12 - a02 * a11
-    det = a00 * c00 + a01 * c01 + a02 * c02
-    inv_det = np.divide(1.0, det, out=np.zeros_like(det), where=det > 1e-300)
-    out = np.empty_like(a)
-    out[:, 0, 0] = c00 * inv_det
-    out[:, 0, 1] = out[:, 1, 0] = c01 * inv_det
-    out[:, 0, 2] = out[:, 2, 0] = c02 * inv_det
-    out[:, 1, 1] = (a00 * a22 - a02 * a02) * inv_det
-    out[:, 1, 2] = out[:, 2, 1] = (a01 * a02 - a00 * a12) * inv_det
-    out[:, 2, 2] = (a00 * a11 - a01 * a01) * inv_det
-    return out
+    r = transform.rotation
+    p = r @ src.T + transform.translation[:, None]
+    d = p - dst.T
+    a = np.ascontiguousarray(dst_normals.T)
+    b = r @ src_normals.T
+    inv_kappa = 1.0 / (1.0 - GICP_EPSILON)
+    e11 = inv_kappa - 0.5 * np.einsum("in,in->n", a, a)
+    e22 = inv_kappa - 0.5 * np.einsum("in,in->n", b, b)
+    e12 = -0.5 * np.einsum("in,in->n", a, b)
+    det = e11 * e22 - e12 * e12
+    c_a = np.einsum("in,in->n", a, d)
+    c_b = np.einsum("in,in->n", b, d)
+    w_a = (e22 * c_a - e12 * c_b) / det
+    w_b = (e11 * c_b - e12 * c_a) / det
+    # summed by numpy, not by a BLAS dot: OpenBLAS runs a dot product of
+    # over 10000 elements on several threads, whose spin-waiting then takes
+    # the core the lookahead worker needs
+    cost = float((0.5 * np.einsum("in,in->n", d, d)
+                  + 0.25 * (c_a * w_a + c_b * w_b)).sum())
+    return p, d, a, b, (e12, e22, det), (w_a, w_b), cost
 
 
-def _rotate_covariances(cov: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """R C R^T for each (3, 3) matrix C of ``cov``, as one contraction: the
-    row-major flattening of R C R^T is (R kron R) times that of C.
-
-    einsum rather than ``@``: OpenBLAS runs an (n x 9) GEMM on several
-    threads, whose spin-waiting then takes the core the lookahead worker
-    needs (process CPU time about twice the wall time on 2 cores).
-    """
-    return np.einsum("ni,ji->nj", cov.reshape(-1, 9),
-                     np.kron(r, r)).reshape(-1, 3, 3)
-
-
-def _gicp_terms(src, dst, cov_src, cov_dst, transform):
-    """Per-pair GICP quantities at ``transform``.
-
-    Returns p = R s + t, d = p - q, the Mahalanobis matrix
-    M = (C_q + R C_s R^T)^-1 and u = M d.  M and u are zero for pairs whose
-    combined covariance is singular.
-    """
-    p = transform.apply(src)
-    d = p - dst
-    m = _inverse_symmetric_3x3(
-        cov_dst + _rotate_covariances(cov_src, transform.rotation))
-    u = np.matmul(m, d[..., None])[..., 0]
-    return p, d, m, u
-
-
-def _gicp_cost(src, dst, cov_src, cov_dst, transform) -> float:
+def _gicp_cost(src, dst, src_normals, dst_normals, transform) -> float:
     """GICP objective sum_i d_i^T M_i d_i alone, for trial steps."""
-    _, d, _, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
-    return float(np.einsum("ni,ni->", d, u))
+    return _gicp_pairs(src, dst, src_normals, dst_normals, transform)[-1]
 
 
-def _gicp_normal_equations(src, dst, cov_src, cov_dst, transform):
+def _gicp_normal_equations(src, dst, src_normals, dst_normals, transform):
     """Gauss-Newton H, g (and cost) for the GICP objective.
 
     With the per-pair Jacobian J = [I | -[p]x] of the residual w.r.t. a
-    left twist, H = sum J^T M J and g = sum J^T u, each one product of the
-    stacked (3n x 6) Jacobians.  Like any Gauss-Newton step it drops the
-    derivative of M with respect to the rotation.
+    left twist, J^T u = [u; p x u], H = sum J^T M J and g = sum J^T M d.
+    M d = v = d/2 + U K c / 4, so g = sum [v; p x v].  H splits as M does:
+    sum J^T J / 2 is closed form in n, sum p and sum p p^T, and with the
+    Cholesky factor K = L L^T the rest is Z^T Z for the (2n x 6) stack Z of
+    the J^T z, z a column of U L / 2.  Like any Gauss-Newton step it drops
+    the derivative of M with respect to the rotation.
     """
-    p, d, m, u = _gicp_terms(src, dst, cov_src, cov_dst, transform)
-    cost = float(np.einsum("ni,ni->", d, u))
+    p, d, a, b, (e12, e22, det), (w_a, w_b), cost = _gicp_pairs(
+        src, dst, src_normals, dst_normals, transform)
+    v = 0.5 * d + 0.25 * (w_a * a + w_b * b)
+    pv = p @ v.T
+    g = np.concatenate([v.sum(axis=1), [pv[1, 2] - pv[2, 1],
+                                        pv[2, 0] - pv[0, 2],
+                                        pv[0, 1] - pv[1, 0]]])
+
+    # L = [[l11, 0], [l21, l22]] with l11 = sqrt(e22 / det),
+    # l21 = -e12 / sqrt(e22 det) and l22 = 1 / sqrt(e22)
+    root = np.sqrt(e22)
+    scale = 0.5 / (root * np.sqrt(det))
     n = len(src)
-    jac = np.zeros((n, 3, 6))
-    jac[:, :, :3] = np.eye(3)
-    _hat(-p, out=jac[:, :, 3:])     # -[p]x; negating p is the cheaper pass
-    jac_flat = jac.reshape(3 * n, 6)
-    h = jac_flat.T @ np.matmul(m, jac).reshape(3 * n, 6)
-    g = jac_flat.T @ u.reshape(3 * n)
+    z = np.empty((6, 2, n))     # Z^T, each column [z; p x z]
+    z[:3, 0] = (scale * e22) * a - (scale * e12) * b
+    z[:3, 1] = (0.5 / root) * b
+    px, py, pz = p[:, None]
+    z[3] = py * z[2] - pz * z[1]
+    z[4] = pz * z[0] - px * z[2]
+    z[5] = px * z[1] - py * z[0]
+    z = z.reshape(6, 2 * n)
+    h = z @ z.T
+    s = p.sum(axis=1)
+    pp = np.einsum("in,jn->ij", p, p)
+    h[:3, :3] += 0.5 * n * np.eye(3)
+    h[:3, 3:] -= 0.5 * _hat(s)
+    h[3:, :3] += 0.5 * _hat(s)
+    h[3:, 3:] += 0.5 * (np.trace(pp) * np.eye(3) - pp)
     return h, g, cost
 
 
@@ -312,7 +306,7 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     points, or fewer correspondences within ``max_correspondence_distance``
     at any iteration or at the final estimate, yields an invalid,
     non-converged result; the tiny-cloud case returns the guess before any
-    covariance is computed.  :func:`score_alignment` scores the result.
+    normal is computed.  :func:`score_alignment` scores the result.
     """
     cfg = cfg or RegistrationConfig()
     guess = guess or Pose.identity()
@@ -323,8 +317,8 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     transform = guess
     max_d = cfg.max_correspondence_distance
 
-    cov_src = compute_gicp_covariances(source)
-    cov_dst = compute_gicp_covariances(target)
+    normals_src = compute_gicp_normals(source)
+    normals_dst = compute_gicp_normals(target)
 
     converged = False
     iterations = 0
@@ -337,16 +331,16 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
         src_sel = source.points[mask]
         matched = idx[mask]
         dst_sel = target.points[matched]
-        cs = cov_src[mask]
-        cd = cov_dst[matched]
-        h, g, cost0 = _gicp_normal_equations(src_sel, dst_sel, cs, cd,
+        ns = normals_src[mask]
+        nd = normals_dst[matched]
+        h, g, cost0 = _gicp_normal_equations(src_sel, dst_sel, ns, nd,
                                              transform)
         try:
             step = -np.linalg.solve(h, g)
         except np.linalg.LinAlgError:
             break
         delta_pose = se3_exp(step)
-        if _gicp_cost(src_sel, dst_sel, cs, cd,
+        if _gicp_cost(src_sel, dst_sel, ns, nd,
                       delta_pose @ transform) > cost0:
             # the step would raise the cost: keep the current estimate
             converged = True

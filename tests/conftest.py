@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.registration import (compute_gicp_covariances,
-                                           compute_gicp_normals)
+from lidar_graph_slam.registration import GICP_EPSILON, compute_gicp_normals
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float) -> np.ndarray:
@@ -30,12 +29,49 @@ def pose_error(estimate: Pose, truth: Pose):
             float(np.degrees(diff.rotation_angle())))
 
 
-def knn_gicp_covariances(cloud: PointCloud, k: int) -> np.ndarray:
-    """GICP covariances of a cloud with no normals yet, from k-NN normals:
-    the estimator the pre-tracker gives its phase clouds."""
+def knn_gicp_normals(cloud: PointCloud, k: int) -> np.ndarray:
+    """GICP normals of a cloud with no normals yet, from its k nearest
+    neighbours: the estimator the pre-tracker gives its phase clouds."""
     assert not hasattr(cloud, "_derived_cache")
-    compute_gicp_normals(cloud, k)
-    return compute_gicp_covariances(cloud)
+    return compute_gicp_normals(cloud, k)
+
+
+def disc_covariances(normals: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) plane-to-plane covariances I - (1 - GICP_EPSILON) n n^T;
+    a unit normal gives eigenvalues (GICP_EPSILON, 1, 1), a zero one I."""
+    out = (GICP_EPSILON - 1.0) * (normals[:, :, None] * normals[:, None, :])
+    out[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    return out
+
+
+def compute_gicp_covariances(cloud: PointCloud) -> np.ndarray:
+    """The GICP covariances of ``cloud``, from its cached normals."""
+    return disc_covariances(compute_gicp_normals(cloud))
+
+
+def dense_normal_equations(src, dst, src_normals, dst_normals, transform):
+    """Reference GICP H, g and cost, the dense way: the covariances from
+    the normals, M = (C_q + R C_s R^T)^-1 by ``np.linalg.inv``, then
+    H = sum J^T M J and g = sum J^T M d over the stacked (3n x 6)
+    Jacobians J = [I | -[p]x]."""
+    r, t = transform.rotation, transform.translation
+    p = src @ r.T + t
+    d = p - dst
+    m = np.linalg.inv(disc_covariances(dst_normals)
+                      + r @ disc_covariances(src_normals) @ r.T)
+    u = np.matmul(m, d[..., None])[..., 0]
+    jac = np.zeros((len(src), 3, 6))
+    jac[:, :, :3] = np.eye(3)
+    jac[:, 0, 4] = p[:, 2]
+    jac[:, 0, 5] = -p[:, 1]
+    jac[:, 1, 3] = -p[:, 2]
+    jac[:, 1, 5] = p[:, 0]
+    jac[:, 2, 3] = p[:, 1]
+    jac[:, 2, 4] = -p[:, 0]
+    jac_flat = jac.reshape(-1, 6)
+    h = jac_flat.T @ np.matmul(m, jac).reshape(-1, 6)
+    g = jac_flat.T @ u.reshape(-1)
+    return h, g, float(np.einsum("ni,ni->", d, u))
 
 
 def is_valid_pose(pose: Pose) -> bool:

@@ -34,7 +34,7 @@ from lidar_graph_slam.synthetic import (make_world, render_scan,
                                         straight_then_curve_trajectory)
 from lidar_graph_slam.tracker import Keyframe, Tracker
 
-from conftest import (box_surface_cloud, knn_gicp_covariances, pose_error,
+from conftest import (box_surface_cloud, knn_gicp_normals, pose_error,
                       random_pose)
 
 
@@ -135,8 +135,8 @@ class TestRegistrationRecovery:
             cloud_b = PointCloud(cloud_a.points
                                  + rng.normal(scale=0.05, size=(100, 3)))
             args = (cloud_a.points, cloud_b.points,
-                    knn_gicp_covariances(cloud_a, k=10),
-                    knn_gicp_covariances(cloud_b, k=10))
+                    knn_gicp_normals(cloud_a, k=10),
+                    knn_gicp_normals(cloud_b, k=10))
             transform = random_pose(rng, 0.3, 0.1)
             _, g, _ = _gicp_normal_equations(*args, transform)
             h = 1e-6

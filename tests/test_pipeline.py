@@ -45,10 +45,11 @@ def straight_run():
 
 @pytest.fixture(scope="module")
 def burst_clouds():
-    """69 scans 10 ms apart, far faster than the pipeline tracks them."""
+    """69 scans 10 us apart, far closer than any frame takes to track, so
+    arrivals outrun the pipeline however fast it tracks."""
     traj = straight_then_curve_trajectory(straight=66.0, curve_radius=40.0,
                                           curve_angle=0.05, step=1.0,
-                                          rate_hz=100.0)
+                                          rate_hz=1e5)
     xy = np.array([[t.translation[0], t.translation[1]] for _, t in traj])
     world = make_world(xy, seed=2, corridor=12.0)
     clouds, _ = render_sequence(world, traj, max_range=30.0)

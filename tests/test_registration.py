@@ -13,11 +13,8 @@ from lidar_graph_slam.pipeline import SlamPipeline
 from lidar_graph_slam.prefilter import PrefilterConfig, prefilter
 from lidar_graph_slam.registration import (GICP_EPSILON, MIN_CELL_POINTS,
                                            MIN_CORRESPONDENCES, NORMAL_CELL,
-                                           RegistrationConfig,
-                                           _gicp_cost, _gicp_normal_equations,
-                                           _inverse_symmetric_3x3,
-                                           _rotate_covariances,
-                                           compute_gicp_covariances,
+                                           RegistrationConfig, _gicp_cost,
+                                           _gicp_normal_equations, _gicp_pairs,
                                            compute_gicp_normals, align,
                                            cloud_kdtree, prepare_alignment,
                                            score_alignment, voxel_normals)
@@ -25,8 +22,9 @@ from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory)
 from lidar_graph_slam.tracker import KeyframeCriteria, Tracker
 
-from conftest import (box_surface_cloud, knn_gicp_covariances, pose_error,
-                      random_pose, random_rotation)
+from conftest import (box_surface_cloud, compute_gicp_covariances,
+                      dense_normal_equations, disc_covariances,
+                      knn_gicp_normals, pose_error, random_pose)
 
 
 def tight_config():
@@ -85,7 +83,7 @@ class TestAlign:
 
     @pytest.mark.parametrize("n_points", [1, 2, 9])
     def test_cloud_below_min_correspondences_fails(self, rng, n_points):
-        # the guess comes back, before any covariance is computed
+        # the guess comes back, before any normal is computed
         tiny = PointCloud(rng.normal(size=(n_points, 3)))
         full = PointCloud(rng.normal(size=(30, 3)))
         guess = random_pose(rng, 0.5, 0.1)
@@ -348,22 +346,25 @@ class TestGicpInternals:
         terr, rerr = pose_error(res.transform, truth)
         assert terr < 1e-6 and rerr < 1e-4
 
-    def test_covariances_cached_per_cloud(self, rng):
-        # the normals are cached; the covariances are rebuilt from them on
-        # every call, so two calls give equal arrays, not one object
-        cloud = box_surface_cloud(rng, n=200)
-        assert compute_gicp_normals(cloud) is compute_gicp_normals(cloud)
-        a = compute_gicp_covariances(cloud)
-        b = compute_gicp_covariances(cloud)
-        assert a is not b
-        np.testing.assert_array_equal(a, b)
+    def test_normals_cached_per_cloud(self, rng, monkeypatch):
+        # each cloud's normals are computed once, by its first match, and
+        # every later match reads the cached array
+        calls = []
+        monkeypatch.setattr(registration_module, "voxel_normals",
+                            lambda points: calls.append(len(points))
+                            or voxel_normals(points))
+        source, target, _ = make_pair(rng)
+        for _ in range(2):
+            assert align(source, target).valid
+        assert calls == [len(source), len(target)]
+        assert compute_gicp_normals(source) is compute_gicp_normals(source)
 
     def test_first_call_picks_the_estimator(self, rng):
         # k-NN normals cached first are what align and later calls read
         cloud = box_surface_cloud(rng, n=300)
         prepare_alignment(cloud, k=15)
-        np.testing.assert_array_equal(compute_gicp_covariances(cloud),
-                                      broadcast_gicp_covariances(cloud, 15))
+        np.testing.assert_array_equal(compute_gicp_normals(cloud),
+                                      reference_knn_normals(cloud, 15))
         assert compute_gicp_normals(cloud) is compute_gicp_normals(cloud, 7)
 
 
@@ -393,16 +394,12 @@ class TestUnpreparedTracking:
         np.testing.assert_array_equal(poses[0], poses[1])
 
 
-def broadcast_gicp_covariances(cloud, k):
-    """Reference: k-NN normals, then I - (1 - eps) n n^T by broadcasting,
-    as the covariances were built when each cloud cached them."""
+def reference_knn_normals(cloud, k):
+    """Reference: k-NN normals from a fresh kd-tree over the cloud."""
     k = min(k, len(cloud))
     idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=k)
-    _, normal = eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
-                                                             idx))
-    out = (GICP_EPSILON - 1.0) * (normal[:, :, None] * normal[:, None, :])
-    out[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    return out
+    return eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
+                                                        idx))[1]
 
 
 def cached_arrays(cloud):
@@ -428,8 +425,10 @@ class TestAlignmentState:
         for cloud in (box_surface_cloud(rng, n=300),
                       PointCloud(np.column_stack([xy, 0.01 * xy[:, 0]])),
                       PointCloud(rng.normal(size=(25, 3)))):
-            assert np.array_equal(knn_gicp_covariances(cloud, k),
-                                  broadcast_gicp_covariances(cloud, k))
+            knn_gicp_normals(cloud, k)
+            assert np.array_equal(
+                compute_gicp_covariances(cloud),
+                disc_covariances(reference_knn_normals(cloud, k)))
 
     def test_prepared_cloud_caches_tree_and_normals(self, rng):
         source, target, _ = make_pair(rng)
@@ -465,75 +464,53 @@ class TestAlignmentState:
             assert sum(a.nbytes for a in held) <= kf.cloud.points.nbytes
 
 
-def reference_normal_equations(src, dst, cov_src, cov_dst, transform):
-    """GICP H, g, cost by per-pair linear solves, without forming M."""
-    r, t = transform.rotation, transform.translation
-    p = src @ r.T + t
-    d = p - dst
-    a = cov_dst + np.einsum("ij,njk,lk->nil", r, cov_src, r)
-    u = np.linalg.solve(a, d[..., None])[..., 0]
-    cost = float(np.einsum("ni,ni->", d, u))
-    jac = np.zeros((len(src), 3, 6))
-    jac[:, :, :3] = np.eye(3)
-    jac[:, 0, 4] = p[:, 2]
-    jac[:, 0, 5] = -p[:, 1]
-    jac[:, 1, 3] = -p[:, 2]
-    jac[:, 1, 5] = p[:, 0]
-    jac[:, 2, 3] = p[:, 1]
-    jac[:, 2, 4] = -p[:, 0]
-    m_jac = np.linalg.solve(a, jac)
-    h = np.einsum("nij,nik->jk", jac, m_jac)
-    g = np.einsum("nij,ni->j", jac, u)
-    return h, g, cost
-
-
 def noisy_pair(rng, n=300):
-    """Box cloud, a noisy copy, their covariances and a small transform."""
+    """Box cloud, a noisy copy, their k-NN normals and a small transform."""
     cloud_a = box_surface_cloud(rng, n=n)
     cloud_b = PointCloud(cloud_a.points + rng.normal(scale=0.05, size=(n, 3)))
-    cov_a = knn_gicp_covariances(cloud_a, 10)
-    cov_b = knn_gicp_covariances(cloud_b, 10)
-    return (cloud_a.points, cloud_b.points, cov_a, cov_b,
-            random_pose(rng, 0.3, 0.1))
+    return (cloud_a.points, cloud_b.points, knn_gicp_normals(cloud_a, 10),
+            knn_gicp_normals(cloud_b, 10), random_pose(rng, 0.3, 0.1))
 
 
 def relative_error(a, b):
     return np.max(np.abs(np.asarray(a) - b)) / np.max(np.abs(b))
 
 
+def unit_normals(rng, n):
+    normals = rng.normal(size=(n, 3))
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
 class TestGicpKernel:
     def test_closed_form_inverse_matches_linalg(self, rng):
-        # combined GICP covariances: sums of two rotated (eps, 1, 1) discs
-        discs = []
-        for _ in range(2):
-            rots = np.array([random_rotation(rng, np.pi) for _ in range(200)])
-            discs.append(rots @ np.diag([1e-3, 1.0, 1.0])
-                         @ rots.transpose(0, 2, 1))
-        a = discs[0] + discs[1]
-        inv = _inverse_symmetric_3x3(a)
-        np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-10,
-                                   atol=1e-10)
-
-    def test_rotated_covariances_match_matmul(self, rng):
-        cov = knn_gicp_covariances(box_surface_cloud(rng, n=300), 10)
-        cov = cov * rng.uniform(0.1, 10.0, size=(len(cov), 1, 1))
+        # M d from the 2x2 closed form against the dense inverse of the
+        # combined covariance, for unit and zero normals on either side
+        n = 400
+        src = rng.uniform(-20.0, 20.0, size=(n, 3))
+        dst = src + rng.normal(scale=0.3, size=(n, 3))
+        src_normals, dst_normals = unit_normals(rng, n), unit_normals(rng, n)
+        src_normals[::4] = 0.0
+        dst_normals[::3] = 0.0
         for _ in range(5):
-            r = random_rotation(rng, np.pi)
-            np.testing.assert_allclose(_rotate_covariances(cov, r),
-                                       np.matmul(r @ cov, r.T),
-                                       rtol=0, atol=1e-14)
-
-    def test_singular_matrix_gets_zero_inverse(self):
-        a = np.stack([np.diag([1.0, 1.0, 0.0]), np.eye(3)])
-        inv = _inverse_symmetric_3x3(a)
-        np.testing.assert_array_equal(inv[0], np.zeros((3, 3)))
-        np.testing.assert_allclose(inv[1], np.eye(3))
+            transform = random_pose(rng, 1.0, np.pi)
+            p, d, a, b, _, (w_a, w_b), _ = _gicp_pairs(
+                src, dst, src_normals, dst_normals, transform)
+            m_d = 0.5 * d + 0.25 * (w_a * a + w_b * b)
+            r = transform.rotation
+            dense = np.linalg.solve(
+                disc_covariances(dst_normals)
+                + r @ disc_covariances(src_normals) @ r.T, d.T[..., None])
+            np.testing.assert_allclose(m_d.T, dense[..., 0], rtol=1e-10,
+                                       atol=1e-12)
+            np.testing.assert_allclose(p.T, transform.apply(src), rtol=0,
+                                       atol=1e-12)
 
     def test_covariances_match_eigen_reconstruction(self, rng):
         # reference: V diag(eps, 1, 1) V^T from the k-NN covariance's
         # eigenvectors V, for the pre-tracker's estimator
         cloud = box_surface_cloud(rng, n=300)
-        cov = knn_gicp_covariances(cloud, 10)
+        knn_gicp_normals(cloud, 10)
+        cov = compute_gicp_covariances(cloud)
         idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=10)
         nb = cloud.points[idx]
         centered = nb - nb.mean(axis=1, keepdims=True)
@@ -547,7 +524,7 @@ class TestGicpKernel:
         for _ in range(5):
             args = noisy_pair(rng)
             h, g, cost = _gicp_normal_equations(*args)
-            h_ref, g_ref, cost_ref = reference_normal_equations(*args)
+            h_ref, g_ref, cost_ref = dense_normal_equations(*args)
             assert relative_error(h, h_ref) < 1e-9
             assert relative_error(g, g_ref) < 1e-9
             assert cost == pytest.approx(cost_ref, rel=1e-9)
@@ -566,18 +543,87 @@ class TestGicpKernel:
         only the translation block, on which M does not depend, is checked.
         """
         for _ in range(5):
-            src, dst, cov_a, cov_b, transform = noisy_pair(rng)
-            _, g, _ = _gicp_normal_equations(src, dst, cov_a, cov_b,
+            src, dst, normals_a, normals_b, transform = noisy_pair(rng)
+            _, g, _ = _gicp_normal_equations(src, dst, normals_a, normals_b,
                                              transform)
             step = 1e-6
             fd = np.zeros(3)
             for j in range(3):
                 delta = np.zeros(6)
                 delta[j] = step
-                plus = _gicp_cost(src, dst, cov_a, cov_b,
+                plus = _gicp_cost(src, dst, normals_a, normals_b,
                                   se3_exp(delta) @ transform)
-                minus = _gicp_cost(src, dst, cov_a, cov_b,
+                minus = _gicp_cost(src, dst, normals_a, normals_b,
                                    se3_exp(-delta) @ transform)
                 fd[j] = (plus - minus) / (2.0 * step)
             assert np.max(np.abs(2.0 * g[:3] - fd)) < \
                 1e-5 * max(1.0, np.max(np.abs(fd)))
+
+
+class TestGicpClosedFormEdgeCases:
+    """The closed form against the dense reference (covariances from the
+    normals, ``np.linalg.inv``, stacked Jacobians) where the 2x2 system is
+    at its extremes: zero normals, and a source normal that the rotation
+    carries onto the target normal or its opposite."""
+
+    @staticmethod
+    def scattered_pairs(rng, n=200):
+        src = rng.uniform(-15.0, 15.0, size=(n, 3))
+        return src, src + rng.normal(scale=0.2, size=(n, 3))
+
+    def assert_matches_reference(self, *args):
+        h, g, cost = _gicp_normal_equations(*args)
+        h_ref, g_ref, cost_ref = dense_normal_equations(*args)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(g))
+        assert relative_error(h, h_ref) < 1e-9
+        assert relative_error(g, g_ref) < 1e-9
+        assert cost == pytest.approx(cost_ref, rel=1e-9)
+        assert _gicp_cost(*args) == cost
+        return h, g, cost
+
+    @pytest.mark.parametrize("zero_src, zero_dst", [
+        (True, False), (False, True), (True, True)])
+    def test_zero_normals(self, rng, zero_src, zero_dst):
+        src, dst = self.scattered_pairs(rng)
+        normals = [unit_normals(rng, len(src)) for _ in range(2)]
+        if zero_src:
+            normals[0][:] = 0.0
+        if zero_dst:
+            normals[1][:] = 0.0
+        transform = random_pose(rng, 1.0, np.pi)
+        _, _, cost = self.assert_matches_reference(src, dst, *normals,
+                                                   transform)
+        if zero_src and zero_dst:
+            # M = I / 2: half the point-to-point cost
+            d = transform.apply(src) - dst
+            assert cost == pytest.approx(0.5 * np.sum(d * d), rel=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_aligned_normals_weigh_the_normal_by_one_over_two_eps(
+            self, rng, sign):
+        # b = R n_s = +-a: C = 2I - 2 kappa a a^T, whose inverse weighs the
+        # offset along a by 1 / (2 eps) and across it by 1/2, finite
+        src, dst = self.scattered_pairs(rng)
+        transform = random_pose(rng, 1.0, np.pi)
+        dst_normals = unit_normals(rng, len(src))
+        src_normals = sign * dst_normals @ transform.rotation
+        self.assert_matches_reference(src, dst, src_normals, dst_normals,
+                                      transform)
+        # offsets along the normal alone
+        offset = rng.uniform(-0.5, 0.5, size=len(src))
+        dst = transform.apply(src) - offset[:, None] * dst_normals
+        _, _, cost = self.assert_matches_reference(
+            src, dst, src_normals, dst_normals, transform)
+        assert cost == pytest.approx(
+            np.sum(offset ** 2) / (2.0 * GICP_EPSILON), rel=1e-9)
+
+    def test_random_rotations(self, rng):
+        # unit and zero normals mixed on both sides, at rotations up to pi
+        src, dst = self.scattered_pairs(rng, n=500)
+        src_normals = unit_normals(rng, len(src))
+        dst_normals = unit_normals(rng, len(src))
+        src_normals[rng.random(len(src)) < 0.15] = 0.0
+        dst_normals[rng.random(len(src)) < 0.15] = 0.0
+        for _ in range(10):
+            self.assert_matches_reference(src, dst, src_normals, dst_normals,
+                                          random_pose(rng, 5.0, np.pi))
