@@ -137,7 +137,6 @@ _KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
     # loop detector
     "loop_search_radius": ("loop", "search_radius", _finite),
     "loop_min_accum_distance": ("loop", "min_accumulated_distance", _finite),
-    "loop_top_k": ("loop", "top_k", int),
     "loop_fitness_threshold": ("loop", "fitness_accept_threshold", _finite),
     "sc_rings": ("scan_context", "rings", int),
     "sc_sectors": ("scan_context", "sectors", int),

@@ -1,10 +1,10 @@
 """Three-phase loop closure.
 
 Phase 1 gates keyframes that are close in space but far along the traveled
-path.  Phase 2 ranks the gated set by polar-grid descriptor distance (ring
-keys pre-select via a KD-tree) down to the top k.  Phase 3 verifies the
-survivors by scan matching and keeps the single best-fitting candidate, so
-at most k registrations run per query.
+path.  Phase 2 scores every gated keyframe by exact polar-grid descriptor
+distance in one batched product and keeps the nearest.  Phase 3 verifies
+that one candidate by scan matching if its descriptor is close enough, so
+at most one registration runs per query.
 """
 
 from __future__ import annotations
@@ -14,27 +14,24 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import KdTree, Pose, so3_exp
+from .geometry import Pose, so3_exp
 from .registration import RegistrationConfig, align, score_alignment
-from .scan_context import (ScanContext, ScanContextParams, descriptor_distance,
-                           make_scan_context, shift_to_yaw)
+from .scan_context import (ScanContext, ScanContextParams,
+                           descriptor_distances, make_scan_context,
+                           shift_to_yaw)
 from .tracker import Keyframe
-
-# candidates the ring keys pre-select: this many, or 2 top_k if that is more
-RING_KEY_PRESELECT = 10
 
 
 @dataclass
 class LoopConfig:
     search_radius: float = 40.0
     min_accumulated_distance: float = 25.0
-    top_k: int = 5
     fitness_accept_threshold: float = 0.5     # m^2
     descriptor_distance_threshold: float = 0.3
 
     def __post_init__(self):
         if min(self.search_radius, self.min_accumulated_distance,
-               self.top_k, self.fitness_accept_threshold) <= 0:
+               self.fitness_accept_threshold) <= 0:
             raise ValueError("all loop-closure parameters must be positive")
 
 
@@ -68,29 +65,19 @@ def gate_candidates(query: Keyframe, keyframes: Sequence[Keyframe],
     return out
 
 
-def rank_candidates(query_sc: ScanContext,
-                    gated: Sequence[Tuple[int, ScanContext]],
-                    k: int) -> List[Tuple[int, float, int]]:
-    """Top-k gated candidates by full descriptor distance.
+def nearest_candidate(query_sc: ScanContext,
+                      gated: Sequence[Tuple[int, ScanContext]]
+                      ) -> Tuple[int, float, int]:
+    """The gated candidate nearest by full descriptor distance.
 
-    ``gated`` pairs candidate indices with their descriptors.  Ring keys
-    pre-select up to ``max(RING_KEY_PRESELECT, 2k)`` nearest candidates
-    before the shift-exhaustive comparison.  Returns (index, distance,
-    best_shift) ascending by distance.
+    ``gated`` pairs candidate indices with their descriptors and is not
+    empty.  Returns (index, distance, best_shift); a tie goes to the
+    earliest entry of ``gated``.
     """
-    if not gated:
-        return []
-    n_pre = min(len(gated), max(RING_KEY_PRESELECT, 2 * k))
-    tree = KdTree(np.stack([sc.ring_key for _, sc in gated]))
-    pre_idx, _ = tree.query_batch(query_sc.ring_key[None], k=n_pre)
-    pre_idx = np.atleast_1d(pre_idx[0])
-    scored = []
-    for i in pre_idx:
-        idx, sc = gated[int(i)]
-        dist, shift = descriptor_distance(query_sc, sc)
-        scored.append((idx, dist, shift))
-    scored.sort(key=lambda s: s[1])
-    return scored[:k]
+    dist, shift = descriptor_distances(
+        query_sc, np.stack([sc.grid for _, sc in gated]))
+    best = int(np.argmin(dist))
+    return gated[best][0], float(dist[best]), int(shift[best])
 
 
 class LoopDetector:
@@ -111,27 +98,23 @@ class LoopDetector:
         return kf.scan_context
 
     def verify(self, query: Keyframe, keyframes: Sequence[Keyframe],
-               ranked: Sequence[Tuple[int, float, int]]) -> Optional[LoopCandidate]:
-        """Scan-match the ranked candidates; return the best accepted one."""
-        best: Optional[LoopCandidate] = None
-        for idx, dist, shift in ranked:
-            if dist > self.cfg.descriptor_distance_threshold:
-                continue    # descriptors disagree; not worth a registration
-            cand = keyframes[idx]
-            guess = self._initial_guess(query, cand, shift)
-            res = align(query.cloud, cand.cloud, guess, self.reg_cfg)
-            self.registration_calls += 1
-            if not res.converged or not res.valid:
-                continue
-            fitness = score_alignment(
-                query.cloud, cand.cloud, res.transform,
-                self.reg_cfg.max_correspondence_distance)
-            if fitness > self.cfg.fitness_accept_threshold:
-                continue
-            if best is None or fitness < best.fitness:
-                best = LoopCandidate(query.index, cand.index, dist,
-                                     res.transform, fitness)
-        return best
+               nearest: Tuple[int, float, int]) -> Optional[LoopCandidate]:
+        """Scan-match the nearest candidate; return it if accepted."""
+        idx, dist, shift = nearest
+        if dist > self.cfg.descriptor_distance_threshold:
+            return None     # descriptors disagree; not worth a registration
+        cand = keyframes[idx]
+        guess = self._initial_guess(query, cand, shift)
+        res = align(query.cloud, cand.cloud, guess, self.reg_cfg)
+        self.registration_calls += 1
+        if not res.converged or not res.valid:
+            return None
+        fitness = score_alignment(query.cloud, cand.cloud, res.transform,
+                                  self.reg_cfg.max_correspondence_distance)
+        if fitness > self.cfg.fitness_accept_threshold:
+            return None
+        return LoopCandidate(query.index, cand.index, dist, res.transform,
+                             fitness)
 
     def _initial_guess(self, query: Keyframe, cand: Keyframe,
                        shift: int) -> Pose:
@@ -156,6 +139,5 @@ class LoopDetector:
         if not gated_idx:
             return None
         gated = [(i, self.descriptor_for(keyframes[i])) for i in gated_idx]
-        query_sc = self.descriptor_for(query)
-        ranked = rank_candidates(query_sc, gated, self.cfg.top_k)
-        return self.verify(query, keyframes, ranked)
+        nearest = nearest_candidate(self.descriptor_for(query), gated)
+        return self.verify(query, keyframes, nearest)

@@ -3,8 +3,8 @@
 A cloud is summarized as a rings x sectors matrix of maximum point heights
 per polar bin.  Yawing the cloud by a whole number of sector widths shifts
 the matrix columns circularly, so comparing under all column shifts makes
-retrieval rotation-aware; the per-ring occupancy key is fully rotation
-invariant and serves as a cheap pre-filter.
+retrieval rotation-aware.  One batched product scores a query against a
+whole stack of candidate grids under every shift.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class ScanContextParams:
 @dataclass
 class ScanContext:
     grid: np.ndarray       # (rings, sectors), >= 0
-    ring_key: np.ndarray   # (rings,) occupancy mean per ring
     params: ScanContextParams
 
 
@@ -62,36 +61,43 @@ def make_scan_context(cloud: PointCloud,
         sector = np.clip(sector, 0, params.sectors - 1)
         height = np.maximum(pts[:, 2] + HEIGHT_OFFSET, 0.0)
         np.maximum.at(grid, (ring, sector), height)
-    occupancy = (grid > 0.0).astype(np.float64)
-    ring_key = occupancy.mean(axis=1)
-    return ScanContext(grid, ring_key, params)
+    return ScanContext(grid, params)
 
 
-def descriptor_distance(query: ScanContext,
-                        candidate: ScanContext) -> Tuple[float, int]:
-    """Minimum over column shifts of the mean column-wise cosine distance.
+def _unit_columns(grids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns scaled to unit norm (empty ones stay zero), and occupancy."""
+    norms = np.linalg.norm(grids, axis=-2, keepdims=True)
+    occupied = norms > 0.0
+    unit = np.divide(grids, norms, out=np.zeros_like(grids), where=occupied)
+    return unit, occupied[..., 0, :].astype(np.float64)
 
-    Returns (distance, best_shift) where rolling the query grid columns by
-    ``best_shift`` best matches the candidate.  Column pairs where either
-    column is empty are skipped; if no pair is comparable the distance is 1.
+
+def descriptor_distances(query: ScanContext,
+                         grids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimum over column shifts of the mean column-wise cosine distance,
+    for the query against each of a stack of candidate grids.
+
+    ``grids`` is (n, rings, sectors).  Returns (distances, best_shifts), each
+    (n,): rolling the query grid columns by ``best_shifts[i]`` best matches
+    candidate ``i``, and the first minimum wins a tie between shifts.  Column
+    pairs where either column is empty are skipped; if no pair is comparable
+    the distance is 1.
     """
-    q, c = query.grid, candidate.grid
-    sectors = q.shape[1]
+    sectors = query.grid.shape[1]
     # all shifts at once: rolling the query by s puts its column (j - s) mod S
-    # against candidate column j, so every shift's column dots are entries
-    # of the one S x S product q^T c, picked out by a circulant index
+    # against candidate column j, so every shift's column cosines are entries
+    # of the one S x S product of unit columns, picked out by a circulant index
     cols = np.arange(sectors)
     src_col = (cols[None, :] - cols[:, None]) % sectors   # [shift, column]
-    dots = (q.T @ c)[src_col, cols]
-    denom = np.linalg.norm(q, axis=0)[src_col] * np.linalg.norm(c, axis=0)
-    usable = denom > 0.0
-    count = usable.sum(axis=1)
-    # skipped pairs get cos = 1, so they add nothing to the sum
-    cos = np.divide(dots, denom, out=np.ones_like(denom), where=usable)
-    dist = np.where(count > 0, (1.0 - cos).sum(axis=1) / np.maximum(count, 1),
-                    1.0)
-    best = int(np.argmin(dist))                   # first minimum wins ties
-    return float(dist[best]), best
+    q_unit, q_occupied = _unit_columns(query.grid)
+    c_unit, c_occupied = _unit_columns(grids)
+    # an empty column is a zero unit column: it adds nothing to the sum
+    cos_sum = np.matmul(q_unit.T, c_unit)[:, src_col, cols].sum(axis=2)
+    # einsum, not a BLAS product: OpenBLAS would spin a second core for this
+    # one from a few hundred candidates on
+    count = np.einsum("cj,sj->cs", c_occupied, q_occupied[src_col])
+    dist = np.where(count > 0, (count - cos_sum) / np.maximum(count, 1), 1.0)
+    return dist.min(axis=1), np.argmin(dist, axis=1)
 
 
 def shift_to_yaw(shift: int, params: ScanContextParams) -> float:

@@ -26,7 +26,7 @@ from lidar_graph_slam.pretracker import Pretracker
 from lidar_graph_slam.registration import (RegistrationConfig,
                                            _gicp_cost, _gicp_normal_equations,
                                            align)
-from lidar_graph_slam.scan_context import (descriptor_distance,
+from lidar_graph_slam.scan_context import (descriptor_distances,
                                            make_scan_context)
 from lidar_graph_slam.synthetic import (make_world, render_scan,
                                         render_sequence,
@@ -241,9 +241,9 @@ class TestScanContextProperties:
             world = make_world(np.array([[0.0, 0.0], [10.0, 0.0]]),
                                seed=seed + 30, corridor=15.0)
             places.append(world)
-        base_descriptors = [
-            make_scan_context(render_scan(w, spot, 0.0, max_range=40.0))
-            for w in places]
+        base_grids = np.stack([
+            make_scan_context(render_scan(w, spot, 0.0, max_range=40.0)).grid
+            for w in places])
 
         rng = np.random.default_rng(22)
         for trial in range(100):
@@ -253,21 +253,22 @@ class TestScanContextProperties:
                                     rng.uniform(-0.5, 0.5), 0.0]))
             query_scan = render_scan(places[p], jitter, 0.0, max_range=40.0)
             query = make_scan_context(query_scan)
-            dists = [descriptor_distance(query, cand)[0]
-                     for cand in base_descriptors]
+            dists, _ = descriptor_distances(query, base_grids)
             assert int(np.argmin(dists)) == p
 
-    def test_at_most_k_registrations_per_query(self):
+    def test_one_registration_per_query(self):
         world = make_world(np.array([[0.0, 0.0], [10.0, 0.0]]), seed=40,
                            corridor=12.0)
         scan = render_scan(world, Pose.identity(), 0.0, max_range=30.0)
-        cfg = LoopConfig(top_k=5, descriptor_distance_threshold=1.1)
+        cfg = LoopConfig(descriptor_distance_threshold=1.1)
         detector = LoopDetector(cfg)
         keyframes = [Keyframe(scan, Pose.identity(), float(i), 0.0, i)
                      for i in range(20)]
         query = Keyframe(scan, Pose.identity(), 99.0, 100.0, 99)
+        # every candidate is under the threshold; only the nearest is
+        # registered
         detector.detect(query, keyframes)
-        assert detector.registration_calls <= cfg.top_k
+        assert detector.registration_calls == 1
 
 
 class TestFilterEquivalence:

@@ -70,7 +70,6 @@ class TestBinding:
             "floor_ransac_threshold": "0.05",
             "loop_search_radius": "25",
             "loop_min_accum_distance": "40",
-            "loop_top_k": "4",
             "loop_fitness_threshold": "0.2",
             "sc_rings": "16",
             "sc_sectors": "72",
@@ -90,7 +89,6 @@ class TestBinding:
         # angle comes in degrees and is stored in radians
         assert cfg.floor.normal_vertical_max_angle == pytest.approx(
             np.deg2rad(30.0))
-        assert cfg.loop.top_k == 4
         assert cfg.scan_context.sectors == 72
         assert cfg.optimize_every_n_keyframes == 5
         assert cfg.incline_threshold_deg == 8.0
@@ -109,6 +107,12 @@ class TestBinding:
                            match=rf"unknown config keys: \['{key}'\]"):
             PipelineConfig.from_dict({key: value})
 
+    def test_removed_loop_keys_are_unknown(self):
+        # one candidate is verified per query, so there is no count to set
+        with pytest.raises(ValueError,
+                           match=r"unknown config keys: \['loop_top_k'\]"):
+            PipelineConfig.from_dict({"loop_top_k": "5"})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "slam.conf"
         path.write_text("keyframe_delta_trans = 1.25\n")
@@ -117,9 +121,9 @@ class TestBinding:
 
 
 # each value breaks a check of the section it belongs to, or is a number
-# the file's converter refuses (nan, inf); registration_method, floor_mode
-# and floor_rough_clip_radius are no longer keys, so a file that still sets
-# one fails as an unknown key
+# the file's converter refuses (nan, inf); registration_method, floor_mode,
+# floor_rough_clip_radius and loop_top_k are no longer keys, so a file that
+# still sets one fails as an unknown key
 BAD_VALUES = [
     ("max_iterations", "0"),
     ("downsample_resolution", "-1"),

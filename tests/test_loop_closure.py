@@ -6,8 +6,9 @@ import pytest
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import (LoopCandidate, LoopConfig,
                                            LoopDetector, gate_candidates,
-                                           rank_candidates)
-from lidar_graph_slam.scan_context import make_scan_context
+                                           nearest_candidate)
+from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
+                                           make_scan_context)
 from lidar_graph_slam.synthetic import make_world, render_scan
 from lidar_graph_slam.tracker import Keyframe
 
@@ -26,7 +27,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             LoopConfig(search_radius=0.0)
         with pytest.raises(ValueError):
-            LoopConfig(top_k=0)
+            LoopConfig(fitness_accept_threshold=0.0)
 
 
 class TestCandidateRecord:
@@ -67,22 +68,24 @@ class TestRanking:
     def test_true_match_ranked_first(self, rng):
         descriptors = self._descriptors(rng, 8)
         gated = list(enumerate(descriptors))
-        ranked = rank_candidates(descriptors[5], gated, k=3)
-        assert len(ranked) == 3
-        assert ranked[0][0] == 5
-        assert ranked[0][1] == pytest.approx(0.0, abs=1e-12)
-        # ascending by distance
-        dists = [d for _, d, _ in ranked]
-        assert dists == sorted(dists)
+        idx, dist, shift = nearest_candidate(descriptors[5], gated)
+        assert (idx, shift) == (5, 0)
+        assert dist == pytest.approx(0.0, abs=1e-12)
 
-    def test_empty_gated_set(self, rng):
-        descriptors = self._descriptors(rng, 1)
-        assert rank_candidates(descriptors[0], [], k=3) == []
+    def test_tie_goes_to_earliest_gated(self, rng):
+        descriptors = self._descriptors(rng, 3)
+        # gated indices need not be in order; the first entry wins a tie
+        gated = [(7, descriptors[1]), (2, descriptors[0]),
+                 (4, descriptors[0]), (9, descriptors[2])]
+        assert nearest_candidate(descriptors[0], gated)[0] == 2
 
-    def test_k_limits_output(self, rng):
-        descriptors = self._descriptors(rng, 10)
-        gated = list(enumerate(descriptors))
-        assert len(rank_candidates(descriptors[0], gated, k=2)) == 2
+    def test_empty_gated_set(self):
+        detector = LoopDetector()
+        # the only keyframe is too close along the path to be gated
+        keyframes = [kf_at(0, (0.0, 0.0), 90.0)]
+        query = kf_at(1, (0.0, 0.0), 100.0)
+        assert detector.detect(query, keyframes) is None
+        assert detector.registration_calls == 0
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +124,63 @@ class TestDetector:
 
     def test_registration_budget_per_query(self, revisit_scene):
         scan_a, _ = revisit_scene
-        cfg = LoopConfig(top_k=3, descriptor_distance_threshold=1.1)
+        cfg = LoopConfig(descriptor_distance_threshold=1.1)
         detector = LoopDetector(cfg)
         # many gated candidates sharing the same cloud: all rank, only
-        # top_k may reach the registration phase
+        # the nearest may reach the registration phase
         keyframes = [Keyframe(scan_a, Pose.identity(), float(i), 0.0, i)
                      for i in range(12)]
         query = Keyframe(scan_a, Pose.identity(), 99.0, 100.0, 99)
-        detector.detect(query, keyframes)
-        assert detector.registration_calls <= cfg.top_k
+        loop = detector.detect(query, keyframes)
+        assert detector.registration_calls == 1
+        assert loop.candidate_index == 0
+
+    def test_true_match_behind_ring_key_decoys(self, rng, revisit_scene):
+        """The true match is found among 11 decoys with the query's exact
+        per-ring occupancy, which a ring-key pre-selection of 10 would
+        rank ahead of it."""
+        scan_a, _ = revisit_scene
+        params = ScanContextParams()
+        query_sc = make_scan_context(scan_a, params)
+        # the true match: the query scan yawed by 4 sectors, its points in
+        # the first three occupied bins dropped
+        m = 4
+        yaw = Pose(so3_exp([0.0, 0.0, m * params.sector_width]), np.zeros(3))
+        pts = scan_a.points
+        ring = np.minimum(np.linalg.norm(pts[:, :2], axis=1)
+                          / params.max_range * params.rings,
+                          params.rings - 1).astype(int)
+        sector = (np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
+                  / params.sector_width).astype(int)
+        dropped = np.argwhere(query_sc.grid > 0)[:3]
+        keep = ~np.any((ring[:, None] == dropped[:, 0])
+                       & (sector[:, None] == dropped[:, 1]), axis=1)
+        match = PointCloud(pts[keep]).transformed(yaw)
+        keyframes = []
+        for i in range(12):
+            kf = kf_at(i, (0.0, 0.0), 0.0, match if i == 5 else None)
+            if i != 5:
+                # each ring's cells shuffled across its sectors: the
+                # ring's occupancy is the query's exactly
+                grid = query_sc.grid.copy()
+                for r in range(params.rings):
+                    grid[r] = grid[r, rng.permutation(params.sectors)]
+                kf.scan_context = ScanContext(grid, params)
+            keyframes.append(kf)
+        query = Keyframe(scan_a, Pose.identity(), 99.0, 100.0, 99)
+        query.scan_context = query_sc
+        detector = LoopDetector()
+        ring_occupancy = [
+            (detector.descriptor_for(kf).grid > 0).sum(axis=1)
+            for kf in keyframes]
+        q_occupancy = (query_sc.grid > 0).sum(axis=1)
+        for i, occ in enumerate(ring_occupancy):
+            assert np.array_equal(occ, q_occupancy) == (i != 5)
+        loop = detector.detect(query, keyframes)
+        assert loop is not None and loop.candidate_index == 5
+        assert detector.registration_calls == 1
+        terr, rerr = pose_error(loop.verified_transform, yaw)
+        assert terr < 0.1 and rerr < 0.5
 
     def test_distant_descriptors_skip_registration(self, rng, revisit_scene):
         scan_a, _ = revisit_scene

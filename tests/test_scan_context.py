@@ -5,7 +5,7 @@ import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
-                                           descriptor_distance,
+                                           descriptor_distances,
                                            make_scan_context, shift_to_yaw)
 
 PARAMS = ScanContextParams(rings=20, sectors=60, max_range=80.0)
@@ -31,7 +31,6 @@ class TestMakeScanContext:
         assert sc.grid.shape == (20, 60)
         assert sc.grid[2, 0] == pytest.approx(2.5)    # z + HEIGHT_OFFSET
         assert np.count_nonzero(sc.grid) == 1
-        np.testing.assert_allclose(sc.ring_key[2], 1.0 / 60.0)
 
     def test_max_height_per_bin(self):
         pts = np.array([[10.0, 0.0, 0.5], [10.0, 0.0, 1.5], [10.0, 0.0, -0.5]])
@@ -51,12 +50,6 @@ class TestMakeScanContext:
     def test_empty_cloud(self):
         sc = make_scan_context(PointCloud(np.empty((0, 3))), PARAMS)
         assert np.count_nonzero(sc.grid) == 0
-        np.testing.assert_array_equal(sc.ring_key, np.zeros(20))
-
-    def test_ring_key_is_occupancy_mean(self, rng):
-        sc = make_scan_context(bin_centered_cloud(rng), PARAMS)
-        np.testing.assert_allclose(sc.ring_key,
-                                   (sc.grid > 0).mean(axis=1))
 
 
 class TestRotationBehavior:
@@ -70,15 +63,6 @@ class TestRotationBehavior:
         rot = make_scan_context(rotated, PARAMS)
         np.testing.assert_array_equal(rot.grid,
                                       np.roll(base.grid, shift_sectors, axis=1))
-
-    def test_ring_key_rotation_invariant(self, rng):
-        cloud = bin_centered_cloud(rng)
-        rotated = cloud.transformed(Pose(so3_exp([0.0, 0.0, 1.234]),
-                                         np.zeros(3)))
-        a = make_scan_context(cloud, PARAMS)
-        b = make_scan_context(rotated, PARAMS)
-        # arbitrary yaw moves points between sectors but not between rings
-        np.testing.assert_allclose(a.ring_key, b.ring_key, atol=1.0 / 60.0)
 
     def test_distance_recovers_rotation(self, rng):
         cloud = bin_centered_cloud(rng)
@@ -115,7 +99,13 @@ class TestDescriptorDistance:
 
 
 def from_grid(grid):
-    return ScanContext(grid, (grid > 0).mean(axis=1), PARAMS)
+    return ScanContext(grid, PARAMS)
+
+
+def descriptor_distance(query, candidate):
+    """The batched distance's one-candidate case, as (distance, shift)."""
+    dist, shift = descriptor_distances(query, candidate.grid[None])
+    return float(dist[0]), int(shift[0])
 
 
 def loop_distance(query, candidate):
@@ -137,16 +127,18 @@ def loop_distance(query, candidate):
     return best
 
 
+def random_grid(rng):
+    """Sparse grid with about a third of its columns empty."""
+    g = rng.uniform(0.0, 4.0, size=(20, 60))
+    g *= rng.random((20, 60)) < rng.uniform(0.05, 1.0)
+    g[:, rng.random(60) < 0.3] = 0.0
+    return g
+
+
 class TestDistanceAgainstLoop:
     def test_random_grids_with_empty_columns(self, rng):
         for _ in range(200):
-            grids = []
-            for _ in range(2):
-                g = rng.uniform(0.0, 4.0, size=(20, 60))
-                g *= rng.random((20, 60)) < rng.uniform(0.05, 1.0)
-                g[:, rng.random(60) < 0.3] = 0.0
-                grids.append(g)
-            a, b = from_grid(grids[0]), from_grid(grids[1])
+            a, b = from_grid(random_grid(rng)), from_grid(random_grid(rng))
             dist, shift = descriptor_distance(a, b)
             ref_dist, ref_shift = loop_distance(a, b)
             assert shift == ref_shift
@@ -170,6 +162,37 @@ class TestDistanceAgainstLoop:
         dist, shift = descriptor_distance(from_grid(q), from_grid(c))
         assert (dist, shift) == loop_distance(from_grid(q), from_grid(c))
         assert (dist, shift) == (0.0, 5)
+
+
+class TestBatchedDistance:
+    @pytest.mark.parametrize("n", [1, 10, 43])
+    def test_stack_matches_loop(self, rng, n):
+        # random candidates with empty columns, one of them all empty
+        grids = np.stack([random_grid(rng) for _ in range(n)])
+        grids[rng.integers(n)] = 0.0
+        for _ in range(5):
+            query = from_grid(random_grid(rng))
+            dist, shift = descriptor_distances(query, grids)
+            assert dist.shape == shift.shape == (n,)
+            for i, grid in enumerate(grids):
+                ref_dist, ref_shift = loop_distance(query, from_grid(grid))
+                assert shift[i] == ref_shift
+                assert dist[i] == pytest.approx(ref_dist, abs=1e-12)
+
+    def test_exact_tie_between_candidates_goes_to_earlier(self):
+        q = np.zeros((20, 60))
+        q[0, 0] = 1.0
+        q[3, 7] = 2.0
+        # the same grid at two places in the stack, behind a worse one
+        c = np.roll(q, 11, axis=1)
+        worse = c.copy()
+        worse[5, 11] = 1.0
+        grids = np.stack([worse, c, c])
+        dist, shift = descriptor_distances(from_grid(q), grids)
+        assert dist[0] > 0.0
+        assert dist[1] == dist[2] == 0.0
+        assert shift[1] == shift[2] == 11
+        assert int(np.argmin(dist)) == 1
 
 
 class TestShiftToYaw:
