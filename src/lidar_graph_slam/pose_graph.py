@@ -1,18 +1,21 @@
 """Pose graph construction and Levenberg-Marquardt optimization on SE(3).
 
 Keyframe poses are nodes; odometry, loop, and floor measurements are edges.
-A keyframe's node id is its keyframe index, 0..K-1, and the floor
-constraints share one global plane node, ``FLOOR_PLANE_ID``.  Odometry
-chains each keyframe to the one before, and a loop or floor edge that
-names an unknown keyframe is refused when it is added, so the graph is
+A keyframe's node id is its keyframe index, 0..K-1.  The world floor plane
+is a constant, as in HDL graph SLAM: the first valid floor ``add_floor``
+accepts, mapped into the world through its keyframe's pose at that moment,
+becomes ``PoseGraph.floor_plane``, and no ``optimize`` moves it.  Floor
+edges are unary; their ``to_id``, ``FLOOR_PLANE_ID``, names that plane.
+Odometry chains each keyframe to the one before, and a loop or floor edge
+that names an unknown keyframe is refused when it is added, so the graph is
 connected by construction.  The first keyframe is held fixed to pin the
-gauge.  The solver works on se(3) increments (right multiplication) with
-analytic Jacobians, sparse normal equations, adaptive damping, and Huber
-weighting on loop edges.
+gauge, so the state is keyframes 1..K-1.  The solver works on se(3)
+increments (right multiplication) with analytic Jacobians, sparse normal
+equations, adaptive damping, and Huber weighting on loop edges.
 
-Each ``optimize`` call stacks node states and edge measurements into arrays
-once (:class:`_EdgeBatch`), together with the sparse position of every
-Hessian block.  Each LM iteration then evaluates the residuals and
+Each ``optimize`` call stacks keyframe poses and edge measurements into
+arrays once (:class:`_EdgeBatch`), together with the sparse position of
+every Hessian block.  Each LM iteration then evaluates the residuals and
 Jacobians of all edges in a fixed number of numpy operations and scatters
 the per-edge blocks into the sparse Hessian through those positions; a
 trial step is judged by the cost alone.  Optimized poses are written back
@@ -44,7 +47,7 @@ EDGE_ODOMETRY = "ODOMETRY"
 EDGE_LOOP = "LOOP"
 EDGE_FLOOR = "FLOOR"
 
-# Node id of the one floor plane, outside the keyframe ids 0..K-1
+# to_id of every floor edge: the fixed world plane, outside the keyframe ids
 FLOOR_PLANE_ID = -1
 
 # Huber threshold on the error norm of a loop edge; no other edge is robust
@@ -58,8 +61,7 @@ _UPDATE_TOL = 1e-8
 @dataclass
 class GraphNode:
     id: int
-    pose: Optional[Pose] = None          # a keyframe's state
-    plane: Optional[np.ndarray] = None   # the floor plane's (a, b, c, d)
+    pose: Pose
 
 
 @dataclass
@@ -119,15 +121,14 @@ class PoseGraph:
         self.edges: List[GraphEdge] = []
         self._loop_pairs: Set[Tuple[int, int]] = set()
         self._last_floor_normal: Optional[np.ndarray] = None
+        # world (a, b, c, d) of the floor, set by the first floor edge
+        self.floor_plane: Optional[np.ndarray] = None
         self.incline_threshold = incline_threshold
 
     # -- construction -------------------------------------------------------
 
-    def _num_keyframes(self) -> int:
-        return len(self.nodes) - (FLOOR_PLANE_ID in self.nodes)
-
     def _check_keyframes(self, *indices: int):
-        count = self._num_keyframes()
+        count = len(self.nodes)
         if not all(0 <= i < count for i in indices):
             raise ValueError(f"unknown keyframe index in {indices}; the "
                              f"graph has keyframes 0..{count - 1}")
@@ -143,7 +144,7 @@ class PoseGraph:
                      odometry_rel: Optional[Pose] = None) -> int:
         """Append a keyframe node chained to the previous one by odometry;
         its node id is its keyframe index."""
-        node_id = self._num_keyframes()
+        node_id = len(self.nodes)
         pose = kf.pose
         if node_id:
             prev = self.nodes[node_id - 1].pose
@@ -180,14 +181,15 @@ class PoseGraph:
         return self._add_edge(EDGE_LOOP, from_id, to_id,
                               loop.verified_transform, info)
 
-    def add_floor(self, kf_node_id: int, coeffs: FloorCoefficients,
-                  information: Optional[np.ndarray] = None) -> Optional[int]:
-        """Constrain a keyframe against the global floor plane.
+    def add_floor(self, kf_node_id: int,
+                  coeffs: FloorCoefficients) -> Optional[int]:
+        """Constrain a keyframe against the world floor plane.
 
-        A clear change in the detected vertical direction between
-        consecutive keyframes indicates a slope transition; the constraint
-        is suppressed for that keyframe.  Raises ``ValueError`` for an
-        unknown keyframe.
+        The first floor accepted fixes the plane: its coefficients mapped
+        into the world through the keyframe's current pose.  A clear change
+        in the detected vertical direction between consecutive keyframes
+        indicates a slope transition; the constraint is suppressed for that
+        keyframe.  Raises ``ValueError`` for an unknown keyframe.
         """
         self._check_keyframes(kf_node_id)
         if not coeffs.valid:
@@ -199,33 +201,22 @@ class PoseGraph:
             angle = np.arccos(np.clip(prev_normal @ normal, -1.0, 1.0))
             if angle > self.incline_threshold:
                 return None
-        if FLOOR_PLANE_ID not in self.nodes:
-            self.nodes[FLOOR_PLANE_ID] = GraphNode(
-                FLOOR_PLANE_ID, plane=np.array([0.0, 0.0, 1.0, 0.0]))
-        info = information if information is not None else \
-            default_information(EDGE_FLOOR)
+        if self.floor_plane is None:
+            pose = self.nodes[kf_node_id].pose
+            n_w = pose.rotation @ normal
+            self.floor_plane = np.append(n_w,
+                                         coeffs.d - n_w @ pose.translation)
         return self._add_edge(EDGE_FLOOR, kf_node_id, FLOOR_PLANE_ID, coeffs,
-                              info)
+                              default_information(EDGE_FLOOR))
 
     @property
     def keyframe_node_ids(self) -> List[int]:
-        return list(range(self._num_keyframes()))
+        return list(range(len(self.nodes)))
 
     def keyframe_poses(self) -> List[Pose]:
-        return [self.nodes[i].pose for i in range(self._num_keyframes())]
+        return [self.nodes[i].pose for i in range(len(self.nodes))]
 
     # -- optimization -------------------------------------------------------
-
-    def _state_index(self) -> Tuple[Dict[int, Tuple[int, int]], int]:
-        """Map free node id -> (offset, dof), and the state length: the
-        plane's 3 dof first when the plane exists, then keyframes 1..K-1 at
-        6 dof each.  Keyframe 0, the gauge, has no entry."""
-        plane_dof = 3 if FLOOR_PLANE_ID in self.nodes else 0
-        index = {FLOOR_PLANE_ID: (0, 3)} if plane_dof else {}
-        count = self._num_keyframes()
-        index.update({k: (plane_dof + 6 * (k - 1), 6)
-                      for k in range(1, count)})
-        return index, plane_dof + 6 * max(count - 1, 0)
 
     def optimize(self, max_iterations: int = 20) -> OptimizationReport:
         """Levenberg-Marquardt with x10 / /10 damping adaptation."""
@@ -234,7 +225,7 @@ class PoseGraph:
         batch = _EdgeBatch(self)
         dim = batch.dim
         state = batch.initial
-        if dim == 0 or not self.edges:
+        if dim == 0:
             c = batch.cost(state)
             return OptimizationReport(c, c, 0, True, [c])
 
@@ -304,11 +295,10 @@ class PoseGraph:
 
 
 class _State(NamedTuple):
-    """Node states of one optimize call; keyframe rows by keyframe index."""
+    """Keyframe poses of one optimize call, in keyframe index order."""
 
     rot: np.ndarray      # (K, 3, 3) keyframe rotations
     trans: np.ndarray    # (K, 3) keyframe translations
-    planes: np.ndarray   # (P, 4) floor plane (a, b, c, d), P = 0 or 1
 
 
 class _EdgeWeights(NamedTuple):
@@ -330,12 +320,11 @@ def _edge_weights(edges: Sequence[GraphEdge], d: int) -> _EdgeWeights:
         np.array([e.kind == EDGE_LOOP for e in edges], dtype=bool))
 
 
-def _columns(*blocks) -> np.ndarray:
-    """(N, sum of dofs) state index of each Jacobian column of N edges, given
-    (node offsets, dof) per endpoint; -1 marks the columns of the gauge."""
-    cols = [np.where(off[:, None] >= 0, off[:, None] + np.arange(dof), -1)
-            for off, dof in blocks]
-    return np.concatenate(cols, axis=1)
+def _columns(*keyframes: np.ndarray) -> np.ndarray:
+    """(N, 6 per endpoint) coordinate of each Jacobian column of N edges,
+    given the keyframe index of each endpoint; keyframe k owns 6k..6k+5."""
+    return np.concatenate([6 * k[:, None] + np.arange(6) for k in keyframes],
+                          axis=1)
 
 
 def _sq_errors(r: np.ndarray, info: np.ndarray):
@@ -364,33 +353,22 @@ def _weighted_blocks(r: np.ndarray, j: np.ndarray, w: _EdgeWeights):
 
 
 class _EdgeBatch:
-    """A pose graph's nodes and edges stacked into arrays for one optimize.
+    """A pose graph's keyframes and edges stacked into arrays for one
+    optimize.
 
     Pose edges (odometry and loop) and floor edges each keep their order in
-    ``graph.edges``.  A pose edge's Jacobian columns are (from node, to node),
-    a floor edge's (keyframe, plane).  The state layout is
-    ``PoseGraph._state_index``'s; the COO position of every Hessian entry and
-    gradient entry that touches a free node is computed here once.
+    ``graph.edges``.  A pose edge's Jacobian columns are (from keyframe, to
+    keyframe), a floor edge's its keyframe's; the floor plane is a constant.
+    The Hessian and gradient are assembled over all 6K keyframe coordinates
+    through COO positions computed here once, and keyframe 0's rows and
+    columns are cut, so the state is keyframes 1..K-1 at 6 dof each.
     """
 
     def __init__(self, graph: PoseGraph):
-        nodes = graph.nodes
-        index, self.dim = graph._state_index()
-        kf_ids = graph.keyframe_node_ids
-        planes = [nodes[FLOOR_PLANE_ID].plane] \
-            if FLOOR_PLANE_ID in nodes else []
-        self.initial = _State(
-            np.array([nodes[k].pose.rotation for k in kf_ids])
-            .reshape(-1, 3, 3),
-            np.array([nodes[k].pose.translation for k in kf_ids])
-            .reshape(-1, 3),
-            np.array(planes, dtype=np.float64).reshape(-1, 4))
-        kf_off = np.array([index[k][0] if k else -1 for k in kf_ids],
-                          dtype=np.intp)
-        plane_off = np.zeros(len(planes), dtype=np.intp)
-        self.kf_free = np.arange(1, len(kf_ids))
-        self.kf_cols = kf_off[self.kf_free, None] + np.arange(6)
-        self.plane_cols = plane_off[:, None] + np.arange(3)
+        poses = graph.keyframe_poses()
+        self.dim = 6 * (len(poses) - 1)
+        self.initial = _State(np.array([p.rotation for p in poses]),
+                              np.array([p.translation for p in poses]))
 
         pose = [e for e in graph.edges if e.kind in (EDGE_ODOMETRY, EDGE_LOOP)]
         self.pose_i = np.array([e.from_id for e in pose], dtype=np.intp)
@@ -403,7 +381,8 @@ class _EdgeBatch:
 
         floor = [e for e in graph.edges if e.kind == EDGE_FLOOR]
         self.floor_k = np.array([e.from_id for e in floor], dtype=np.intp)
-        self.floor_p = np.zeros(len(floor), dtype=np.intp)
+        self.plane = np.zeros(4) if graph.floor_plane is None \
+            else graph.floor_plane
         normals = np.array([e.measurement.normal for e in floor]) \
             .reshape(-1, 3)
         self.floor_normal = normals / np.linalg.norm(normals, axis=-1,
@@ -413,21 +392,15 @@ class _EdgeBatch:
         self.floor_basis_t = _swap(_plane_tangent_basis(self.floor_normal))
         self.floor_weights = _edge_weights(floor, 3)
 
-        # Hessian and gradient entries are taken, in this order, from the
+        # Hessian and gradient entries come, in this order, from the
         # flattened pose-edge blocks followed by the flattened floor blocks.
-        cols = [_columns((kf_off[self.pose_i], 6), (kf_off[self.pose_j], 6)),
-                _columns((kf_off[self.floor_k], 6),
-                         (plane_off[self.floor_p], 3))]
+        cols = [_columns(self.pose_i, self.pose_j), _columns(self.floor_k)]
         blocks = [c.shape + c.shape[1:] for c in cols]
-        h_rows = np.concatenate([np.broadcast_to(c[:, :, None], b).ravel()
-                                 for c, b in zip(cols, blocks)])
-        h_cols = np.concatenate([np.broadcast_to(c[:, None, :], b).ravel()
-                                 for c, b in zip(cols, blocks)])
-        self.h_take = np.flatnonzero((h_rows >= 0) & (h_cols >= 0))
-        self.h_rows, self.h_cols = h_rows[self.h_take], h_cols[self.h_take]
-        g_rows = np.concatenate([c.ravel() for c in cols])
-        self.g_take = np.flatnonzero(g_rows >= 0)
-        self.g_rows = g_rows[self.g_take]
+        self.h_rows = np.concatenate([np.broadcast_to(c[:, :, None], b).ravel()
+                                      for c, b in zip(cols, blocks)])
+        self.h_cols = np.concatenate([np.broadcast_to(c[:, None, :], b).ravel()
+                                      for c, b in zip(cols, blocks)])
+        self.g_rows = np.concatenate([c.ravel() for c in cols])
 
     def pose_terms(self, s: _State, jacobians: bool):
         """Residuals (E, 6) of the pose edges and, if asked, their
@@ -451,27 +424,22 @@ class _EdgeBatch:
 
     def floor_terms(self, s: _State, jacobians: bool):
         """Residuals (F, 3) of the floor edges, (2 tangent components of the
-        normal error, offset error) and, if asked, their Jacobians (F, 3, 9)
-        with respect to (keyframe rho, phi; plane tangent, offset)."""
+        normal error, offset error) and, if asked, their Jacobians (F, 3, 6)
+        with respect to the keyframe's (rho, phi)."""
         rk_t = _swap(s.rot[self.floor_k])
         tk = s.trans[self.floor_k]
-        plane = s.planes[self.floor_p]
-        n_w = plane[:, :3]
-        n_s = (rk_t @ n_w[..., None])[..., 0]
-        d_s = np.sum(n_w * tk, axis=-1) + plane[:, 3]
+        n_w = self.plane[:3]
+        n_s = rk_t @ n_w
+        d_s = tk @ n_w + self.plane[3]
         bt = self.floor_basis_t
         r = np.concatenate(
             [(bt @ (n_s - self.floor_normal)[..., None])[..., 0],
              (d_s - self.floor_d)[:, None]], axis=-1)
         if not jacobians:
             return r, None
-        b_w = _plane_tangent_basis(n_w)
-        j = np.zeros((len(r), 3, 9))
-        j[:, :2, 3:6] = bt @ _hat(n_s)
+        j = np.zeros((len(r), 3, 6))
+        j[:, :2, 3:] = bt @ _hat(n_s)
         j[:, 2, :3] = n_s
-        j[:, :2, 6:8] = bt @ (rk_t @ b_w)
-        j[:, 2, 6:8] = (tk[:, None, :] @ b_w)[:, 0]
-        j[:, 2, 8] = 1.0
         return r, j
 
     def cost(self, s: _State) -> float:
@@ -484,38 +452,30 @@ class _EdgeBatch:
 
     def normal_equations(self, s: _State):
         """Sparse Gauss-Newton Hessian (CSC), right-hand side -J^T W r and
-        total robust chi2 over the free nodes."""
+        total robust chi2 over keyframes 1..K-1."""
         cp, hp, gp = _weighted_blocks(*self.pose_terms(s, True),
                                       self.pose_weights)
         cf, hf, gf = _weighted_blocks(*self.floor_terms(s, True),
                                       self.floor_weights)
-        vals = np.concatenate([hp.ravel(), hf.ravel()])[self.h_take]
-        hmat = coo_matrix((vals, (self.h_rows, self.h_cols)),
-                          shape=(self.dim, self.dim)).tocsc()
-        rhs = np.zeros(self.dim)
-        np.add.at(rhs, self.g_rows,
-                  np.concatenate([gp.ravel(), gf.ravel()])[self.g_take])
+        full = self.dim + 6
+        hmat = coo_matrix((np.concatenate([hp.ravel(), hf.ravel()]),
+                           (self.h_rows, self.h_cols)),
+                          shape=(full, full)).tocsc()[6:, 6:]
+        rhs = np.bincount(self.g_rows,
+                          np.concatenate([gp.ravel(), gf.ravel()]), full)[6:]
         return hmat, rhs, float(cp.sum() + cf.sum())
 
     def step(self, s: _State, delta: np.ndarray) -> _State:
-        """State after the increment ``delta``: x exp(inc) for keyframes,
-        re-orthonormalized; a tangent step on the unit normal for planes."""
-        rot, trans, planes = s.rot.copy(), s.trans.copy(), s.planes.copy()
-        k = self.kf_free
-        d_rot, d_trans = _se3_exp_rt(delta[self.kf_cols])
-        trans[k] += (rot[k] @ d_trans[..., None])[..., 0]
-        rot[k] = orthonormalize(rot[k] @ d_rot)
-        inc = delta[self.plane_cols]
-        n = planes[:, :3]
-        n_new = n + (_plane_tangent_basis(n) @ inc[:, :2, None])[..., 0]
-        planes[:, :3] = n_new / np.linalg.norm(n_new, axis=-1, keepdims=True)
-        planes[:, 3] += inc[:, 2]
-        return _State(rot, trans, planes)
+        """State after the increment ``delta``: x exp(inc) for keyframes
+        1..K-1, re-orthonormalized; keyframe 0 stays put."""
+        rot, trans = s.rot.copy(), s.trans.copy()
+        d_rot, d_trans = _se3_exp_rt(delta.reshape(-1, 6))
+        trans[1:] += (rot[1:] @ d_trans[..., None])[..., 0]
+        rot[1:] = orthonormalize(rot[1:] @ d_rot)
+        return _State(rot, trans)
 
     def write_back(self, graph: PoseGraph, s: _State):
-        """Store the free nodes' states in ``graph``; the gauge keyframe
+        """Store keyframes 1..K-1's poses in ``graph``; the gauge keyframe
         keeps its pose untouched."""
-        for k in self.kf_free:
+        for k in range(1, len(s.rot)):
             graph.nodes[k].pose = Pose(s.rot[k].copy(), s.trans[k].copy())
-        if len(s.planes):
-            graph.nodes[FLOOR_PLANE_ID].plane = s.planes[0].copy()

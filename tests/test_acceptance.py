@@ -106,6 +106,43 @@ class TestNoLoopRobustness:
         assert ate < 0.01 * path_length
 
 
+class TestGroundOptimization:
+    """The straight-then-curve scans with a pitch warp: each point is
+    pitched about the sensor's y axis by k * x radians, x its forward
+    coordinate, so scan matching drifts in height and pitch.  The floor
+    edges against the fixed ground plane must take that drift out."""
+
+    K = 0.0005
+
+    @classmethod
+    def pitched(cls, cloud):
+        p = cloud.points
+        ang = cls.K * p[:, 0]
+        c, s = np.cos(ang), np.sin(ang)
+        return PointCloud(np.column_stack([c * p[:, 0] + s * p[:, 2], p[:, 1],
+                                           c * p[:, 2] - s * p[:, 0]]),
+                          None, cloud.timestamp)
+
+    def test_floor_removes_pitch_drift(self):
+        traj = straight_then_curve_trajectory(straight=110.0,
+                                              curve_radius=40.0,
+                                              curve_angle=1.0, step=1.0)
+        world = make_world(trajectory_xy(traj), seed=4, corridor=12.0)
+        clouds, truth = render_sequence(world, traj, max_range=30.0)
+        clouds = [self.pitched(c) for c in clouds]
+        truth_tp = [TimedPose(c.timestamp, p)
+                    for c, p in zip(clouds, truth)]
+        ate = {}
+        for floor in (True, False):
+            cfg = PipelineConfig()
+            cfg.floor_enabled = floor
+            result = SlamPipeline(cfg).run_batch(clouds)
+            ate[floor] = evaluate_trajectories(result.trajectory,
+                                               truth_tp).rmse
+        assert ate[True] < 0.1
+        assert ate[True] <= ate[False] / 5.0
+
+
 class TestRegistrationRecovery:
     """The matcher must recover random small motions on noiseless pairs."""
 

@@ -82,9 +82,9 @@ class TestConstruction:
         graph, _ = build_drifted_ring(n=4)
         graph.add_floor(0, FloorCoefficients(0.0, 0.0, 1.0, 1.7))
         assert graph.keyframe_node_ids == [0, 1, 2, 3]
-        assert sorted(graph.nodes) == [FLOOR_PLANE_ID, 0, 1, 2, 3]
-        assert graph.nodes[FLOOR_PLANE_ID].pose is None
-        assert graph.nodes[FLOOR_PLANE_ID].plane is not None
+        # the floor plane is a constant, not a node
+        assert sorted(graph.nodes) == [0, 1, 2, 3]
+        assert graph.floor_plane is not None
         assert [e.id for e in graph.edges] == list(range(len(graph.edges)))
 
     @pytest.mark.parametrize("query, candidate", [
@@ -101,22 +101,29 @@ class TestConstruction:
 
     @pytest.mark.parametrize("node_id", [
         99, 4, -2,
-        FLOOR_PLANE_ID])     # the plane node's id is no keyframe's
+        FLOOR_PLANE_ID])     # the plane's id is no keyframe's
     def test_floor_on_unknown_keyframe_refused(self, node_id):
         graph, _ = build_drifted_ring(n=4)
         with pytest.raises(ValueError, match="unknown keyframe"):
             graph.add_floor(node_id, FloorCoefficients(0.0, 0.0, 1.0, 1.7))
         assert len(graph.edges) == 3
-        assert FLOOR_PLANE_ID not in graph.nodes
+        assert graph.floor_plane is None
 
-    def test_floor_edges_share_one_plane_node(self):
+    def test_floor_edges_share_one_fixed_plane(self):
+        # the first floor places the plane; later floors only add edges
         graph, _ = build_drifted_ring()
+        pose = graph.keyframe_poses()[1]
         coeffs = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
-        for node_id in graph.keyframe_node_ids[:3]:
+        for node_id in graph.keyframe_node_ids[1:4]:
             assert graph.add_floor(node_id, coeffs) is not None
-        plane_nodes = [n for n in graph.nodes.values() if n.plane is not None]
-        assert [n.id for n in plane_nodes] == [FLOOR_PLANE_ID]
-        assert len([e for e in graph.edges if e.kind == EDGE_FLOOR]) == 3
+        floors = [e for e in graph.edges if e.kind == EDGE_FLOOR]
+        assert [(e.from_id, e.to_id) for e in floors] == \
+            [(1, FLOOR_PLANE_ID), (2, FLOOR_PLANE_ID), (3, FLOOR_PLANE_ID)]
+        n_w = pose.rotation @ coeffs.normal
+        np.testing.assert_allclose(
+            graph.floor_plane, np.append(n_w, 1.7 - n_w @ pose.translation),
+            atol=1e-12)
+        assert sorted(graph.nodes) == graph.keyframe_node_ids
 
     def test_invalid_floor_ignored(self):
         graph, _ = build_drifted_ring()
@@ -190,29 +197,48 @@ class TestOptimization:
             terr, rerr = pose_error(pose, true_pose)
             assert terr < 1e-6 and rerr < 1e-4
 
-    def test_floor_constraint_levels_the_chain(self, rng):
+    def test_floor_constraint_levels_the_chain(self):
         # odometry drifts upward while the path doubles back over the same
-        # ground; a single plane cannot explain two heights at one spot, so
-        # stiff floor edges squeeze the height drift out.  (On a path that
-        # never doubles back, a height ramp is indistinguishable from a
-        # tilted floor and the optimizer rightly tilts the plane instead.)
+        # ground; the floor edges squeeze the height drift out
         graph = PoseGraph()
         flat = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
-        stiff = np.diag([100.0, 100.0, 10_000.0])
         graph.add_keyframe(dummy_kf(0, Pose.identity()))
-        graph.add_floor(graph.keyframe_node_ids[0], flat, information=stiff)
+        graph.add_floor(graph.keyframe_node_ids[0], flat)
         out = Pose(np.eye(3), np.array([2.0, 0.0, 0.08]))
         back = Pose(np.eye(3), np.array([-2.0, 0.0, 0.08]))
         for i in range(1, 10):
             graph.add_keyframe(dummy_kf(i, Pose.identity()),
                                odometry_rel=out if i <= 5 else back)
-            graph.add_floor(graph.keyframe_node_ids[i], flat,
-                            information=stiff)
+            graph.add_floor(graph.keyframe_node_ids[i], flat)
         z_before = abs(graph.keyframe_poses()[-1].translation[2])
         graph.optimize(max_iterations=50)
         z_after = abs(graph.keyframe_poses()[-1].translation[2])
         assert z_before > 0.5
         assert z_after < 0.25 * z_before
+
+    def test_fixed_floor_levels_a_straight_path(self):
+        # on a path that never doubles back, a free plane could tilt to fit
+        # the height ramp; the fixed plane cannot, so the drift goes
+        graph = PoseGraph()
+        flat = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
+        start = Pose(so3_exp([0.0, 0.0, 0.3]), np.array([1.0, -2.0, 0.5]))
+        graph.add_keyframe(dummy_kf(0, start))
+        graph.add_floor(0, flat)
+        step = Pose(np.eye(3), np.array([2.0, 0.0, 0.08]))
+        for i in range(1, 10):
+            graph.add_keyframe(dummy_kf(i, Pose.identity()),
+                               odometry_rel=step)
+            graph.add_floor(i, flat)
+        n_w = start.rotation @ flat.normal
+        expected = np.append(n_w, flat.d - n_w @ start.translation)
+        np.testing.assert_allclose(graph.floor_plane, expected, atol=1e-12)
+        plane_bytes = graph.floor_plane.tobytes()
+        z_before = abs(graph.keyframe_poses()[-1].translation[2] - 0.5)
+        graph.optimize(max_iterations=50)
+        z_after = abs(graph.keyframe_poses()[-1].translation[2] - 0.5)
+        assert z_before > 0.5
+        assert z_after < 0.25 * z_before
+        assert graph.floor_plane.tobytes() == plane_bytes
 
     def test_empty_graph_raises(self):
         with pytest.raises(ValueError):
@@ -226,9 +252,13 @@ class TestOptimization:
 
 
 def reachable_from_gauge(graph):
-    """Node ids joined to keyframe 0 through ``graph.edges``."""
+    """Node ids joined to keyframe 0 through ``graph.edges``' pose edges;
+    floor edges are unary and join nothing."""
     adjacency = {nid: set() for nid in graph.nodes}
     for e in graph.edges:
+        if e.kind == EDGE_FLOOR:
+            assert e.from_id in graph.nodes and e.to_id == FLOOR_PLANE_ID
+            continue
         adjacency[e.from_id].add(e.to_id)
         adjacency[e.to_id].add(e.from_id)
     seen, stack = {0}, [0]
@@ -363,20 +393,22 @@ def ref_tangent_basis(normal):
 
 
 def ref_pose_edge_terms(graph, edge):
+    """Residual and [(keyframe, Jacobian block)] for both endpoints."""
     xi = graph.nodes[edge.from_id].pose
     xj = graph.nodes[edge.to_id].pose
     m = edge.measurement
     r = se3_log(m.inverse() @ xi.inverse() @ xj)
     jr_inv = se3_right_jacobian_inv(r)
     rel = xj.inverse() @ xi
-    return r, -jr_inv @ se3_adjoint(rel.rotation, rel.translation), jr_inv
+    ji = -jr_inv @ se3_adjoint(rel.rotation, rel.translation)
+    return r, [(edge.from_id, ji), (edge.to_id, jr_inv)]
 
 
 def ref_floor_edge_terms(graph, edge):
+    """Residual and [(keyframe, Jacobian block)]: the plane is fixed."""
     node = graph.nodes[edge.from_id]
-    plane = graph.nodes[edge.to_id].plane
     r_mat, t = node.pose.rotation, node.pose.translation
-    n_w, d_w = plane[:3], plane[3]
+    n_w, d_w = graph.floor_plane[:3], graph.floor_plane[3]
     meas = edge.measurement
     n_m = meas.normal / np.linalg.norm(meas.normal)
     n_s = r_mat.T @ n_w
@@ -387,12 +419,7 @@ def ref_floor_edge_terms(graph, edge):
     j_pose = np.zeros((3, 6))
     j_pose[:2, 3:] = b_m.T @ _hat(n_s)
     j_pose[2, :3] = n_s
-    b_w = ref_tangent_basis(n_w)
-    j_plane = np.zeros((3, 3))
-    j_plane[:2, :2] = b_m.T @ (r_mat.T @ b_w)
-    j_plane[2, :2] = t @ b_w
-    j_plane[2, 2] = 1.0
-    return resid, j_pose, j_plane
+    return resid, [(edge.from_id, j_pose)]
 
 
 def ref_terms(graph, edge):
@@ -409,12 +436,14 @@ def ref_huber(chi2, delta):
 
 
 def ref_normal_equations(graph):
-    index, dim = graph._state_index()
+    """H, rhs and chi2 over keyframes 1..K-1; keyframe k's 6 coordinates
+    start at 6 (k - 1), and keyframe 0, the gauge, has none."""
+    dim = 6 * (len(graph.nodes) - 1)
     rows, cols, vals = [], [], []
     rhs = np.zeros(dim)
     chi2 = 0.0
     for edge in graph.edges:
-        r, ji, jj = ref_terms(graph, edge)
+        r, jacobians = ref_terms(graph, edge)
         omega = edge.information
         c = float(r @ omega @ r)
         w = 1.0
@@ -422,11 +451,7 @@ def ref_normal_equations(graph):
             c, w = ref_huber(c, LOOP_HUBER_DELTA)
         chi2 += c
         omega_w = w * omega
-        blocks = []
-        if edge.from_id in index:
-            blocks.append((index[edge.from_id][0], ji))
-        if edge.to_id in index:
-            blocks.append((index[edge.to_id][0], jj))
+        blocks = [(6 * (k - 1), j) for k, j in jacobians if k]
         for off_a, ja in blocks:
             rhs[off_a:off_a + ja.shape[1]] -= ja.T @ omega_w @ r
             for off_b, jb in blocks:
@@ -453,8 +478,9 @@ def kernel_graph(rng):
     Odometry error rotations are 0, 1e-7, 1e-3 and 0.2 rad, so every branch
     of the log, the inverse left Jacobian and the Q matrix is taken.  One
     loop's robust cost lies inside the Huber threshold and one outside.  The
-    plane node is free and tilted; node 0 is fixed and carries an
-    odometry, a loop and a floor edge.
+    fixed plane is node 0's floor mapped through its random pose, so it is
+    tilted in the world; node 0 is the gauge and carries an odometry, a
+    loop and a floor edge.
     """
     truth = [random_pose(rng, 5.0, 1.0) for _ in range(8)]
 
@@ -482,9 +508,6 @@ def kernel_graph(rng):
         n = np.array([np.sin(tilt), 0.5 * tilt, np.cos(tilt)])
         assert graph.add_floor(ids[node],
                                FloorCoefficients(*n, 1.6 + tilt)) is not None
-    tilted = np.array([0.03, -0.02, 1.0])
-    graph.nodes[FLOOR_PLANE_ID].plane = np.append(
-        tilted / np.linalg.norm(tilted), 1.55)
     return graph
 
 
@@ -520,10 +543,10 @@ class TestBatchedKernel:
         floor_edges = [e for e in graph.edges if e.kind == EDGE_FLOOR]
         ref_p = [ref_terms(graph, e) for e in pose_edges]
         ref_f = [ref_terms(graph, e) for e in floor_edges]
-        assert rel_err(rp, np.array([r for r, _, _ in ref_p])) < 1e-9
-        assert rel_err(rf, np.array([r for r, _, _ in ref_f])) < 1e-9
-        for j, (_, ja, jb) in zip(list(jp) + list(jf), ref_p + ref_f):
-            assert rel_err(j, np.hstack([ja, jb])) < 1e-9
+        assert rel_err(rp, np.array([r for r, _ in ref_p])) < 1e-9
+        assert rel_err(rf, np.array([r for r, _ in ref_f])) < 1e-9
+        for j, (_, blocks) in zip(list(jp) + list(jf), ref_p + ref_f):
+            assert rel_err(j, np.hstack([b for _, b in blocks])) < 1e-9
 
     def test_normal_equations_and_chi2(self, rng):
         graph = kernel_graph(rng)
@@ -546,32 +569,23 @@ class TestBatchedKernel:
 
     def test_optimize_matches_reference_step(self, rng):
         # the first LM step (accepted at the initial damping) equals the
-        # reference solution applied node by node: x exp(inc) for keyframes,
-        # a tangent step on the unit normal for the plane
+        # reference solution applied keyframe by keyframe as x exp(inc);
+        # the gauge and the plane stay put
         graph = kernel_graph(rng)
         h_ref, rhs_ref, chi2_ref = ref_normal_equations(graph)
         delta = np.linalg.solve(h_ref + 1e-6 * np.eye(len(rhs_ref)), rhs_ref)
-        index, _ = graph._state_index()
-        expected = {}
-        for nid, (off, dof) in index.items():
-            node = graph.nodes[nid]
-            inc = delta[off:off + dof]
-            if dof == 6:
-                expected[nid] = (node.pose @ se3_exp(inc)).orthonormalized() \
-                    .matrix()
-            else:
-                n = node.plane[:3] + ref_tangent_basis(node.plane[:3]) \
-                    @ inc[:2]
-                expected[nid] = np.append(n / np.linalg.norm(n),
-                                          node.plane[3] + inc[2])
+        expected = {k: (graph.nodes[k].pose @ se3_exp(inc))
+                    .orthonormalized().matrix()
+                    for k, inc in enumerate(delta.reshape(-1, 6), start=1)}
+        expected[0] = graph.nodes[0].pose.matrix()
+        plane = graph.floor_plane.copy()
         report = graph.optimize(max_iterations=1)
         assert report.iterations == 1
         assert report.final_chi2 < chi2_ref
-        for nid, value in expected.items():
-            node = graph.nodes[nid]
-            actual = node.pose.matrix() if node.pose is not None \
-                else node.plane
-            np.testing.assert_allclose(actual, value, atol=1e-9)
+        for k, value in expected.items():
+            np.testing.assert_allclose(graph.nodes[k].pose.matrix(), value,
+                                       atol=1e-9)
+        np.testing.assert_array_equal(graph.floor_plane, plane)
 
 
 class TestJacobians:
@@ -626,9 +640,9 @@ class TestExport:
         rel = truth[0].inverse() @ truth[4]
         graph.add_loop(LoopCandidate(4, 0, 0.0, rel, fitness=0.1))
         coeffs = FloorCoefficients(0.0, 0.0, 1.0, 1.7)
-        # the plane node exists and is not written
+        # the floor plane exists and is not written
         assert graph.add_floor(graph.keyframe_node_ids[0], coeffs) is not None
-        assert FLOOR_PLANE_ID in graph.nodes
+        assert graph.floor_plane is not None
         path = tmp_path / "graph.g2o"
         graph.export_g2o(path)
         lines = path.read_text().strip().splitlines()
