@@ -19,7 +19,7 @@ from .prefilter import PrefilterConfig, prefilter, remove_outliers, voxel_downsa
 from .pretracker import Pretracker, PretrackerConfig
 from .registration import (RegistrationConfig, RegistrationResult, align,
                            score_alignment)
-from .scan_context import ScanContext, ScanContextParams, make_scan_context
+from .scan_context import ScanContextParams, make_scan_context
 from .tracker import Keyframe, KeyframeCriteria, Tracker, is_new_keyframe
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "OptimizationReport", "PipelineConfig", "PipelineResult",
     "PointCloud", "Pose", "PoseGraph", "PrefilterConfig", "Pretracker",
     "PretrackerConfig", "RegistrationConfig", "RegistrationResult",
-    "ScanContext", "ScanContextParams", "SlamPipeline", "TimedPose", "Tracker",
+    "ScanContextParams", "SlamPipeline", "TimedPose", "Tracker",
     "align", "associate", "build_map", "compute_ate", "detect_floor",
     "evaluate_trajectories", "is_new_keyframe",
     "make_scan_context", "parse_config_text", "prefilter", "read_tum",

@@ -23,8 +23,9 @@ from scipy.spatial import cKDTree
 class PointCloud:
     """A timestamped set of 3D points with optional per-point unit normals.
 
-    The library fills in no ``normals``; GICP caches its own on the cloud
-    (``registration.compute_gicp_normals``).
+    ``normals`` are the cloud's GICP normals: ``registration.align`` matches
+    a cloud with the ones it carries and sets a normal-less cloud's to its
+    voxel normals; the pre-tracker sets k-NN ones on its phase clouds.
     """
 
     points: np.ndarray                      # (N, 3)
@@ -38,6 +39,10 @@ class PointCloud:
             self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
             if len(self.normals) != len(self.points):
                 raise ValueError("normals length does not match points length")
+            # GICP's closed-form pair inverse needs |n| <= 1 (zero allowed)
+            if not np.all(np.einsum("ij,ij->i", self.normals, self.normals)
+                          <= 1.0 + 1e-9):
+                raise ValueError("normals must be finite and at most unit length")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -55,12 +60,10 @@ class PointCloud:
 # SE(3) poses
 # ---------------------------------------------------------------------------
 
-def _hat(v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector; leading batch axes allowed.
-    Written into ``out``, if given, whose diagonal must already be zero."""
+def _hat(v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric matrix of a 3-vector; leading batch axes allowed."""
     v = np.asarray(v, dtype=np.float64)
-    if out is None:
-        out = np.zeros(v.shape[:-1] + (3, 3))
+    out = np.zeros(v.shape[:-1] + (3, 3))
     out[..., 0, 1] = -v[..., 2]
     out[..., 0, 2] = v[..., 1]
     out[..., 1, 0] = v[..., 2]

@@ -16,9 +16,8 @@ import numpy as np
 
 from .geometry import Pose, so3_exp
 from .registration import RegistrationConfig, align, score_alignment
-from .scan_context import (ScanContext, ScanContextParams,
-                           descriptor_distances, make_scan_context,
-                           shift_to_yaw)
+from .scan_context import (ScanContextParams, descriptor_distances,
+                           make_scan_context, shift_to_yaw)
 from .tracker import Keyframe
 
 
@@ -65,8 +64,8 @@ def gate_candidates(query: Keyframe, keyframes: Sequence[Keyframe],
     return out
 
 
-def nearest_candidate(query_sc: ScanContext,
-                      gated: Sequence[Tuple[int, ScanContext]]
+def nearest_candidate(query_sc: np.ndarray,
+                      gated: Sequence[Tuple[int, np.ndarray]]
                       ) -> Tuple[int, float, int]:
     """The gated candidate nearest by full descriptor distance.
 
@@ -75,7 +74,7 @@ def nearest_candidate(query_sc: ScanContext,
     earliest entry of ``gated``.
     """
     dist, shift = descriptor_distances(
-        query_sc, np.stack([sc.grid for _, sc in gated]))
+        query_sc, np.stack([sc for _, sc in gated]))
     best = int(np.argmin(dist))
     return gated[best][0], float(dist[best]), int(shift[best])
 
@@ -92,7 +91,7 @@ class LoopDetector:
         self.sc_params = sc_params or ScanContextParams()
         self.registration_calls = 0
 
-    def descriptor_for(self, kf: Keyframe) -> ScanContext:
+    def descriptor_for(self, kf: Keyframe) -> np.ndarray:
         if kf.scan_context is None:
             kf.scan_context = make_scan_context(kf.cloud, self.sc_params)
         return kf.scan_context

@@ -220,6 +220,7 @@ class SlamPipeline:
         takes the work over, the calling thread."""
         return self._timed("prefilter", prefilter, cloud, self.cfg.prefilter)
 
+    # kept: a separate pre-filter pool instead lost frames/s and raised RSS
     def _take_over(self, frame: _Admitted) -> bool:
         """Run ``frame``'s front end on this thread if the worker has not
         started it, keeping its result or exception for when the frame is

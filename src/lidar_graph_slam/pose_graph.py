@@ -50,7 +50,8 @@ EDGE_FLOOR = "FLOOR"
 # to_id of every floor edge: the fixed world plane, outside the keyframe ids
 FLOOR_PLANE_ID = -1
 
-# Huber threshold on the error norm of a loop edge; no other edge is robust
+# Huber threshold on the error norm of a loop edge; no other edge is robust.
+# Without it, 1-3 wrong loops left keyframe ATE at 10-13 m, not 1.0-4.5 m
 LOOP_HUBER_DELTA = 1.0
 
 # LM stops when chi2 falls by less than this fraction, or the step is shorter
@@ -415,6 +416,7 @@ class _EdgeBatch:
         r = _se3_log_rt(err_rot, err_t[..., 0])
         if not jacobians:
             return r, None
+        # exact: I or I + ad(r)/2 end LM at a higher chi2 after wrong loops
         jr_inv = se3_right_jacobian_inv(r)
         rj_t = _swap(rj)
         # d r / d xi = -Jr^-1 Ad(xj^-1 xi);  d r / d xj = Jr^-1

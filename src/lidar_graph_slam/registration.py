@@ -17,11 +17,13 @@ normals directly, batched over the pairs as in fast_gicp / VGICP (Koide et
 al., ICRA 2021): no 3x3 covariance is formed or inverted.  Trial steps
 are judged by their cost alone.
 
-As in fast_gicp, each cloud's kd-tree and GICP surface normals are
-computed once, outside the matching loop, and cached on the cloud:
-:func:`align` computes them the first time it matches the cloud, the
-kd-tree only for the target it searches, so in the pipeline only keyframes
-get one.  A keyframe holds 24 bytes per point of GICP state.
+A cloud's GICP normals are its ``normals``: as fast_gicp takes a cloud's
+covariances from its owner when given and computes them on first use
+otherwise, :func:`align` matches a cloud with the normals it carries and
+sets a normal-less cloud's to :func:`voxel_normals` the first time it
+matches it.  A cloud's kd-tree is built by the first search of it and kept
+on the cloud (:func:`cloud_kdtree`), so in the pipeline only keyframes get
+one.  A keyframe holds 24 bytes per point of GICP state.
 
 A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
 2009) and VGICP take distributions per voxel: the pre-filter leaves at most
@@ -36,9 +38,9 @@ noise moved a 5 m loop_ring match by 2.9 mm (standard deviation), against
 which frames became keyframes and to spread loop_ring's ATE over
 0.383-0.422 m across noise seeds; with 3 it spreads over 0.405-0.427 m
 (15-NN normals: 0.403-0.415 m).
-The pre-tracker's strided phase clouds lie on no grid and keep normals from
-each point's k nearest neighbours, which it caches through
-:func:`prepare_alignment` before it matches (:mod:`.pretracker` says why).
+The pre-tracker's strided phase clouds lie on no grid, so it sets their
+normals from each point's k nearest neighbours before it matches them
+(:mod:`.pretracker` says why).
 
 :func:`align` only estimates the transform.  Its kd-tree queries are
 bounded at ``max_correspondence_distance``, inclusive (see
@@ -58,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (KdTree, PointCloud, Pose, _hat, eigen_symmetric_3x3,
-                       neighborhood_covariances, se3_exp, voxel_keys)
+                       se3_exp, voxel_keys)
 
 MIN_CORRESPONDENCES = 10
 GICP_EPSILON = 1e-3
@@ -101,21 +103,13 @@ class RegistrationResult:
 # GICP normals, cost, and normal equations
 # ---------------------------------------------------------------------------
 
-def _cloud_cache(cloud: PointCloud) -> dict:
-    # clouds are immutable after publication, so derived structures
-    # (KD-tree, GICP normals) can be cached on the instance
-    cache = getattr(cloud, "_derived_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(cloud, "_derived_cache", cache)
-    return cache
-
-
 def cloud_kdtree(cloud: PointCloud) -> KdTree:
-    cache = _cloud_cache(cloud)
-    if "kdtree" not in cache:
-        cache["kdtree"] = KdTree(cloud.points)
-    return cache["kdtree"]
+    """``cloud``'s kd-tree, built on the first call and kept on the cloud,
+    whose points never change."""
+    tree = getattr(cloud, "_kdtree", None)
+    if tree is None:
+        tree = cloud._kdtree = KdTree(cloud.points)
+    return tree
 
 
 def voxel_normals(points: np.ndarray) -> np.ndarray:
@@ -146,36 +140,12 @@ def voxel_normals(points: np.ndarray) -> np.ndarray:
     return normal[inverse]
 
 
-def compute_gicp_normals(cloud: PointCloud,
-                         k: Optional[int] = None) -> np.ndarray:
-    """(N, 3) normals of ``cloud``, computed on the first call and cached on
-    the cloud; later calls return the cached normals.
-
-    The first call picks the estimator: :func:`voxel_normals`, or with
-    ``k`` given, the smallest axis of each point's k-NN covariance.
-    """
-    cache = _cloud_cache(cloud)
-    if "gicp_normals" not in cache:
-        if k is None:
-            cache["gicp_normals"] = voxel_normals(cloud.points)
-        else:
-            k = min(k, len(cloud))
-            if k < 3:
-                raise ValueError("covariance estimation needs k >= 3 points")
-            idx, _ = cloud_kdtree(cloud).query_batch(cloud.points, k=k)
-            _, cache["gicp_normals"] = eigen_symmetric_3x3(
-                neighborhood_covariances(cloud.points, idx))
-    return cache["gicp_normals"]
-
-
-def prepare_alignment(cloud: PointCloud, k: Optional[int] = None) -> None:
-    """Compute and cache what :func:`align` reads of ``cloud``: its kd-tree
-    and its normals (:func:`compute_gicp_normals`, k-NN ones when ``k`` is
-    given).  A cloud too small for ``align`` to match is left alone."""
-    if len(cloud) < MIN_CORRESPONDENCES:
-        return
-    cloud_kdtree(cloud)
-    compute_gicp_normals(cloud, k)
+def compute_gicp_normals(cloud: PointCloud) -> np.ndarray:
+    """``cloud.normals``, first set to :func:`voxel_normals` of its points
+    when the cloud has none."""
+    if cloud.normals is None:
+        cloud.normals = voxel_normals(cloud.points)
+    return cloud.normals
 
 
 def _gicp_pairs(src, dst, src_normals, dst_normals, transform):

@@ -37,14 +37,9 @@ class ScanContextParams:
         return 2.0 * np.pi / self.sectors
 
 
-@dataclass
-class ScanContext:
-    grid: np.ndarray       # (rings, sectors), >= 0
-    params: ScanContextParams
-
-
 def make_scan_context(cloud: PointCloud,
-                      params: Optional[ScanContextParams] = None) -> ScanContext:
+                      params: Optional[ScanContextParams] = None) -> np.ndarray:
+    """The (rings, sectors) descriptor of ``cloud``, each bin >= 0."""
     params = params or ScanContextParams()
     grid = np.zeros((params.rings, params.sectors))
     pts = cloud.points
@@ -61,7 +56,7 @@ def make_scan_context(cloud: PointCloud,
         sector = np.clip(sector, 0, params.sectors - 1)
         height = np.maximum(pts[:, 2] + HEIGHT_OFFSET, 0.0)
         np.maximum.at(grid, (ring, sector), height)
-    return ScanContext(grid, params)
+    return grid
 
 
 def _unit_columns(grids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -72,10 +67,10 @@ def _unit_columns(grids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return unit, occupied[..., 0, :].astype(np.float64)
 
 
-def descriptor_distances(query: ScanContext,
+def descriptor_distances(query: np.ndarray,
                          grids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Minimum over column shifts of the mean column-wise cosine distance,
-    for the query against each of a stack of candidate grids.
+    for the query grid against each of a stack of candidate grids.
 
     ``grids`` is (n, rings, sectors).  Returns (distances, best_shifts), each
     (n,): rolling the query grid columns by ``best_shifts[i]`` best matches
@@ -83,13 +78,13 @@ def descriptor_distances(query: ScanContext,
     pairs where either column is empty are skipped; if no pair is comparable
     the distance is 1.
     """
-    sectors = query.grid.shape[1]
+    sectors = query.shape[1]
     # all shifts at once: rolling the query by s puts its column (j - s) mod S
     # against candidate column j, so every shift's column cosines are entries
     # of the one S x S product of unit columns, picked out by a circulant index
     cols = np.arange(sectors)
     src_col = (cols[None, :] - cols[:, None]) % sectors   # [shift, column]
-    q_unit, q_occupied = _unit_columns(query.grid)
+    q_unit, q_occupied = _unit_columns(query)
     c_unit, c_occupied = _unit_columns(grids)
     # an empty column is a zero unit column: it adds nothing to the sum
     cos_sum = np.matmul(q_unit.T, c_unit)[:, src_col, cols].sum(axis=2)

@@ -44,8 +44,8 @@ class Keyframe:
     timestamp: float
     accumulated_distance: float
     index: int
-    # filled by LoopDetector.descriptor_for when loop detection first needs it
-    scan_context: object = None
+    # scan-context grid, set by LoopDetector.descriptor_for on first need
+    scan_context: Optional[np.ndarray] = None
 
 
 def is_new_keyframe(rel: Pose, dt: float, crit: KeyframeCriteria) -> bool:
@@ -105,6 +105,7 @@ class Tracker:
             new_kf = self._add_keyframe(filtered, pose, guess_rel)
             return TrackResult(pose, guess_rel, new_kf, guess_rel, True)
 
+        # seeding from the guess alone raised no_revisit ATE 10.6 % (bound 5 %)
         if guess is not None:
             guess_rel = self._better_seed(filtered, guess_rel, constant_rel)
         result = align(filtered, kf.cloud, guess_rel, self.reg_cfg)

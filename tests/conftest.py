@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
+from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
+                                       eigen_symmetric_3x3,
+                                       neighborhood_covariances, so3_exp)
+from lidar_graph_slam.pretracker import knn_normals
 from lidar_graph_slam.registration import GICP_EPSILON, compute_gicp_normals
 
 
@@ -30,10 +33,19 @@ def pose_error(estimate: Pose, truth: Pose):
 
 
 def knn_gicp_normals(cloud: PointCloud, k: int) -> np.ndarray:
-    """GICP normals of a cloud with no normals yet, from its k nearest
+    """GICP normals set on a cloud with no normals yet, from its k nearest
     neighbours: the estimator the pre-tracker gives its phase clouds."""
-    assert not hasattr(cloud, "_derived_cache")
-    return compute_gicp_normals(cloud, k)
+    assert cloud.normals is None
+    cloud.normals = knn_normals(cloud, k)
+    return cloud.normals
+
+
+def reference_knn_normals(cloud: PointCloud, k: int) -> np.ndarray:
+    """Reference: k-NN normals from a fresh kd-tree over the cloud."""
+    k = min(k, len(cloud))
+    idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=k)
+    return eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
+                                                        idx))[1]
 
 
 def disc_covariances(normals: np.ndarray) -> np.ndarray:
@@ -45,7 +57,8 @@ def disc_covariances(normals: np.ndarray) -> np.ndarray:
 
 
 def compute_gicp_covariances(cloud: PointCloud) -> np.ndarray:
-    """The GICP covariances of ``cloud``, from its cached normals."""
+    """The GICP covariances of ``cloud``, from its normals (voxel ones,
+    set on it, when it has none)."""
     return disc_covariances(compute_gicp_normals(cloud))
 
 

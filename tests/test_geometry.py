@@ -228,6 +228,17 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((4, 3)), normals=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+    def test_normals_longer_than_unit_or_non_finite_raise(self, bad):
+        # align matches a cloud with the normals it carries; one longer
+        # than unit would make GICP's per-pair 2x2 system indefinite
+        normals = np.zeros((4, 3))
+        normals[:3, 2] = 1.0       # unit normals and a zero one are fine
+        PointCloud(np.zeros((4, 3)), normals)
+        normals[3] = [0.0, 0.0, bad]
+        with pytest.raises(ValueError, match="at most unit length"):
+            PointCloud(np.zeros((4, 3)), normals)
+
     def test_transformed_matches_pose_apply(self, rng):
         pose = random_pose(rng, 2.0, 1.0)
         pts = rng.normal(size=(10, 3))

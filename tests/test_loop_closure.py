@@ -7,8 +7,7 @@ from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import (LoopCandidate, LoopConfig,
                                            LoopDetector, gate_candidates,
                                            nearest_candidate)
-from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
-                                           make_scan_context)
+from lidar_graph_slam.scan_context import ScanContextParams, make_scan_context
 from lidar_graph_slam.synthetic import make_world, render_scan
 from lidar_graph_slam.tracker import Keyframe
 
@@ -152,7 +151,7 @@ class TestDetector:
                           params.rings - 1).astype(int)
         sector = (np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * np.pi)
                   / params.sector_width).astype(int)
-        dropped = np.argwhere(query_sc.grid > 0)[:3]
+        dropped = np.argwhere(query_sc > 0)[:3]
         keep = ~np.any((ring[:, None] == dropped[:, 0])
                        & (sector[:, None] == dropped[:, 1]), axis=1)
         match = PointCloud(pts[keep]).transformed(yaw)
@@ -162,18 +161,18 @@ class TestDetector:
             if i != 5:
                 # each ring's cells shuffled across its sectors: the
                 # ring's occupancy is the query's exactly
-                grid = query_sc.grid.copy()
+                grid = query_sc.copy()
                 for r in range(params.rings):
                     grid[r] = grid[r, rng.permutation(params.sectors)]
-                kf.scan_context = ScanContext(grid, params)
+                kf.scan_context = grid
             keyframes.append(kf)
         query = Keyframe(scan_a, Pose.identity(), 99.0, 100.0, 99)
         query.scan_context = query_sc
         detector = LoopDetector()
         ring_occupancy = [
-            (detector.descriptor_for(kf).grid > 0).sum(axis=1)
+            (detector.descriptor_for(kf) > 0).sum(axis=1)
             for kf in keyframes]
-        q_occupancy = (query_sc.grid > 0).sum(axis=1)
+        q_occupancy = (query_sc > 0).sum(axis=1)
         for i, occ in enumerate(ring_occupancy):
             assert np.array_equal(occ, q_occupancy) == (i != 5)
         loop = detector.detect(query, keyframes)

@@ -769,7 +769,7 @@ class TestStagePlacement:
 
         keyframe_ids = {id(kf.cloud) for kf in pipeline.keyframes}
         with_tree = [c for c in filtered
-                     if "kdtree" in getattr(c, "_derived_cache", {})]
+                     if hasattr(c, "_kdtree")]
         assert len(with_tree) >= 2
         assert {id(c) for c in with_tree} <= keyframe_ids
         assert len(with_tree) < len(filtered)

@@ -10,12 +10,12 @@ from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.pretracker import (PHASE_NORMAL_NEIGHBOURS, Pretracker,
                                          PretrackerConfig,
                                          downsample_to_fraction)
-from lidar_graph_slam.registration import (RegistrationResult,
-                                           compute_gicp_normals)
+from lidar_graph_slam.registration import RegistrationResult
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory)
 
-from conftest import box_surface_cloud, pose_error, random_pose
+from conftest import (box_surface_cloud, pose_error, random_pose,
+                      reference_knn_normals)
 
 
 class TestDownsampleToFraction:
@@ -88,7 +88,7 @@ class TestPretracker:
         assert rerr < 2.0
 
     def test_phase_clouds_keep_knn_normals(self, rng):
-        # strided phase clouds lie on no grid, so the pre-tracker caches
+        # strided phase clouds lie on no grid, so the pre-tracker sets
         # k-NN normals on both clouds of each pair before it matches
         scene = dense_scene(rng)
         pre = Pretracker()
@@ -97,10 +97,9 @@ class TestPretracker:
         res = pre.pretrack(scene.transformed(random_pose(rng, 0.5, 0.02)))
         assert res.phases_run == 2
         for cloud in targets + pre._previous:
-            fresh = PointCloud(cloud.points)
-            compute_gicp_normals(fresh, PHASE_NORMAL_NEIGHBOURS)
-            np.testing.assert_array_equal(compute_gicp_normals(cloud),
-                                          compute_gicp_normals(fresh))
+            np.testing.assert_array_equal(
+                cloud.normals,
+                reference_knn_normals(cloud, PHASE_NORMAL_NEIGHBOURS))
 
     def test_large_cloud_runs_single_phase(self, rng):
         scene = PointCloud(rng.uniform(-30, 30, size=(70_000, 3)))
@@ -192,6 +191,27 @@ class TestSkipRule:
         assert not any(r.degraded for r in results)
         for r in results[1:]:
             np.testing.assert_array_equal(r.guess.matrix(), step.matrix())
+
+    def test_only_matched_phase_clouds_get_normals(self, rng, monkeypatch):
+        # the set-up above: frame 1 runs both phases, frame 2 skips them
+        step = Pose(np.eye(3), np.array([0.5, 0.25, 0.0]))
+        points = rng.integers(-160, 160, size=(4000, 3)) / 8.0
+        monkeypatch.setattr(
+            pretracker_module, "align",
+            lambda source, target, guess, cfg: RegistrationResult(step, 1,
+                                                                  True))
+        pre = Pretracker()
+        phases, clouds = [], []
+        for i in range(3):
+            res = pre.pretrack(PointCloud(points - i * step.translation))
+            phases.append(res.phases_run)
+            clouds.append(pre._previous)
+        assert phases == [0, 2, 0]
+        for cloud in clouds[0] + clouds[1]:
+            np.testing.assert_array_equal(
+                cloud.normals,
+                reference_knn_normals(cloud, PHASE_NORMAL_NEIGHBOURS))
+        assert [cloud.normals for cloud in clouds[2]] == [None, None]
 
     def test_turn_runs_icp_again(self, rng):
         scene = dense_scene(rng)

@@ -5,9 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from lidar_graph_slam import registration as registration_module
-from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose,
-                                       eigen_symmetric_3x3,
-                                       neighborhood_covariances, se3_exp,
+from lidar_graph_slam.geometry import (KdTree, PointCloud, Pose, se3_exp,
                                        so3_exp)
 from lidar_graph_slam.pipeline import SlamPipeline
 from lidar_graph_slam.prefilter import PrefilterConfig, prefilter
@@ -16,15 +14,16 @@ from lidar_graph_slam.registration import (GICP_EPSILON, MIN_CELL_POINTS,
                                            RegistrationConfig, _gicp_cost,
                                            _gicp_normal_equations, _gicp_pairs,
                                            compute_gicp_normals, align,
-                                           cloud_kdtree, prepare_alignment,
-                                           score_alignment, voxel_normals)
+                                           cloud_kdtree, score_alignment,
+                                           voxel_normals)
 from lidar_graph_slam.synthetic import (make_world, render_sequence,
                                         straight_then_curve_trajectory)
 from lidar_graph_slam.tracker import KeyframeCriteria, Tracker
 
 from conftest import (box_surface_cloud, compute_gicp_covariances,
                       dense_normal_equations, disc_covariances,
-                      knn_gicp_normals, pose_error, random_pose)
+                      knn_gicp_normals, pose_error, random_pose,
+                      reference_knn_normals)
 
 
 def tight_config():
@@ -91,7 +90,7 @@ class TestAlign:
             res = align(source, target, guess, RegistrationConfig())
             assert not res.converged and not res.valid
             assert res.transform is guess and res.iterations_used == 0
-        assert not hasattr(tiny, "_derived_cache")
+        assert tiny.normals is None and not hasattr(tiny, "_kdtree")
 
     def test_overlap_and_capped_fitness(self, rng):
         # half the source has no counterpart within the bound: each of
@@ -208,9 +207,6 @@ class TestFinalCheck:
                                                         monkeypatch):
         sizes = self.record_queries(monkeypatch)
         source, target, truth = make_pair(rng)
-        for cloud in (source, target):
-            prepare_alignment(cloud)    # the normals' k-NN queries
-        sizes.clear()
         res = align(source, target, cfg=tight_config())
         assert res.valid and pose_error(res.transform, truth)[0] < 1e-3
         prefix = registration_module._CHECK_PREFIX
@@ -225,9 +221,6 @@ class TestFinalCheck:
         # the first points have no counterpart, the rest match exactly
         source = PointCloud(np.vstack([rng.normal(size=(prefix, 3)) + 50.0,
                                        target.points]))
-        for cloud in (source, target):
-            prepare_alignment(cloud)
-        sizes.clear()
         res = align(source, target, cfg=tight_config())
         assert res.valid
         assert sizes[-2:] == [prefix, len(source) - prefix]
@@ -359,18 +352,64 @@ class TestGicpInternals:
         assert calls == [len(source), len(target)]
         assert compute_gicp_normals(source) is compute_gicp_normals(source)
 
-    def test_first_call_picks_the_estimator(self, rng):
-        # k-NN normals cached first are what align and later calls read
-        cloud = box_surface_cloud(rng, n=300)
-        prepare_alignment(cloud, k=15)
-        np.testing.assert_array_equal(compute_gicp_normals(cloud),
-                                      reference_knn_normals(cloud, 15))
-        assert compute_gicp_normals(cloud) is compute_gicp_normals(cloud, 7)
+
+class TestCloudNormals:
+    """A cloud's GICP normals are its ``normals``: align matches a cloud
+    with the ones it carries and gives a cloud without any voxel normals."""
+
+    def test_given_normals_are_matched_and_kept(self, rng, monkeypatch):
+        # every pair the kernel sees carries its points' given normals,
+        # no voxel normal is computed, and the given arrays stay as they were
+        source, target, truth = make_pair(rng)
+        source.normals = reference_knn_normals(source, 10)
+        target.normals = reference_knn_normals(target, 10)
+        held = [(c.normals, c.normals.copy()) for c in (source, target)]
+        monkeypatch.setattr(registration_module, "voxel_normals",
+                            lambda points: pytest.fail("voxel normals made"))
+        seen = []
+        real_equations = registration_module._gicp_normal_equations
+
+        def recording_equations(src, dst, ns, nd, transform):
+            seen.append((src, dst, ns, nd))
+            return real_equations(src, dst, ns, nd, transform)
+
+        monkeypatch.setattr(registration_module, "_gicp_normal_equations",
+                            recording_equations)
+        res = align(source, target, cfg=tight_config())
+        assert res.valid and pose_error(res.transform, truth)[0] < 1e-3
+        assert len(seen) == res.iterations_used
+
+        def given_at(cloud, points):
+            row = {tuple(p): i for i, p in enumerate(cloud.points)}
+            return cloud.normals[[row[tuple(p)] for p in points]]
+
+        for src, dst, ns, nd in seen:
+            np.testing.assert_array_equal(ns, given_at(source, src))
+            np.testing.assert_array_equal(nd, given_at(target, dst))
+        for cloud, (given, copy) in zip((source, target), held):
+            assert cloud.normals is given
+            np.testing.assert_array_equal(given, copy)
+
+    def test_align_sets_missing_normals_to_voxel_normals_once(
+            self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(registration_module, "voxel_normals",
+                            lambda points: calls.append(len(points))
+                            or voxel_normals(points))
+        source, target, _ = make_pair(rng)
+        assert source.normals is None and target.normals is None
+        assert align(source, target).valid
+        normals = [source.normals, target.normals]
+        for cloud, held in zip((source, target), normals):
+            np.testing.assert_array_equal(held, voxel_normals(cloud.points))
+        assert align(source, target).valid and align(target, source).valid
+        assert calls == [len(source), len(target)]
+        assert source.normals is normals[0] and target.normals is normals[1]
 
 
 class TestUnpreparedTracking:
-    """align computes what prepare_alignment would have cached, so clouds
-    prepared before they are tracked and clouds that are not (as in the
+    """align sets the voxel normals a normal-less cloud lacks, so clouds
+    given them before they are tracked and clouds that are not (as in the
     pipeline) track identically."""
 
     def test_unprepared_clouds_track_bit_identically(self):
@@ -387,31 +426,20 @@ class TestUnpreparedTracking:
             for cloud in clouds:
                 filtered = prefilter(cloud, cfg)
                 if prepare:
-                    prepare_alignment(filtered)
+                    filtered.normals = voxel_normals(filtered.points)
                 run.append(tracker.track(filtered).pose.matrix())
             assert tracker.registration_calls == len(clouds) - 1
             poses.append(np.array(run))
         np.testing.assert_array_equal(poses[0], poses[1])
 
 
-def reference_knn_normals(cloud, k):
-    """Reference: k-NN normals from a fresh kd-tree over the cloud."""
-    k = min(k, len(cloud))
-    idx, _ = KdTree(cloud.points).query_batch(cloud.points, k=k)
-    return eigen_symmetric_3x3(neighborhood_covariances(cloud.points,
-                                                        idx))[1]
-
-
-def cached_arrays(cloud):
-    """The numpy arrays cached on ``cloud``, each as the array that owns
-    its memory, so a view cannot hide a larger buffer."""
-    out = []
-    for value in getattr(cloud, "_derived_cache", {}).values():
-        if isinstance(value, np.ndarray):
-            while isinstance(value.base, np.ndarray):
-                value = value.base
-            out.append(value)
-    return out
+def normals_buffer(cloud):
+    """The array that owns the memory of ``cloud.normals``, so a view
+    cannot hide a larger buffer."""
+    value = cloud.normals
+    while isinstance(value.base, np.ndarray):
+        value = value.base
+    return value
 
 
 class TestAlignmentState:
@@ -430,24 +458,22 @@ class TestAlignmentState:
                 compute_gicp_covariances(cloud),
                 disc_covariances(reference_knn_normals(cloud, k)))
 
-    def test_prepared_cloud_caches_tree_and_normals(self, rng):
+    def test_matched_clouds_keep_normals_and_target_tree(self, rng):
+        # the source is never searched, so only the target keeps a tree
         source, target, _ = make_pair(rng)
-        for cloud in (source, target):
-            prepare_alignment(cloud)
         assert align(source, target).valid
+        assert isinstance(getattr(target, "_kdtree", None), KdTree)
+        assert not hasattr(source, "_kdtree")
         for cloud in (source, target):
-            cache = cloud._derived_cache
-            assert isinstance(cache["kdtree"], KdTree)
-            arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 1 and len(cache) == 2
-            assert arrays[0].shape == (len(cloud), 3)
-            assert arrays[0].dtype == np.float64
-            assert not any(a.ndim == 3 for a in cached_arrays(cloud))
+            assert cloud.normals.shape == (len(cloud), 3)
+            assert cloud.normals.dtype == np.float64
+            assert normals_buffer(cloud).ndim == 2
 
     def test_cloud_too_small_to_match_is_left_alone(self, rng):
         tiny = PointCloud(rng.normal(size=(MIN_CORRESPONDENCES - 1, 3)))
-        prepare_alignment(tiny)
-        assert not hasattr(tiny, "_derived_cache")
+        full = box_surface_cloud(rng, n=300)
+        assert not align(tiny, full).valid and not align(full, tiny).valid
+        assert tiny.normals is None and not hasattr(tiny, "_kdtree")
 
     def test_keyframes_keep_no_more_than_their_points(self):
         traj = straight_then_curve_trajectory(straight=8.0, curve_radius=40.0,
@@ -459,9 +485,7 @@ class TestAlignmentState:
         pipeline.run_batch(clouds)
         assert len(pipeline.keyframes) >= 2
         for kf in pipeline.keyframes:
-            held = cached_arrays(kf.cloud)
-            assert held
-            assert sum(a.nbytes for a in held) <= kf.cloud.points.nbytes
+            assert normals_buffer(kf.cloud).nbytes <= kf.cloud.points.nbytes
 
 
 def noisy_pair(rng, n=300):

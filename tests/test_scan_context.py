@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.scan_context import (ScanContext, ScanContextParams,
+from lidar_graph_slam.scan_context import (ScanContextParams,
                                            descriptor_distances,
                                            make_scan_context, shift_to_yaw)
 
@@ -28,28 +28,28 @@ class TestMakeScanContext:
         # range 10 of 80 over 20 rings -> ring 2; azimuth 0 -> sector 0
         cloud = PointCloud(np.array([[10.0, 0.0, 0.5]]))
         sc = make_scan_context(cloud, PARAMS)
-        assert sc.grid.shape == (20, 60)
-        assert sc.grid[2, 0] == pytest.approx(2.5)    # z + HEIGHT_OFFSET
-        assert np.count_nonzero(sc.grid) == 1
+        assert sc.shape == (20, 60)
+        assert sc[2, 0] == pytest.approx(2.5)    # z + HEIGHT_OFFSET
+        assert np.count_nonzero(sc) == 1
 
     def test_max_height_per_bin(self):
         pts = np.array([[10.0, 0.0, 0.5], [10.0, 0.0, 1.5], [10.0, 0.0, -0.5]])
         sc = make_scan_context(PointCloud(pts), PARAMS)
-        assert sc.grid[2, 0] == pytest.approx(3.5)
+        assert sc[2, 0] == pytest.approx(3.5)
 
     def test_points_below_offset_clamp_to_zero(self):
         cloud = PointCloud(np.array([[10.0, 0.0, -5.0]]))
         sc = make_scan_context(cloud, PARAMS)
-        assert sc.grid[2, 0] == 0.0
+        assert sc[2, 0] == 0.0
 
     def test_out_of_range_points_ignored(self):
         cloud = PointCloud(np.array([[100.0, 0.0, 1.0]]))
         sc = make_scan_context(cloud, PARAMS)
-        assert np.count_nonzero(sc.grid) == 0
+        assert np.count_nonzero(sc) == 0
 
     def test_empty_cloud(self):
         sc = make_scan_context(PointCloud(np.empty((0, 3))), PARAMS)
-        assert np.count_nonzero(sc.grid) == 0
+        assert np.count_nonzero(sc) == 0
 
 
 class TestRotationBehavior:
@@ -61,8 +61,8 @@ class TestRotationBehavior:
         rotated = cloud.transformed(Pose(so3_exp([0.0, 0.0, yaw]), np.zeros(3)))
         base = make_scan_context(cloud, PARAMS)
         rot = make_scan_context(rotated, PARAMS)
-        np.testing.assert_array_equal(rot.grid,
-                                      np.roll(base.grid, shift_sectors, axis=1))
+        np.testing.assert_array_equal(rot,
+                                      np.roll(base, shift_sectors, axis=1))
 
     def test_distance_recovers_rotation(self, rng):
         cloud = bin_centered_cloud(rng)
@@ -73,8 +73,8 @@ class TestRotationBehavior:
         cand = make_scan_context(cloud, PARAMS)
         dist, shift = descriptor_distance(query, cand)
         assert dist < 1e-12
-        np.testing.assert_array_equal(np.roll(query.grid, shift, axis=1),
-                                      cand.grid)
+        np.testing.assert_array_equal(np.roll(query, shift, axis=1),
+                                      cand)
 
 
 class TestDescriptorDistance:
@@ -88,7 +88,7 @@ class TestDescriptorDistance:
         a = np.zeros((20, 60))
         b = np.zeros((20, 60))
         a[:, 0] = 1.0
-        dist, _ = descriptor_distance(from_grid(a), from_grid(b))
+        dist, _ = descriptor_distance(a, b)
         assert dist == 1.0
 
     def test_different_places_are_far(self, rng):
@@ -98,19 +98,15 @@ class TestDescriptorDistance:
         assert dist > 0.05
 
 
-def from_grid(grid):
-    return ScanContext(grid, PARAMS)
-
-
 def descriptor_distance(query, candidate):
     """The batched distance's one-candidate case, as (distance, shift)."""
-    dist, shift = descriptor_distances(query, candidate.grid[None])
+    dist, shift = descriptor_distances(query, candidate[None])
     return float(dist[0]), int(shift[0])
 
 
 def loop_distance(query, candidate):
     """Reference: roll the query through every shift, keep the first best."""
-    q, c = query.grid, candidate.grid
+    q, c = query, candidate
     c_norms = np.linalg.norm(c, axis=0)
     best = (np.inf, 0)
     for shift in range(q.shape[1]):
@@ -138,15 +134,15 @@ def random_grid(rng):
 class TestDistanceAgainstLoop:
     def test_random_grids_with_empty_columns(self, rng):
         for _ in range(200):
-            a, b = from_grid(random_grid(rng)), from_grid(random_grid(rng))
+            a, b = random_grid(rng), random_grid(rng)
             dist, shift = descriptor_distance(a, b)
             ref_dist, ref_shift = loop_distance(a, b)
             assert shift == ref_shift
             assert dist == pytest.approx(ref_dist, abs=1e-12)
 
     def test_all_empty_grid_is_one_at_shift_zero(self, rng):
-        empty = from_grid(np.zeros((20, 60)))
-        full = from_grid(rng.uniform(0.5, 2.0, size=(20, 60)))
+        empty = np.zeros((20, 60))
+        full = rng.uniform(0.5, 2.0, size=(20, 60))
         assert descriptor_distance(empty, full) == (1.0, 0)
         assert descriptor_distance(full, empty) == (1.0, 0)
         assert descriptor_distance(empty, empty) == (1.0, 0)
@@ -159,8 +155,8 @@ class TestDistanceAgainstLoop:
             q[0, col] = 1.0
             q[3, col + 7] = 2.0
         c = np.roll(q, 5, axis=1)
-        dist, shift = descriptor_distance(from_grid(q), from_grid(c))
-        assert (dist, shift) == loop_distance(from_grid(q), from_grid(c))
+        dist, shift = descriptor_distance(q, c)
+        assert (dist, shift) == loop_distance(q, c)
         assert (dist, shift) == (0.0, 5)
 
 
@@ -171,11 +167,11 @@ class TestBatchedDistance:
         grids = np.stack([random_grid(rng) for _ in range(n)])
         grids[rng.integers(n)] = 0.0
         for _ in range(5):
-            query = from_grid(random_grid(rng))
+            query = random_grid(rng)
             dist, shift = descriptor_distances(query, grids)
             assert dist.shape == shift.shape == (n,)
             for i, grid in enumerate(grids):
-                ref_dist, ref_shift = loop_distance(query, from_grid(grid))
+                ref_dist, ref_shift = loop_distance(query, grid)
                 assert shift[i] == ref_shift
                 assert dist[i] == pytest.approx(ref_dist, abs=1e-12)
 
@@ -188,7 +184,7 @@ class TestBatchedDistance:
         worse = c.copy()
         worse[5, 11] = 1.0
         grids = np.stack([worse, c, c])
-        dist, shift = descriptor_distances(from_grid(q), grids)
+        dist, shift = descriptor_distances(q, grids)
         assert dist[0] > 0.0
         assert dist[1] == dist[2] == 0.0
         assert shift[1] == shift[2] == 11
