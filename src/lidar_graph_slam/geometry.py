@@ -25,7 +25,8 @@ class PointCloud:
 
     ``normals`` are the cloud's GICP normals: ``registration.align`` matches
     a cloud with the ones it carries and sets a normal-less cloud's to its
-    voxel normals; the pre-tracker sets k-NN ones on its phase clouds.
+    voxel normals; the pre-tracker sets k-NN ones on its phase clouds.  A
+    keyframe's cloud has ``normals`` ``None`` once the keyframe retires.
     """
 
     points: np.ndarray                      # (N, 3)

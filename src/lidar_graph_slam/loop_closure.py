@@ -4,7 +4,9 @@ Phase 1 gates keyframes that are close in space but far along the traveled
 path.  Phase 2 scores every gated keyframe by exact polar-grid descriptor
 distance in one batched product and keeps the nearest.  Phase 3 verifies
 that one candidate by scan matching if its descriptor is close enough, so
-at most one registration runs per query.
+at most one registration runs per query.  The candidate is a retired
+keyframe, which keeps only its points: the match builds its GICP normals
+and kd-tree on a temporary cloud, freed when verification returns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Pose, so3_exp
+from .geometry import PointCloud, Pose, so3_exp
 from .registration import RegistrationConfig, align, score_alignment
 from .scan_context import (ScanContextParams, descriptor_distances,
                            make_scan_context, shift_to_yaw)
@@ -98,17 +100,19 @@ class LoopDetector:
 
     def verify(self, query: Keyframe, keyframes: Sequence[Keyframe],
                nearest: Tuple[int, float, int]) -> Optional[LoopCandidate]:
-        """Scan-match the nearest candidate; return it if accepted."""
+        """Scan-match the nearest candidate, on a temporary cloud over its
+        points; return it if accepted."""
         idx, dist, shift = nearest
         if dist > self.cfg.descriptor_distance_threshold:
             return None     # descriptors disagree; not worth a registration
         cand = keyframes[idx]
         guess = self._initial_guess(query, cand, shift)
-        res = align(query.cloud, cand.cloud, guess, self.reg_cfg)
+        target = PointCloud(cand.cloud.points)
+        res = align(query.cloud, target, guess, self.reg_cfg)
         self.registration_calls += 1
         if not res.converged or not res.valid:
             return None
-        fitness = score_alignment(query.cloud, cand.cloud, res.transform,
+        fitness = score_alignment(query.cloud, target, res.transform,
                                   self.reg_cfg.max_correspondence_distance)
         if fitness > self.cfg.fitness_accept_threshold:
             return None

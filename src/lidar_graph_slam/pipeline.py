@@ -6,7 +6,8 @@ estimates the motion from the raw cloud (running GICP only when constant
 motion stops fitting); then the tracker matches the filtered cloud against
 the current keyframe, from the better of that guess and constant motion.
 That match computes the filtered cloud's GICP normals, and a keyframe's
-kd-tree is built by the first match against it, so only keyframes get one.
+kd-tree is built by the first match against it, so only keyframes get one;
+a keyframe drops both when the tracker replaces it.
 A frame whose match fails keeps its seed as its pose and is counted as
 degraded.  When a match makes a new keyframe, the floor is detected in its
 filtered cloud and the back end (pose graph, loop closure, optimization)
@@ -118,6 +119,8 @@ class PipelineResult:
     # front end.  The stages overlap, and the lists are not in frame order.
     # track includes floor, one sample per keyframe, and the back end.
     stage_latencies: Dict[str, List[float]] = field(default_factory=dict)
+    # pose-graph solves that stopped at LM's iteration cap, not converged
+    unconverged_optimizations: int = 0
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
         out = {}
@@ -153,6 +156,7 @@ class SlamPipeline:
         self.loop_count = 0
         self.dropped_frames = 0
         self.degraded_frames = 0
+        self.unconverged_optimizations = 0
         self._kf_since_opt = 0
         self._ran = False
         self._latencies: Dict[str, List[float]] = {
@@ -202,10 +206,12 @@ class SlamPipeline:
             self._kf_since_opt = 0
 
     def _optimize_and_sync(self):
-        """Re-solve the graph; every keyframe, the tracker's too, moves."""
+        """Re-solve the graph; every keyframe, the tracker's too, moves.  A
+        solve that does not converge is counted, and its poses are kept."""
         if len(self.keyframes) < 2:
             return
-        self.graph.optimize()
+        if not self.graph.optimize().converged:
+            self.unconverged_optimizations += 1
         for kf, pose in zip(self.keyframes, self.graph.keyframe_poses()):
             kf.pose = pose
 
@@ -322,7 +328,7 @@ class SlamPipeline:
         return PipelineResult(trajectory, len(self.keyframes), self.loop_count,
                               self.dropped_frames, self.degraded_frames,
                               time.perf_counter() - started,
-                              self._latencies)
+                              self._latencies, self.unconverged_optimizations)
 
     def _final_trajectory(self) -> List[TimedPose]:
         """Per-frame world poses using the optimized keyframe poses."""
@@ -376,6 +382,7 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
         "loops": result.loop_count,
         "dropped_frames": result.dropped_frames,
         "degraded_frames": result.degraded_frames,
+        "unconverged_optimizations": result.unconverged_optimizations,
         "runtime_seconds": result.runtime_seconds,
         "latency_percentiles": result.latency_percentiles(),
     }

@@ -23,7 +23,11 @@ otherwise, :func:`align` matches a cloud with the normals it carries and
 sets a normal-less cloud's to :func:`voxel_normals` the first time it
 matches it.  A cloud's kd-tree is built by the first search of it and kept
 on the cloud (:func:`cloud_kdtree`), so in the pipeline only keyframes get
-one.  A keyframe holds 24 bytes per point of GICP state.
+one.  Only the tracker's current keyframe keeps this GICP state (24 bytes
+per point of normals, and its tree): a keyframe the tracker replaces drops
+both (:func:`drop_gicp_state`) and keeps its points, and the loop verifier
+rebuilds them on a temporary cloud over a candidate's points, as HDL graph
+SLAM computes a loop candidate's state when it sets it as the target.
 
 A filtered cloud's normals come from voxel moments, as 3D-NDT (Magnusson,
 2009) and VGICP take distributions per voxel: the pre-filter leaves at most
@@ -146,6 +150,14 @@ def compute_gicp_normals(cloud: PointCloud) -> np.ndarray:
     if cloud.normals is None:
         cloud.normals = voxel_normals(cloud.points)
     return cloud.normals
+
+
+def drop_gicp_state(cloud: PointCloud):
+    """Free ``cloud``'s normals and kd-tree, which a retired keyframe no
+    longer needs; a later match over its points rebuilds both (see
+    ``LoopDetector.verify``)."""
+    cloud.normals = None
+    vars(cloud).pop("_kdtree", None)
 
 
 def _gicp_pairs(src, dst, src_normals, dst_normals, transform):

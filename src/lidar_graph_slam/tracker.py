@@ -8,7 +8,9 @@ guess only seeds the match.  When the pre-tracker gives a guess, the match
 starts from whichever of it and constant motion fits the keyframe better,
 scored on a strided sample of the cloud; without one, from constant motion.
 A keyframe cloud too small to match against is replaced by the next cloud,
-placed at the guess.
+placed at the guess.  A keyframe the tracker replaces keeps its points,
+pose and scan-context grid, and drops its GICP normals and kd-tree: only
+loop verification matches it again, and rebuilds them for that match.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .geometry import PointCloud, Pose
 from .registration import (MIN_CORRESPONDENCES, RegistrationConfig, align,
-                           score_alignment)
+                           drop_gicp_state, score_alignment)
 
 # the seed choice scores every SEED_SAMPLE_STRIDE-th point of the cloud
 SEED_SAMPLE_STRIDE = 16
@@ -39,6 +41,9 @@ class KeyframeCriteria:
 
 @dataclass
 class Keyframe:
+    """A keyframe cloud and its world pose.  Once the tracker replaces it,
+    ``cloud.normals`` is ``None`` and the cloud holds no kd-tree."""
+
     cloud: PointCloud
     pose: Pose
     timestamp: float
@@ -147,12 +152,15 @@ class Tracker:
 
     def _add_keyframe(self, cloud: PointCloud, pose: Pose,
                       rel: Pose) -> Keyframe:
-        """Make ``cloud`` the current keyframe, ``rel`` from the last one."""
+        """Make ``cloud`` the current keyframe, ``rel`` from the last one,
+        which retires."""
         travelled = 0.0 if self.keyframe is None else \
             self.keyframe.accumulated_distance \
             + float(np.linalg.norm(rel.translation))
         kf = Keyframe(cloud, pose, cloud.timestamp, travelled,
                       self._keyframe_count)
+        if self.keyframe is not None:
+            drop_gicp_state(self.keyframe.cloud)
         self._keyframe_count += 1
         self.keyframe = kf
         self._prev_rel = Pose.identity()

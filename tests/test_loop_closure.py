@@ -7,6 +7,8 @@ from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import (LoopCandidate, LoopConfig,
                                            LoopDetector, gate_candidates,
                                            nearest_candidate)
+from lidar_graph_slam.registration import (cloud_kdtree, compute_gicp_normals,
+                                           drop_gicp_state)
 from lidar_graph_slam.scan_context import ScanContextParams, make_scan_context
 from lidar_graph_slam.synthetic import make_world, render_scan
 from lidar_graph_slam.tracker import Keyframe
@@ -120,6 +122,30 @@ class TestDetector:
         terr, rerr = pose_error(loop.verified_transform, truth)
         assert terr < 0.5
         assert rerr < 3.0
+
+    def test_retired_candidate_verifies_as_one_that_kept_its_state(
+            self, revisit_scene):
+        # a retired keyframe's normals and kd-tree are rebuilt for the
+        # match alone: the loop is bit-identical and the keyframe stays
+        # without them
+        loops = []
+        for retire in (False, True):
+            keyframes, query = self._keyframes(revisit_scene)
+            cand = keyframes[0]
+            cand.cloud = PointCloud(cand.cloud.points)
+            query.cloud = PointCloud(query.cloud.points)
+            compute_gicp_normals(cand.cloud)
+            cloud_kdtree(cand.cloud)
+            if retire:
+                drop_gicp_state(cand.cloud)
+            loops.append(LoopDetector().detect(query, keyframes))
+        kept, rebuilt = loops
+        assert kept is not None and rebuilt is not None
+        np.testing.assert_array_equal(rebuilt.verified_transform.matrix(),
+                                      kept.verified_transform.matrix())
+        assert rebuilt.fitness == kept.fitness
+        assert cand.cloud.normals is None
+        assert getattr(cand.cloud, "_kdtree", None) is None
 
     def test_registration_budget_per_query(self, revisit_scene):
         scan_a, _ = revisit_scene

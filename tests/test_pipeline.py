@@ -23,6 +23,7 @@ from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import LoopCandidate
 from lidar_graph_slam.pipeline import (SlamPipeline, frame_dropped,
                                        run_pipeline)
+from lidar_graph_slam.pose_graph import OptimizationReport, PoseGraph
 from lidar_graph_slam.prefilter import prefilter
 from lidar_graph_slam.pretracker import Pretracker
 from lidar_graph_slam.registration import align
@@ -577,6 +578,21 @@ def short_dataset_dir(tmp_path_factory, straight_run):
     return str(root)
 
 
+class TestUnconvergedOptimizations:
+    def test_every_unconverged_solve_is_counted(self, straight_run,
+                                                 monkeypatch):
+        calls = []
+
+        def capped_optimize(graph, max_iterations=20):
+            calls.append(graph)
+            return OptimizationReport(1.0, 1.0, max_iterations, False)
+
+        monkeypatch.setattr(PoseGraph, "optimize", capped_optimize)
+        result = SlamPipeline().run_batch(straight_run[0])
+        assert len(calls) >= 2
+        assert result.unconverged_optimizations == len(calls)
+
+
 class TestRunPipeline:
     def test_writes_all_outputs(self, dataset_dir, tmp_path, straight_run):
         _, truth = straight_run
@@ -589,6 +605,8 @@ class TestRunPipeline:
         assert report["keyframes"] == result.keyframe_count
         assert report["loops"] == 0
         assert report["degraded_frames"] == result.degraded_frames == 0
+        assert report["unconverged_optimizations"] \
+            == result.unconverged_optimizations == 0
         est = read_tum(str(out / "trajectory.tum"))
         ate = evaluate_trajectories(est, truth)
         assert ate.rmse < 0.3
@@ -756,20 +774,29 @@ class TestStagePlacement:
 
     def test_only_keyframe_clouds_carry_a_kdtree(self, straight_run,
                                                  monkeypatch):
-        filtered = []
+        # a retired keyframe drops its tree, so every tree built during the
+        # run is recorded, with the points it was built over
+        filtered, tree_points = [], []
         real_prefilter = pipeline_module.prefilter
 
         def recording_prefilter(cloud, cfg):
             filtered.append(real_prefilter(cloud, cfg))
             return filtered[-1]
 
+        class RecordingTree(registration_module.KdTree):
+            def __init__(self, points):
+                tree_points.append(points)
+                super().__init__(points)
+
         monkeypatch.setattr(pipeline_module, "prefilter", recording_prefilter)
+        monkeypatch.setattr(registration_module, "KdTree", RecordingTree)
         pipeline = SlamPipeline()
         pipeline.run_batch(straight_run[0])
 
         keyframe_ids = {id(kf.cloud) for kf in pipeline.keyframes}
         with_tree = [c for c in filtered
-                     if hasattr(c, "_kdtree")]
+                     if any(np.shares_memory(c.points, points)
+                            for points in tree_points)]
         assert len(with_tree) >= 2
         assert {id(c) for c in with_tree} <= keyframe_ids
         assert len(with_tree) < len(filtered)

@@ -444,7 +444,7 @@ def normals_buffer(cloud):
 
 class TestAlignmentState:
     """A cloud keeps its kd-tree and (N, 3) normals for alignment, never
-    its (N, 3, 3) covariances."""
+    its (N, 3, 3) covariances; a retired keyframe keeps neither."""
 
     @pytest.mark.parametrize("k", [3, 10, 15, 40])
     def test_covariances_equal_broadcast_reference(self, rng, k):
@@ -483,9 +483,14 @@ class TestAlignmentState:
                                     traj, max_range=30.0)
         pipeline = SlamPipeline()
         pipeline.run_batch(clouds)
-        assert len(pipeline.keyframes) >= 2
-        for kf in pipeline.keyframes:
-            assert normals_buffer(kf.cloud).nbytes <= kf.cloud.points.nbytes
+        current = pipeline.tracker.keyframe
+        retired = pipeline.keyframes[:-1]
+        assert len(retired) >= 1 and pipeline.keyframes[-1] is current
+        for kf in retired:
+            assert kf.cloud.normals is None
+            assert getattr(kf.cloud, "_kdtree", None) is None
+        assert normals_buffer(current.cloud).nbytes \
+            <= current.cloud.points.nbytes
 
 
 def noisy_pair(rng, n=300):
