@@ -107,7 +107,6 @@ def _degrees(value: str) -> float:
 #              field name, converter from the file's string)
 _KEYS: Dict[str, Tuple[Optional[str], str, Callable[[str], object]]] = {
     # pre-filterer
-    "downsample_method": ("prefilter", "downsample_method", str),
     "downsample_resolution": ("prefilter", "downsample_resolution", _finite),
     "outlier_removal_method": ("prefilter", "outlier_method", str),
     "radius": ("prefilter", "radius", _finite),

@@ -6,22 +6,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PointCloud, Pose
+from .geometry import PointCloud
 from .prefilter import voxel_downsample
 from .tracker import Keyframe
 
 
-def build_map(keyframes: Sequence[Keyframe], poses: Sequence[Pose],
+def build_map(keyframes: Sequence[Keyframe],
               resolution: float = 0.25) -> PointCloud:
-    """Concatenate keyframe clouds in the world frame, voxel-downsampled.
-
-    ``poses`` are the (optimized) world poses to use, one per keyframe.
-    """
+    """Concatenate keyframe clouds, each placed at its keyframe's (optimized)
+    ``pose``, in the world frame, voxel-downsampled."""
     if not keyframes:
         raise ValueError("need at least one keyframe")
-    if len(poses) != len(keyframes):
-        raise ValueError("poses and keyframes length mismatch")
-    parts = [p.apply(kf.cloud.points) for kf, p in zip(keyframes, poses)]
+    parts = [kf.pose.apply(kf.cloud.points) for kf in keyframes]
     merged = PointCloud(np.vstack(parts))
     return voxel_downsample(merged, resolution)
 

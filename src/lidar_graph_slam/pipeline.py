@@ -1,10 +1,12 @@
 """End-to-end pipeline wiring and batch / realtime-simulation drivers.
 
 Each frame runs one fixed sequence.  Non-finite points are dropped when the
-frame is admitted.  The front end pre-filters the scan; the pre-tracker
-estimates the motion from the raw cloud (running GICP only when constant
-motion stops fitting); then the tracker matches the filtered cloud against
-the current keyframe, from the better of that guess and constant motion.
+frame is admitted; a scan whose timestamp is not finite stops the run with
+``ValueError``, since neither the drop rule nor the trajectory can place it.
+The front end pre-filters the scan; the pre-tracker estimates the motion
+from the raw cloud (running GICP only when constant motion stops fitting);
+then the tracker matches the filtered cloud against the current keyframe,
+from the better of that guess and constant motion.
 That match computes the filtered cloud's GICP normals, and a keyframe's
 kd-tree is built by the first match against it, so only keyframes get one;
 a keyframe drops both when the tracker replaces it.
@@ -12,6 +14,9 @@ A frame whose match fails keeps its seed as its pose and is counted as
 degraded.  When a match makes a new keyframe, the floor is detected in its
 filtered cloud and the back end (pose graph, loop closure, optimization)
 runs inline.  Only keyframes carry a floor, so no other frame detects one.
+The pose graph's nodes are the keyframes, and each solve moves their poses
+in place, so the tracker's keyframe and the final trajectory read the
+optimized poses with nothing copied back.
 
 The pre-tracker runs "in parallel with the filtering process": one
 lookahead worker thread pre-tracks and runs the front ends of up to
@@ -52,10 +57,10 @@ from .floor import detect_floor
 from .geometry import PointCloud, Pose
 from .loop_closure import LoopDetector
 from .mapping import build_map, write_ply
-from .pose_graph import PoseGraph
+from .pose_graph import EDGE_LOOP, PoseGraph
 from .prefilter import prefilter
 from .pretracker import Pretracker
-from .tracker import Tracker
+from .tracker import Keyframe, Tracker
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +90,7 @@ def finite_points(cloud: PointCloud) -> PointCloud:
         return cloud
     log.warning("scan %r at t=%.3f: dropped %d non-finite points",
                 cloud.frame_id, cloud.timestamp, len(finite) - finite.sum())
-    normals = None if cloud.normals is None else cloud.normals[finite]
-    return PointCloud(cloud.points[finite], normals, cloud.timestamp,
+    return PointCloud(cloud.points[finite], None, cloud.timestamp,
                       cloud.frame_id)
 
 
@@ -106,7 +110,7 @@ class FrameRecord:
 class PipelineResult:
     trajectory: List[TimedPose]
     keyframe_count: int
-    loop_count: int
+    loop_count: int              # loop edges in the pose graph
     dropped_frames: int
     # tracked frames whose scan match failed or had no keyframe cloud to
     # match against, so their pose is the tracker's seed
@@ -151,9 +155,9 @@ class SlamPipeline:
         self.loop_detector = LoopDetector(self.cfg.loop, self.cfg.registration,
                                           self.cfg.scan_context)
         self.graph = PoseGraph(np.deg2rad(self.cfg.incline_threshold_deg))
-        self.keyframes = []
+        # the keyframes so far, in order: the graph's node list itself
+        self.keyframes: List[Keyframe] = self.graph.nodes
         self.frames: List[FrameRecord] = []
-        self.loop_count = 0
         self.dropped_frames = 0
         self.degraded_frames = 0
         self.unconverged_optimizations = 0
@@ -187,7 +191,6 @@ class SlamPipeline:
 
     def _on_keyframe(self, kf, odometry_rel, floor_coeffs):
         node_id = self.graph.add_keyframe(kf, odometry_rel)
-        self.keyframes.append(kf)
         if floor_coeffs is not None:
             self.graph.add_floor(node_id, floor_coeffs)
         loop_added = False
@@ -197,23 +200,19 @@ class SlamPipeline:
             # optimize; only an edge it took counts and forces a re-solve
             loop_added = loop is not None and \
                 self.graph.add_loop(loop) is not None
-        if loop_added:
-            self.loop_count += 1
         self._kf_since_opt += 1
         if loop_added or self._kf_since_opt >= \
                 self.cfg.optimize_every_n_keyframes:
-            self._optimize_and_sync()
+            self._optimize()
             self._kf_since_opt = 0
 
-    def _optimize_and_sync(self):
+    def _optimize(self):
         """Re-solve the graph; every keyframe, the tracker's too, moves.  A
         solve that does not converge is counted, and its poses are kept."""
         if len(self.keyframes) < 2:
             return
         if not self.graph.optimize().converged:
             self.unconverged_optimizations += 1
-        for kf, pose in zip(self.keyframes, self.graph.keyframe_poses()):
-            kf.pose = pose
 
     def _pretrack(self, cloud: PointCloud):
         """Pre-track one frame; runs on the lookahead worker, in frame
@@ -301,7 +300,11 @@ class SlamPipeline:
 
         lookahead = ThreadPoolExecutor(max_workers=1)
         try:
-            for cloud in clouds:
+            for position, cloud in enumerate(clouds):
+                if not math.isfinite(cloud.timestamp):
+                    raise ValueError(
+                        f"scan {position} ({cloud.frame_id!r}) has the "
+                        f"non-finite timestamp {cloud.timestamp}")
                 if first_ts is None:
                     first_ts = cloud.timestamp
                 arrival = cloud.timestamp - first_ts
@@ -322,10 +325,11 @@ class SlamPipeline:
         finally:
             # after a stage error, the queued tasks would otherwise still run
             lookahead.shutdown(cancel_futures=True)
-        self._optimize_and_sync()
+        self._optimize()
 
         trajectory = self._final_trajectory()
-        return PipelineResult(trajectory, len(self.keyframes), self.loop_count,
+        loops = sum(e.kind == EDGE_LOOP for e in self.graph.edges)
+        return PipelineResult(trajectory, len(self.keyframes), loops,
                               self.dropped_frames, self.degraded_frames,
                               time.perf_counter() - started,
                               self._latencies, self.unconverged_optimizations)
@@ -369,9 +373,7 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
     os.makedirs(out_dir, exist_ok=True)
     write_tum(os.path.join(out_dir, "trajectory.tum"), result.trajectory)
     if pipeline.keyframes:
-        world_map = build_map(pipeline.keyframes,
-                              [kf.pose for kf in pipeline.keyframes],
-                              cfg.map_resolution)
+        world_map = build_map(pipeline.keyframes, cfg.map_resolution)
         write_ply(os.path.join(out_dir, "map.ply"), world_map)
         pipeline.graph.export_g2o(os.path.join(out_dir, "graph.g2o"))
     report = {

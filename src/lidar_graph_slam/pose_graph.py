@@ -1,8 +1,9 @@
 """Pose graph construction and Levenberg-Marquardt optimization on SE(3).
 
-Keyframe poses are nodes; odometry, loop, and floor measurements are edges.
-A keyframe's node id is its keyframe index, 0..K-1.  The world floor plane
-is a constant, as in HDL graph SLAM: the first valid floor ``add_floor``
+The nodes are the keyframes themselves: ``PoseGraph.nodes`` is the list of
+the ``Keyframe`` objects added, and a keyframe's node id is its index in it,
+0..K-1.  Odometry, loop, and floor measurements are edges.  The world floor
+plane is a constant, as in HDL graph SLAM: the first valid floor ``add_floor``
 accepts, mapped into the world through its keyframe's pose at that moment,
 becomes ``PoseGraph.floor_plane``, and no ``optimize`` moves it.  Floor
 edges are unary; their ``to_id``, ``FLOOR_PLANE_ID``, names that plane.
@@ -18,8 +19,9 @@ arrays once (:class:`_EdgeBatch`), together with the sparse position of
 every Hessian block.  Each LM iteration then evaluates the residuals and
 Jacobians of all edges in a fixed number of numpy operations and scatters
 the per-edge blocks into the sparse Hessian through those positions; a
-trial step is judged by the cost alone.  Optimized poses are written back
-to the nodes when the call returns.
+trial step is judged by the cost alone.  When the call returns, the
+optimized poses are written into the keyframes' ``pose`` in place, so the
+tracker, the loop detector and the map read them with nothing copied.
 
 The logarithm of a half turn has no unique axis, so a loop edge whose error
 rotation lies within ``SO3_LOG_PI_MARGIN`` of pi is rejected when it is
@@ -30,7 +32,7 @@ added; a node moved into that band later makes ``optimize`` raise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from scipy.sparse import coo_matrix, identity
@@ -57,12 +59,6 @@ LOOP_HUBER_DELTA = 1.0
 # LM stops when chi2 falls by less than this fraction, or the step is shorter
 _CHI2_REL_TOL = 1e-6
 _UPDATE_TOL = 1e-8
-
-
-@dataclass
-class GraphNode:
-    id: int
-    pose: Pose
 
 
 @dataclass
@@ -118,7 +114,7 @@ class PoseGraph:
     """Keyframe pose graph with odometry, loop, and floor constraints."""
 
     def __init__(self, incline_threshold: float = np.deg2rad(5.0)):
-        self.nodes: Dict[int, GraphNode] = {}
+        self.nodes: List[Keyframe] = []
         self.edges: List[GraphEdge] = []
         self._loop_pairs: Set[Tuple[int, int]] = set()
         self._last_floor_normal: Optional[np.ndarray] = None
@@ -143,18 +139,19 @@ class PoseGraph:
 
     def add_keyframe(self, kf: Keyframe,
                      odometry_rel: Optional[Pose] = None) -> int:
-        """Append a keyframe node chained to the previous one by odometry;
-        its node id is its keyframe index."""
+        """Append ``kf`` as a node chained to the previous one by odometry
+        and return its node id, its index in ``nodes``.  Past the first,
+        ``kf.pose`` becomes the previous pose composed with the odometry
+        (by default, the relative pose between the two)."""
         node_id = len(self.nodes)
-        pose = kf.pose
         if node_id:
-            prev = self.nodes[node_id - 1].pose
+            prev = self.nodes[-1].pose
             rel = odometry_rel if odometry_rel is not None else (
                 prev.inverse() @ kf.pose)
-            pose = prev @ rel
+            kf.pose = prev @ rel
             self._add_edge(EDGE_ODOMETRY, node_id - 1, node_id, rel,
                            default_information(EDGE_ODOMETRY))
-        self.nodes[node_id] = GraphNode(node_id, pose=pose)
+        self.nodes.append(kf)
         return node_id
 
     def add_loop(self, loop: LoopCandidate,
@@ -215,7 +212,7 @@ class PoseGraph:
         return list(range(len(self.nodes)))
 
     def keyframe_poses(self) -> List[Pose]:
-        return [self.nodes[i].pose for i in range(len(self.nodes))]
+        return [kf.pose for kf in self.nodes]
 
     # -- optimization -------------------------------------------------------
 
@@ -271,10 +268,9 @@ class PoseGraph:
         from scipy.spatial.transform import Rotation
 
         lines = []
-        for node_id in self.keyframe_node_ids:
-            node = self.nodes[node_id]
-            q = Rotation.from_matrix(node.pose.rotation).as_quat()  # x y z w
-            t = node.pose.translation
+        for node_id, kf in enumerate(self.nodes):
+            q = Rotation.from_matrix(kf.pose.rotation).as_quat()  # x y z w
+            t = kf.pose.translation
             lines.append(
                 "VERTEX_SE3:QUAT {} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f}"
                 .format(node_id, t[0], t[1], t[2], q[0], q[1], q[2], q[3]))
@@ -477,7 +473,7 @@ class _EdgeBatch:
         return _State(rot, trans)
 
     def write_back(self, graph: PoseGraph, s: _State):
-        """Store keyframes 1..K-1's poses in ``graph``; the gauge keyframe
-        keeps its pose untouched."""
+        """Store keyframes 1..K-1's poses in their ``pose``; the gauge
+        keyframe keeps its pose untouched."""
         for k in range(1, len(s.rot)):
             graph.nodes[k].pose = Pose(s.rot[k].copy(), s.trans[k].copy())

@@ -14,24 +14,18 @@ import numpy as np
 
 from .geometry import KdTree, PointCloud, voxel_keys
 
-DOWNSAMPLE_VOXELGRID = "VOXELGRID"
-DOWNSAMPLE_NONE = "NONE"
 OUTLIER_RADIUS = "RADIUS"
 OUTLIER_NONE = "NONE"
 
 
 @dataclass
 class PrefilterConfig:
-    downsample_method: str = DOWNSAMPLE_VOXELGRID
     downsample_resolution: float = 0.25
     outlier_method: str = OUTLIER_RADIUS
     radius: float = 0.4
     min_neighbors: int = 2
 
     def __post_init__(self):
-        if self.downsample_method not in (DOWNSAMPLE_VOXELGRID, DOWNSAMPLE_NONE):
-            raise ValueError(
-                f"unknown downsample method {self.downsample_method!r}")
         if self.outlier_method not in (OUTLIER_RADIUS, OUTLIER_NONE):
             raise ValueError(
                 f"unknown outlier removal method {self.outlier_method!r}")
@@ -93,10 +87,8 @@ def remove_outliers(cloud: PointCloud, radius: float,
 
 
 def prefilter(cloud: PointCloud, cfg: PrefilterConfig) -> PointCloud:
-    """Downsample then remove outliers, per the configured methods."""
-    out = cloud
-    if cfg.downsample_method == DOWNSAMPLE_VOXELGRID:
-        out = voxel_downsample(out, cfg.downsample_resolution)
+    """Voxel-downsample, then remove outliers unless that is switched off."""
+    out = voxel_downsample(cloud, cfg.downsample_resolution)
     if cfg.outlier_method == OUTLIER_RADIUS:
         out = remove_outliers(out, cfg.radius, cfg.min_neighbors)
-    return PointCloud(out.points, out.normals, cloud.timestamp, cloud.frame_id)
+    return out

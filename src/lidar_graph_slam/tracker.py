@@ -41,8 +41,10 @@ class KeyframeCriteria:
 
 @dataclass
 class Keyframe:
-    """A keyframe cloud and its world pose.  Once the tracker replaces it,
-    ``cloud.normals`` is ``None`` and the cloud holds no kd-tree."""
+    """A keyframe cloud and its world pose.  Once it is a ``PoseGraph``
+    node, ``pose`` is the graph's estimate, which each optimization moves
+    in place.  Once the tracker replaces it, ``cloud.normals`` is ``None``
+    and the cloud holds no kd-tree."""
 
     cloud: PointCloud
     pose: Pose

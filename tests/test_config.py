@@ -49,7 +49,6 @@ class TestBinding:
 
     def test_values_reach_their_modules(self):
         cfg = PipelineConfig.from_dict({
-            "downsample_method": "VOXELGRID",
             "downsample_resolution": "0.5",
             "outlier_removal_method": "RADIUS",
             "radius": "0.8",
@@ -122,8 +121,8 @@ class TestBinding:
 
 # each value breaks a check of the section it belongs to, or is a number
 # the file's converter refuses (nan, inf); registration_method, floor_mode,
-# floor_rough_clip_radius and loop_top_k are no longer keys, so a file that
-# still sets one fails as an unknown key
+# floor_rough_clip_radius, loop_top_k and downsample_method are no longer
+# keys, so a file that still sets one fails as an unknown key
 BAD_VALUES = [
     ("max_iterations", "0"),
     ("downsample_resolution", "-1"),

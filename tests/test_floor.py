@@ -151,6 +151,32 @@ class TestPlanarMode:
         coeffs = detect_floor(PointCloud(wall))
         assert not coeffs.valid
 
+    def test_refit_steeper_than_the_limit_is_invalid(self, rng,
+                                                    monkeypatch):
+        # a 0.3 m wide strip of ground pitched 25 degrees with 2 cm noise:
+        # some noisy triples tilt under the 20 degree limit, and each such
+        # plane holds the whole strip within the inlier threshold, so
+        # RANSAC accepts; the least-squares refit over the strip is steeper
+        x = rng.uniform(-0.15, 0.15, 400)
+        strip = np.column_stack([
+            x, rng.uniform(-3.0, 3.0, 400),
+            -SENSOR_HEIGHT + np.tan(np.deg2rad(25.0)) * x
+            + rng.normal(scale=0.02, size=400)])
+        refits = []
+
+        def recorded(points):
+            refits.append(fit_plane_lsq(points))
+            return refits[-1]
+
+        monkeypatch.setattr(floor, "fit_plane_lsq", recorded)
+        cfg = FloorConfig(normal_vertical_max_angle=np.deg2rad(20.0))
+        assert not detect_floor(PointCloud(strip), cfg).valid
+        (normal, _), = refits
+        assert np.rad2deg(np.arccos(normal[2])) > 20.0
+        # the same refit passes under a looser limit
+        cfg = FloorConfig(normal_vertical_max_angle=np.deg2rad(40.0))
+        assert detect_floor(PointCloud(strip), cfg).valid
+
     def test_prefiltered_rendered_scans(self):
         # what the pipeline hands the floor: every 5th scan of runs like the
         # benchmark's (a 1 m loop, a straight-then-curve path, a 2.5 m-per-

@@ -147,6 +147,27 @@ class TestDetector:
         assert cand.cloud.normals is None
         assert getattr(cand.cloud, "_kdtree", None) is None
 
+    def test_match_above_the_fitness_threshold_is_refused(self, rng,
+                                                          revisit_scene):
+        # 5 cm of noise on the query keeps the match valid and converged
+        # but its fitness above zero; that fitness alone refuses it, and a
+        # threshold above it accepts the same match
+        _, scan_b = revisit_scene
+        noisy = scan_b.points + rng.normal(scale=0.05,
+                                           size=scan_b.points.shape)
+        loops = []
+        for threshold in (1e-3, LoopConfig().fitness_accept_threshold):
+            keyframes, query = self._keyframes(revisit_scene)
+            query.cloud = PointCloud(noisy, None, query.timestamp)
+            detector = LoopDetector(LoopConfig(
+                fitness_accept_threshold=threshold))
+            loops.append(detector.detect(query, keyframes))
+            assert detector.registration_calls == 1
+        refused, accepted = loops
+        assert refused is None
+        assert accepted is not None and accepted.candidate_index == 0
+        assert 1e-3 < accepted.fitness < 0.5
+
     def test_registration_budget_per_query(self, revisit_scene):
         scan_a, _ = revisit_scene
         cfg = LoopConfig(descriptor_distance_threshold=1.1)

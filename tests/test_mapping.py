@@ -31,34 +31,30 @@ def read_ply(path: str) -> PointCloud:
     return PointCloud(data.astype(np.float64))
 
 
-def kf(cloud, index):
-    return Keyframe(cloud, Pose.identity(), float(index), 0.0, index)
+def kf(cloud, index, pose=None):
+    return Keyframe(cloud, Pose.identity() if pose is None else pose,
+                    float(index), 0.0, index)
 
 
 class TestBuildMap:
     def test_transforms_into_world_frame(self, rng):
         local = PointCloud(np.array([[1.0, 0.0, 0.0]]))
         pose = Pose(so3_exp([0.0, 0.0, np.pi / 2]), np.array([10.0, 0.0, 0.0]))
-        world = build_map([kf(local, 0)], [pose], resolution=0.1)
+        world = build_map([kf(local, 0, pose)], resolution=0.1)
         np.testing.assert_allclose(world.points, [[10.0, 1.0, 0.0]],
                                    atol=1e-12)
 
     def test_merges_and_downsamples(self, rng):
         pts = rng.uniform(-5, 5, size=(2000, 3))
         cloud = PointCloud(pts)
-        keyframes = [kf(cloud, 0), kf(cloud, 1)]
-        poses = [Pose.identity(), Pose.identity()]
-        world = build_map(keyframes, poses, resolution=0.5)
+        world = build_map([kf(cloud, 0), kf(cloud, 1)], resolution=0.5)
         # duplicated clouds collapse onto the same voxels
-        solo = build_map([kf(cloud, 0)], [Pose.identity()], resolution=0.5)
+        solo = build_map([kf(cloud, 0)], resolution=0.5)
         assert len(world) == len(solo)
 
-    def test_input_validation(self, rng):
-        cloud = PointCloud(rng.normal(size=(10, 3)))
+    def test_input_validation(self):
         with pytest.raises(ValueError):
-            build_map([], [], resolution=0.5)
-        with pytest.raises(ValueError):
-            build_map([kf(cloud, 0)], [], resolution=0.5)
+            build_map([], resolution=0.5)
 
 
 class TestPly:

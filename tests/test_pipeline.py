@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lidar_graph_slam import kitti as kitti_module
 from lidar_graph_slam import pipeline as pipeline_module
 from lidar_graph_slam import registration as registration_module
 from lidar_graph_slam import tracker as tracker_module
@@ -104,6 +105,21 @@ class TestBatchRun:
         last = pipeline.graph.keyframe_poses()[-1]
         assert tracked.rotation.tobytes() == last.rotation.tobytes()
         assert tracked.translation.tobytes() == last.translation.tobytes()
+
+    def test_keyframes_are_the_graph_nodes(self, straight_run):
+        # one keyframe list, the graph's; each solve moves its poses in
+        # place, and the result's loops are the graph's loop edges
+        clouds, _ = straight_run
+        pipeline = SlamPipeline()
+        result = pipeline.run_batch(clouds)
+        assert pipeline.keyframes is pipeline.graph.nodes
+        assert result.keyframe_count == len(pipeline.keyframes) >= 2
+        poses = pipeline.graph.keyframe_poses()
+        assert len(poses) == len(pipeline.keyframes)
+        for i, pose in enumerate(poses):
+            assert pose is pipeline.keyframes[i].pose
+        assert result.loop_count == sum(
+            e.kind == "LOOP" for e in pipeline.graph.edges)
 
     def test_modules_can_be_disabled(self, straight_run):
         clouds, truth = straight_run
@@ -528,6 +544,21 @@ class TestDegenerateScans:
         assert caplog.records[0].thread == threading.get_ident()
 
 
+class TestNonFiniteTimestamp:
+    @pytest.mark.parametrize("driver", ["run_batch", "run_realtime_sim"])
+    @pytest.mark.parametrize("position, stamp", [(0, np.nan), (3, np.inf),
+                                                 (3, np.nan)])
+    def test_scan_is_refused_by_position_and_frame_id(
+            self, straight_run, driver, position, stamp):
+        # a scan without a time can be neither dropped nor placed
+        clouds = straight_run[0][:6]
+        scan = clouds[position]
+        clouds[position] = PointCloud(scan.points, None, stamp, "scan_x")
+        refused = f"scan {position} \\('scan_x'\\) has the non-finite"
+        with pytest.raises(ValueError, match=refused):
+            getattr(SlamPipeline(), driver)(clouds)
+
+
 class TestRejectedLoop:
     def test_half_turn_loop_is_not_counted(self, straight_run):
         # a verified loop whose rotation contradicts the graph by a half
@@ -628,6 +659,28 @@ class TestRunPipeline:
         baseline = run_pipeline(None, dataset_dir, "batch",
                                 str(tmp_path / "out_base"))
         assert result.keyframe_count > baseline.keyframe_count
+
+    def test_scan_missing_mid_sequence_raises(self, tmp_path, straight_run,
+                                              monkeypatch):
+        # scan 3 is listed when the sequence is found, then deleted while
+        # scan 0 loads
+        root = tmp_path / "vanishing"
+        write_kitti_sequence(str(root), straight_run[0][:6])
+        scans = sorted((root / "velodyne").iterdir())
+        real_load = kitti_module.load_kitti_scan
+
+        def load_and_delete(path, ts):
+            if scans[3].exists():
+                scans[3].unlink()
+            return real_load(path, ts)
+
+        monkeypatch.setattr(kitti_module, "load_kitti_scan", load_and_delete)
+        out = tmp_path / "out_missing"
+        with pytest.raises(FileNotFoundError,
+                           match=f"scan file missing mid-sequence: "
+                                 f".*{scans[3].name}"):
+            run_pipeline(None, str(root), "batch", str(out))
+        assert not out.exists()
 
     def test_missing_config_raises(self, dataset_dir, tmp_path):
         with pytest.raises(FileNotFoundError):

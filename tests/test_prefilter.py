@@ -215,10 +215,13 @@ class TestPrefilterComposition:
         assert out.timestamp == 3.0 and out.frame_id == "s"
 
     def test_methods_can_be_disabled(self, rng):
-        pts = rng.normal(size=(100, 3))
-        cfg = PrefilterConfig(downsample_method="NONE", outlier_method="NONE")
-        out = prefilter(PointCloud(pts), cfg)
-        np.testing.assert_array_equal(out.points, pts)
+        # with outlier removal off, the filter is the voxel downsample alone
+        pts = np.vstack([rng.normal(size=(100, 3)), [[500.0, 500.0, 500.0]]])
+        cfg = PrefilterConfig(downsample_resolution=0.5, outlier_method="NONE")
+        out = prefilter(PointCloud(pts, timestamp=3.0, frame_id="s"), cfg)
+        np.testing.assert_array_equal(
+            out.points, voxel_downsample(PointCloud(pts), 0.5).points)
+        assert out.timestamp == 3.0 and out.frame_id == "s"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
