@@ -1,7 +1,11 @@
 """Trajectory I/O and absolute trajectory error.
 
 Trajectories use the TUM text format: one ``timestamp tx ty tz qx qy qz qw``
-line per pose.  ATE associates estimated and ground-truth poses by nearest
+line per pose.  :func:`read_rows` reads every text table of the project
+(TUM files, and KITTI's ``times.txt`` and ``poses.txt``): blank lines and
+``#`` comments, anywhere on a line, are skipped, and a row of the wrong
+width or with a non-numeric or non-finite field is refused, naming the file
+and the line.  ATE associates estimated and ground-truth poses by nearest
 timestamp, optionally applies the closed-form rigid alignment (no scale),
 and reports mean / RMSE / standard deviation of the translation errors.
 """
@@ -51,31 +55,42 @@ def write_tum(path: str, trajectory: Sequence[TimedPose]):
                             q[0], q[1], q[2], q[3]))
 
 
-def read_tum(path: str) -> List[TimedPose]:
-    out = []
+def read_rows(path: str, width: int) -> List[Tuple[int, str, List[float]]]:
+    """(line number, line, values) of each row of ``width`` whitespace
+    separated numbers in a text table; blank lines and ``#`` comments are
+    skipped.  A row of another width, or with a non-numeric or non-finite
+    field, raises ValueError naming the file and the line."""
+    rows = []
     with open(path) as f:
         for number, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
+            line = line.strip()
+            if len(fields) != width:
+                raise ValueError(f"{path}:{number}: expected {width} values, "
+                                 f"found {len(fields)}: {line!r}")
             try:
-                vals = [float(v) for v in line.split()]
+                values = [float(v) for v in fields]
             except ValueError:
-                raise ValueError(f"{path}:{number}: non-numeric field in TUM "
-                                 f"line: {line!r}") from None
-            if len(vals) != 8:
-                raise ValueError(f"{path}:{number}: malformed TUM line: "
+                raise ValueError(f"{path}:{number}: non-numeric field: "
+                                 f"{line!r}") from None
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}:{number}: non-finite value: "
                                  f"{line!r}")
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{path}:{number}: non-finite value in TUM "
-                                 f"line: {line!r}")
-            ts, tx, ty, tz, qx, qy, qz, qw = vals
-            try:
-                r = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-            except ValueError:
-                raise ValueError(f"{path}:{number}: zero-norm quaternion in "
-                                 f"TUM line: {line!r}") from None
-            out.append(TimedPose(ts, Pose(r, [tx, ty, tz])))
+            rows.append((number, line, values))
+    return rows
+
+
+def read_tum(path: str) -> List[TimedPose]:
+    out = []
+    for number, line, (ts, tx, ty, tz, qx, qy, qz, qw) in read_rows(path, 8):
+        try:
+            r = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
+        except ValueError:
+            raise ValueError(f"{path}:{number}: zero-norm quaternion in "
+                             f"TUM line: {line!r}") from None
+        out.append(TimedPose(ts, Pose(r, [tx, ty, tz])))
     return out
 
 

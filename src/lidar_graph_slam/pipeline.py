@@ -348,12 +348,8 @@ def run_pipeline(config_path: Optional[str], dataset_dir: str, mode: str,
     """Load a dataset directory, run SLAM, and write all outputs."""
     from .kitti import discover_sequence, load_kitti_scan
 
-    if config_path is not None:
-        if not os.path.exists(config_path):
-            raise FileNotFoundError(f"config file not found: {config_path}")
-        cfg = PipelineConfig.from_file(config_path)
-    else:
-        cfg = PipelineConfig()
+    cfg = PipelineConfig() if config_path is None else \
+        PipelineConfig.from_file(config_path)
     if mode not in ("batch", "realtime-sim"):
         raise ValueError(f"unknown mode {mode!r}")
     seq = discover_sequence(dataset_dir)

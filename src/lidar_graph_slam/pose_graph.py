@@ -264,9 +264,18 @@ class PoseGraph:
     # -- export -------------------------------------------------------------
 
     def export_g2o(self, path):
-        """Write keyframe nodes and pose edges in g2o text format."""
+        """Write keyframe nodes and pose edges in g2o text format.
+
+        g2o's ``EDGE_SE3:QUAT`` error is (t, q_xyz) with q_xyz ~ phi / 2,
+        where ours is (rho, phi), so each information matrix is written as
+        D info D with D = diag(1, 1, 1, 2, 2, 2).  Floor edges and the loop
+        edges' Huber kernel are not written.
+        """
         from scipy.spatial.transform import Rotation
 
+        d = np.repeat([1.0, 2.0], 3)
+        scale = np.outer(d, d)
+        upper = np.triu_indices(6)
         lines = []
         for node_id, kf in enumerate(self.nodes):
             q = Rotation.from_matrix(kf.pose.rotation).as_quat()  # x y z w
@@ -280,13 +289,12 @@ class PoseGraph:
             m: Pose = edge.measurement
             q = Rotation.from_matrix(m.rotation).as_quat()
             t = m.translation
-            upper = [edge.information[a][b] for a in range(6)
-                     for b in range(a, 6)]
+            info = (scale * edge.information)[upper]
             lines.append(
                 "EDGE_SE3:QUAT {} {} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f} {:.9f} "
                 .format(edge.from_id, edge.to_id, t[0], t[1], t[2],
                         q[0], q[1], q[2], q[3])
-                + " ".join(f"{v:.9f}" for v in upper))
+                + " ".join(f"{v:.9f}" for v in info))
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
 

@@ -46,8 +46,6 @@ def voxel_downsample(cloud: PointCloud, resolution: float) -> PointCloud:
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if len(cloud) == 0:
-        return PointCloud(np.empty((0, 3)), None, cloud.timestamp, cloud.frame_id)
     _, keys = voxel_keys(cloud.points, resolution)
     _, first_idx, inverse = np.unique(keys, return_index=True,
                                       return_inverse=True)

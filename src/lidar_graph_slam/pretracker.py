@@ -92,16 +92,6 @@ def downsample_to_fraction(cloud: PointCloud, fraction: float) -> PointCloud:
                       cloud.frame_id)
 
 
-def _fitness(source: PointCloud, target: PointCloud,
-             motion: Pose) -> Optional[float]:
-    """Fitness of ``source`` on ``target`` at ``motion`` under the phases'
-    correspondence bound, or None when either cloud is too small to score."""
-    if min(len(source), len(target)) < MIN_CORRESPONDENCES:
-        return None
-    return score_alignment(source, target, motion,
-                           PHASE_MATCHING.max_correspondence_distance)
-
-
 class Pretracker:
     """Multi-scale scan matcher producing tracker initial guesses."""
 
@@ -124,8 +114,9 @@ class Pretracker:
         if not previous:
             return PretrackResult(self._last_motion, False, 0)
         if self._matched_fitness is not None:
-            seed_fitness = _fitness(current[0], previous[0],
-                                    self._last_motion)
+            seed_fitness = score_alignment(
+                current[0], previous[0], self._last_motion,
+                PHASE_MATCHING.max_correspondence_distance)
             if seed_fitness is not None and \
                     seed_fitness <= self._matched_fitness:
                 return PretrackResult(self._last_motion, False, 0)
@@ -144,5 +135,7 @@ class Pretracker:
                 return PretrackResult(self._last_motion, True, phases)
             guess = res.transform
         self._last_motion = guess
-        self._matched_fitness = _fitness(current[0], previous[0], guess)
+        self._matched_fitness = score_alignment(
+            current[0], previous[0], guess,
+            PHASE_MATCHING.max_correspondence_distance)
         return PretrackResult(guess, False, phases)

@@ -267,12 +267,15 @@ def _enough_matches(tree: KdTree, moved: np.ndarray,
 
 
 def score_alignment(source: PointCloud, target: PointCloud, transform: Pose,
-                    max_correspondence_distance: float) -> float:
+                    max_correspondence_distance: float) -> Optional[float]:
     """Fitness of ``source`` on ``target`` at ``transform``: the mean
     squared nearest-target distance of the source points, each capped at
     ``max_correspondence_distance`` so that poor overlap cannot pass for a
-    good fit.
+    good fit.  None when either cloud has fewer than
+    ``MIN_CORRESPONDENCES`` points, as :func:`align` refuses such clouds.
     """
+    if min(len(source), len(target)) < MIN_CORRESPONDENCES:
+        return None
     max_d = max_correspondence_distance
     _, dist = cloud_kdtree(target).query_batch(transform.apply(source.points),
                                                max_distance=max_d)

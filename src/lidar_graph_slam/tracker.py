@@ -144,11 +144,11 @@ class Tracker:
         score, the guess seed is kept.
         """
         sample = PointCloud(filtered.points[::SEED_SAMPLE_STRIDE])
-        if len(sample) < MIN_CORRESPONDENCES:
-            return guessed
         max_d = self.reg_cfg.max_correspondence_distance
         cloud = self.keyframe.cloud
         guessed_fit = score_alignment(sample, cloud, guessed, max_d)
+        if guessed_fit is None:
+            return guessed
         constant_fit = score_alignment(sample, cloud, constant, max_d)
         return guessed if guessed_fit < constant_fit else constant
 

@@ -401,7 +401,7 @@ class TestKittiSequence07:
         assert elapsed <= 3.0 * duration
 
         truth = [TimedPose(t, p) for t, p in
-                 zip(seq.ground_truth_timestamps, seq.ground_truth)]
+                 zip(seq.timestamps, seq.ground_truth)]
         report = evaluate_trajectories(result.trajectory, truth)
         assert result.loop_count >= 1
         assert report.rmse <= 1.5

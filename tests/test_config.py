@@ -132,6 +132,7 @@ BAD_VALUES = [
     ("registration_method", "FOO"),
     ("registration_method", "ICP_P2PLANE"),
     ("downsample_method", "VOXELGRIDD"),
+    ("outlier_removal_method", "RADIUSS"),
     ("floor_mode", "BANANA"),
     ("floor_rough_clip_radius", "3.0"),
     ("sc_rings", "0"),

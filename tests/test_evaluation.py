@@ -40,6 +40,13 @@ class TestTumIo:
         assert len(traj) == 1
         np.testing.assert_allclose(traj[0].pose.translation, [1, 2, 3])
 
+    def test_comment_after_the_values_is_skipped(self, tmp_path):
+        path = tmp_path / "traj.tum"
+        path.write_text("0.0 1 2 3 0 0 0 1  # start\n0.1 4 5 6 0 0 0 1#\n")
+        traj = read_tum(str(path))
+        assert [tp.timestamp for tp in traj] == [0.0, 0.1]
+        np.testing.assert_allclose(traj[1].pose.translation, [4, 5, 6])
+
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "traj.tum"
         path.write_text("0.0 1 2 3\n")
@@ -70,8 +77,8 @@ class TestTumIo:
         path = tmp_path / "traj.tum"
         path.write_text("0.0 1 2 3 0 0 0 1\n0.1 abc 2 3 0 0 0 1\n")
         with pytest.raises(ValueError,
-                           match=r"traj\.tum:2: non-numeric field in TUM "
-                                 r"line: '0\.1 abc 2 3 0 0 0 1'"):
+                           match=r"traj\.tum:2: non-numeric field: "
+                                 r"'0\.1 abc 2 3 0 0 0 1'"):
             read_tum(str(path))
 
 

@@ -1,5 +1,7 @@
 """KITTI-layout dataset ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,34 @@ class TestPosesAndTimes:
         path.write_text("0.0\n0.1\n0.2\n")
         assert load_timestamps(str(path)) == [0.0, 0.1, 0.2]
 
+    def test_blank_lines_and_comments_are_skipped(self, tmp_path):
+        times = tmp_path / "times.txt"
+        times.write_text("# seconds\n\n0.0\n   \n0.1  # second scan\n")
+        assert load_timestamps(str(times)) == [0.0, 0.1]
+        row = " ".join(str(v) for v in np.eye(3, 4).ravel())
+        poses = tmp_path / "poses.txt"
+        poses.write_text(f"# 3x4 row-major\n\n{row}\n{row}  # again\n")
+        loaded = load_kitti_poses(str(poses))
+        assert len(loaded) == 2
+        for pose in loaded:
+            np.testing.assert_array_equal(pose.matrix(), np.eye(4))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_values_raise_naming_the_line(self, tmp_path, value):
+        times = tmp_path / "times.txt"
+        times.write_text(f"0.0\n{value}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{times}:2: non-finite value: '{value}'")):
+            load_timestamps(str(times))
+        fields = [str(v) for v in np.eye(3, 4).ravel()]
+        good = " ".join(fields)
+        fields[3] = value
+        poses = tmp_path / "poses.txt"
+        poses.write_text(f"{good}\n\n{' '.join(fields)}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{poses}:3: non-finite value: '{' '.join(fields)}'")):
+            load_kitti_poses(str(poses))
+
 
 class TestDatasetSequence:
     def test_timestamps_must_increase(self):
@@ -103,13 +133,22 @@ class TestDiscoverSequence:
         with pytest.raises(FileNotFoundError):
             discover_sequence(str(tmp_path))
 
+    def test_directory_without_scans_raises(self, tmp_path):
+        make_dataset(tmp_path)
+        velo = tmp_path / "velodyne"
+        for scan in velo.glob("*.bin"):
+            scan.rename(scan.with_suffix(".txt"))
+        with pytest.raises(FileNotFoundError,
+                           match=re.escape(f"no .bin scans under {velo}")):
+            discover_sequence(str(tmp_path))
+
     def test_extra_pose_rows_are_cut_to_the_scans(self, tmp_path):
         # a partly copied sequence: 3 pose and time rows, 2 scans
         make_dataset(tmp_path)
         (tmp_path / "velodyne" / "000002.bin").unlink()
         seq = discover_sequence(str(tmp_path))
         assert len(seq.ground_truth) == len(seq) == 2
-        assert seq.ground_truth_timestamps == [0.0, 0.1]
+        assert seq.timestamps == [0.0, 0.1]
 
     def test_short_times_file_raises(self, tmp_path):
         make_dataset(tmp_path)
@@ -134,6 +173,24 @@ class TestLoadErrorsInCli:
         poses.write_text("\n".join(rows) + "\n")
         assert self.run(tmp_path) == 2
         assert f"error: {poses}:3: expected 12 values, found 11" in \
+            capsys.readouterr().err
+
+    def test_non_finite_pose(self, tmp_path, capsys):
+        make_dataset(tmp_path)
+        poses = tmp_path / "poses.txt"
+        rows = poses.read_text().splitlines()
+        rows[1] = rows[1].replace("1.0", "nan", 1)
+        poses.write_text("\n".join(rows) + "\n")
+        assert self.run(tmp_path) == 2
+        assert f"error: {poses}:2: non-finite value: {rows[1]!r}" in \
+            capsys.readouterr().err
+
+    def test_non_finite_time(self, tmp_path, capsys):
+        make_dataset(tmp_path)
+        times = tmp_path / "times.txt"
+        times.write_text("0.0\ninf\n0.2\n")
+        assert self.run(tmp_path) == 2
+        assert f"error: {times}:2: non-finite value: 'inf'" in \
             capsys.readouterr().err
 
     def test_non_numeric_time(self, tmp_path, capsys):

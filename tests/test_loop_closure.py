@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from lidar_graph_slam import loop_closure as loop_closure_module
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
 from lidar_graph_slam.loop_closure import (LoopCandidate, LoopConfig,
                                            LoopDetector, gate_candidates,
                                            nearest_candidate)
-from lidar_graph_slam.registration import (cloud_kdtree, compute_gicp_normals,
+from lidar_graph_slam.registration import (RegistrationConfig, cloud_kdtree,
+                                           compute_gicp_normals,
                                            drop_gicp_state)
 from lidar_graph_slam.scan_context import ScanContextParams, make_scan_context
 from lidar_graph_slam.synthetic import make_world, render_scan
@@ -167,6 +169,51 @@ class TestDetector:
         assert refused is None
         assert accepted is not None and accepted.candidate_index == 0
         assert 1e-3 < accepted.fitness < 0.5
+
+    def _recorded_matches(self, monkeypatch):
+        """The results of every ``align`` the detector runs, in order."""
+        results = []
+        real_align = loop_closure_module.align
+
+        def recording_align(*args):
+            results.append(real_align(*args))
+            return results[-1]
+
+        monkeypatch.setattr(loop_closure_module, "align", recording_align)
+        return results
+
+    def test_match_that_did_not_converge_is_refused(self, revisit_scene,
+                                                    monkeypatch):
+        # the query's points are moved 0.5 m off the guess, and one
+        # iteration cannot step below a tiny epsilon: the match stays
+        # valid, so only its convergence refuses it
+        keyframes, query = self._keyframes(revisit_scene)
+        query.cloud = PointCloud(query.cloud.points + [0.5, 0.3, 0.0])
+        results = self._recorded_matches(monkeypatch)
+        detector = LoopDetector(reg_cfg=RegistrationConfig(
+            max_iterations=1, transformation_epsilon=1e-12))
+        assert detector.detect(query, keyframes) is None
+        assert detector.registration_calls == 1
+        (res,) = results
+        assert res.valid and not res.converged
+
+    def test_invalid_match_is_refused(self, revisit_scene, monkeypatch):
+        # the candidate's points lie 200 m from the query's at the guess,
+        # beyond max_correspondence_distance: the match is invalid.  The
+        # fitness threshold lies above the capped maximum fitness
+        # (max_correspondence_distance squared), so only the validity
+        # check refuses it
+        keyframes, query = self._keyframes(revisit_scene)
+        cand = keyframes[0]
+        cand.cloud = PointCloud(cand.cloud.points + [200.0, 0.0, 0.0])
+        results = self._recorded_matches(monkeypatch)
+        detector = LoopDetector(LoopConfig(descriptor_distance_threshold=1.1,
+                                           fitness_accept_threshold=5.0))
+        assert detector.reg_cfg.max_correspondence_distance ** 2 < 5.0
+        assert detector.detect(query, keyframes) is None
+        assert detector.registration_calls == 1
+        (res,) = results
+        assert not res.valid
 
     def test_registration_budget_per_query(self, revisit_scene):
         scan_a, _ = revisit_scene

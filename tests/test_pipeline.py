@@ -750,8 +750,23 @@ class TestCli:
                          "--truth", str(truth_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"error: {est_path}:2: non-numeric field in TUM line" in err
+        assert f"error: {est_path}:2: non-numeric field: " in err
         assert "'abc 1 2 3 0 0 0 1'" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eval_non_finite_field_exits_with_code_2(
+            self, straight_run, tmp_path, capsys, value):
+        _, truth = straight_run
+        est_path = tmp_path / "est.tum"
+        truth_path = tmp_path / "truth.tum"
+        write_tum(str(truth_path), truth)
+        est_path.write_text(f"0.0 1 2 3 0 0 0 1\n0.1 1 {value} 3 0 0 0 1\n")
+        code = cli_main(["eval", "--est", str(est_path),
+                         "--truth", str(truth_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {est_path}:2: non-finite value: " in err
+        assert f"'0.1 1 {value} 3 0 0 0 1'" in err
 
     def test_eval_zero_norm_quaternion_exits_with_code_2(
             self, straight_run, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
+from scipy.spatial.transform import Rotation
 
 from lidar_graph_slam.floor import FloorCoefficients
 from lidar_graph_slam.geometry import (PointCloud, Pose, _hat, se3_adjoint,
@@ -17,6 +18,12 @@ from lidar_graph_slam.pose_graph import (EDGE_FLOOR, EDGE_LOOP, EDGE_ODOMETRY,
 from lidar_graph_slam.tracker import Keyframe
 
 from conftest import is_valid_pose, pose_error, random_pose
+
+
+def g2o_pose(fields):
+    """A pose from g2o's "tx ty tz qx qy qz qw" text fields."""
+    values = [float(v) for v in fields]
+    return Pose(Rotation.from_quat(values[3:]).as_matrix(), values[:3])
 
 
 def dummy_kf(index, pose):
@@ -660,3 +667,44 @@ class TestExport:
             assert {int(fields[1]), int(fields[2])} <= set(vertex_ids)
             quat = np.array([float(x) for x in fields[6:10]])
             assert np.linalg.norm(quat) == pytest.approx(1.0, abs=1e-6)
+
+    def test_g2o_information_weighs_g2o_error_as_ours(self, rng, tmp_path):
+        # g2o's error is (t, q_xyz), q_xyz ~ phi / 2: the written matrices
+        # are scaled so that its chi2 of the written graph matches ours
+        graph, truth = build_drifted_ring(n=150)
+        for node in graph.nodes[1:]:
+            node.pose = node.pose @ se3_exp(rng.normal(scale=0.02, size=6))
+        for a, b in [(0, 140), (10, 145), (20, 149), (5, 120)]:
+            rel = graph.nodes[a].pose.inverse() @ graph.nodes[b].pose
+            noisy = rel @ se3_exp(rng.normal(scale=0.005, size=6))
+            assert graph.add_loop(LoopCandidate(b, a, 0.0, noisy)) is not None
+        batch = _EdgeBatch(graph)
+        r, _ = batch.pose_terms(batch.initial, False)
+        sq = np.einsum("ni,nij,nj->n", r, batch.pose_weights.info, r)
+        # below the Huber threshold, our chi2 is the plain sum
+        assert np.all(sq[batch.pose_weights.huber] < LOOP_HUBER_DELTA ** 2)
+        ours = batch.cost(batch.initial)
+        assert ours == pytest.approx(sq.sum(), rel=1e-12)
+
+        path = tmp_path / "graph.g2o"
+        graph.export_g2o(path)
+        vertices, theirs = {}, 0.0
+        for line in path.read_text().splitlines():
+            tag, *fields = line.split()
+            if tag == "VERTEX_SE3:QUAT":
+                vertices[int(fields[0])] = g2o_pose(fields[1:8])
+                continue
+            i, j = int(fields[0]), int(fields[1])
+            values = [float(v) for v in fields[9:]]
+            info = np.zeros((6, 6))
+            info[np.triu_indices(6)] = values
+            info = info + np.triu(info, 1).T
+            delta = g2o_pose(fields[2:9]).inverse() \
+                @ vertices[i].inverse() @ vertices[j]
+            q = Rotation.from_matrix(delta.rotation).as_quat()
+            e = np.concatenate([delta.translation,
+                                q[:3] if q[3] >= 0 else -q[:3]])
+            theirs += e @ info @ e
+        assert len(vertices) == 150
+        assert theirs == pytest.approx(ours, rel=1e-3)
+

@@ -1,5 +1,7 @@
 """Voxel downsampling and radius outlier removal."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,8 +47,12 @@ class TestVoxelDownsample:
         np.testing.assert_allclose(out.points[:, 0], [5.55, 0.5, 2.5])
 
     def test_empty_cloud(self):
-        out = voxel_downsample(PointCloud(np.empty((0, 3)), timestamp=2.0), 0.5)
-        assert len(out) == 0 and out.timestamp == 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = voxel_downsample(PointCloud(np.empty((0, 3)), timestamp=2.0,
+                                              frame_id="s"), 0.5)
+        assert len(out) == 0 and out.timestamp == 2.0 and out.frame_id == "s"
+        assert out.points.shape == (0, 3)
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):

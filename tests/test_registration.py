@@ -1,5 +1,7 @@
 """GICP scan matching: the match, its checks and its kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -101,6 +103,18 @@ class TestAlign:
         max_d = 2.0
         fitness = score_alignment(far, target, Pose.identity(), max_d)
         assert fitness == pytest.approx(0.5 * max_d ** 2)
+
+    @pytest.mark.parametrize("n_points", [0, MIN_CORRESPONDENCES - 1],
+                             ids=["empty", "nine_points"])
+    def test_cloud_too_small_to_score_gets_none(self, rng, n_points):
+        # align refuses such clouds too; the empty source used to score
+        # nan with a RuntimeWarning, and the empty target to raise
+        tiny = PointCloud(rng.normal(size=(n_points, 3)))
+        full = box_surface_cloud(rng, n=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score_alignment(tiny, full, Pose.identity(), 2.0) is None
+            assert score_alignment(full, tiny, Pose.identity(), 2.0) is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -117,7 +117,8 @@ class TestSeedChoice:
     constant motion.  The tracker's constant-motion seed is the identity
     here: one keyframe, no step yet."""
 
-    def _seed_used(self, rng, monkeypatch, moved_by: Pose, guess: Pose):
+    def _seed_used(self, rng, monkeypatch, moved_by: Pose, guess: Pose,
+                   n_points=None):
         scene = box_surface_cloud(rng, n=2000, size=20.0)
         tracker = Tracker(reg_cfg())
         tracker.track(PointCloud(scene.points, timestamp=0.0))
@@ -130,7 +131,8 @@ class TestSeedChoice:
 
         monkeypatch.setattr(tracker_module, "align", recording)
         cloud = scene.transformed(moved_by.inverse())
-        tracker.track(PointCloud(cloud.points, timestamp=0.1), guess)
+        tracker.track(PointCloud(cloud.points[:n_points], timestamp=0.1),
+                      guess)
         assert len(seeds) == 1
         return seeds[0]
 
@@ -143,6 +145,15 @@ class TestSeedChoice:
         motion = Pose(so3_exp([0.0, 0.0, 0.05]), np.array([1.5, 0.5, 0.0]))
         seed = self._seed_used(rng, monkeypatch, motion, motion)
         np.testing.assert_array_equal(seed.matrix(), motion.matrix())
+
+    def test_cloud_too_small_to_score_keeps_the_guess(self, rng,
+                                                      monkeypatch):
+        # 100 points leave a sample of 7, too few to score: the guess seed
+        # is kept, though it would lose to constant motion on a full cloud
+        off = Pose(np.eye(3), np.array([1.5, -1.0, 0.0]))
+        seed = self._seed_used(rng, monkeypatch, Pose.identity(), off,
+                               n_points=100)
+        np.testing.assert_array_equal(seed.matrix(), off.matrix())
 
     def test_tie_goes_to_constant_motion(self, rng, monkeypatch):
         # both seeds leave every sampled point beyond the correspondence
