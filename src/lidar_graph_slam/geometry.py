@@ -8,7 +8,7 @@ float64: ``PointCloud`` converts its points (and normals) on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

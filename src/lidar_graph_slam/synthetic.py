@@ -9,7 +9,7 @@ loop-closure pairs (seen from similar headings) remain nearly unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

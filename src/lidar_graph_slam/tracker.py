@@ -4,11 +4,11 @@ Every filtered cloud is registered against the current keyframe's cloud, so
 error accumulates per keyframe transition rather than per frame.  A cloud
 becomes a new keyframe when its relative motion or elapsed time crosses any
 of the configured thresholds.  Every cloud is scan-matched; the motion
-guess only seeds the match.  When the pre-tracker gives a guess, the match
-starts from whichever of it and constant motion fits the keyframe better,
-scored on a strided sample of the cloud; without one, from constant motion.
+guess only seeds the match.  The pre-tracker gives a guess only on a frame
+its phases matched, and the match starts from it; on every other frame the
+match starts from constant motion, the tracker's own last step.
 A keyframe cloud too small to match against is replaced by the next cloud,
-placed at the guess.  A keyframe the tracker replaces keeps its points,
+placed at its seed.  A keyframe the tracker replaces keeps its points,
 pose and scan-context grid, and drops its GICP normals and kd-tree: only
 loop verification matches it again, and rebuilds them for that match.
 """
@@ -22,10 +22,7 @@ import numpy as np
 
 from .geometry import PointCloud, Pose
 from .registration import (MIN_CORRESPONDENCES, RegistrationConfig, align,
-                           drop_gicp_state, score_alignment)
-
-# the seed choice scores every SEED_SAMPLE_STRIDE-th point of the cloud
-SEED_SAMPLE_STRIDE = 16
+                           drop_gicp_state)
 
 
 @dataclass
@@ -91,10 +88,9 @@ class Tracker:
         """Process one filtered cloud.
 
         ``guess`` is the estimated motion since the previous cloud (from the
-        pre-tracker); without it the last step is repeated.  With it, the
-        match starts from the guess or the last step, whichever fits the
-        keyframe better (see :meth:`_better_seed`).  A cloud stamped before
-        the current keyframe counts as no time elapsed.
+        pre-tracker) and seeds the match; without it the last step is
+        repeated.  A cloud stamped before the current keyframe counts as no
+        time elapsed.
         """
         if self.keyframe is None:
             kf = self._add_keyframe(filtered, Pose.identity(), Pose.identity())
@@ -102,24 +98,20 @@ class Tracker:
 
         kf = self.keyframe
         dt = max(filtered.timestamp - kf.timestamp, 0.0)
-        constant_rel = self._prev_rel @ self._last_step
-        guess_rel = constant_rel if guess is None else self._prev_rel @ guess
+        seed = self._prev_rel @ (self._last_step if guess is None else guess)
 
         if len(kf.cloud) < MIN_CORRESPONDENCES:
             # nothing to match against: this cloud takes the keyframe's
-            # place, at the guess
-            pose = kf.pose @ guess_rel
-            new_kf = self._add_keyframe(filtered, pose, guess_rel)
-            return TrackResult(pose, guess_rel, new_kf, guess_rel, True)
+            # place, at the seed
+            pose = kf.pose @ seed
+            new_kf = self._add_keyframe(filtered, pose, seed)
+            return TrackResult(pose, seed, new_kf, seed, True)
 
-        # seeding from the guess alone raised no_revisit ATE 10.6 % (bound 5 %)
-        if guess is not None:
-            guess_rel = self._better_seed(filtered, guess_rel, constant_rel)
-        result = align(filtered, kf.cloud, guess_rel, self.reg_cfg)
+        result = align(filtered, kf.cloud, seed, self.reg_cfg)
         self.registration_calls += 1
         if not result.valid:
-            # registration failed: constant-motion extrapolation, no keyframe
-            rel = guess_rel
+            # registration failed: the seed is the pose, no keyframe
+            rel = seed
             pose = kf.pose @ rel
             self._prev_rel = rel
             return TrackResult(pose, rel, None, None, True)
@@ -134,23 +126,6 @@ class Tracker:
 
         new_kf = self._add_keyframe(filtered, pose, rel)
         return TrackResult(pose, rel, new_kf, rel, False)
-
-    def _better_seed(self, filtered: PointCloud, guessed: Pose,
-                     constant: Pose) -> Pose:
-        """Of the guess seed and the constant-motion seed (poses relative to
-        the keyframe), the one whose fitness on the keyframe is lower, with
-        a tie to constant motion.  The score runs on every
-        ``SEED_SAMPLE_STRIDE``-th point; when that sample is too small to
-        score, the guess seed is kept.
-        """
-        sample = PointCloud(filtered.points[::SEED_SAMPLE_STRIDE])
-        max_d = self.reg_cfg.max_correspondence_distance
-        cloud = self.keyframe.cloud
-        guessed_fit = score_alignment(sample, cloud, guessed, max_d)
-        if guessed_fit is None:
-            return guessed
-        constant_fit = score_alignment(sample, cloud, constant, max_d)
-        return guessed if guessed_fit < constant_fit else constant
 
     def _add_keyframe(self, cloud: PointCloud, pose: Pose,
                       rel: Pose) -> Keyframe:

@@ -13,8 +13,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from lidar_graph_slam.config import PipelineConfig
-from lidar_graph_slam.evaluation import (TimedPose, compute_ate,
-                                         evaluate_trajectories)
+from lidar_graph_slam.evaluation import TimedPose, evaluate_trajectories
 from lidar_graph_slam.floor import detect_floor
 from lidar_graph_slam.geometry import PointCloud, Pose, se3_exp, so3_exp
 from lidar_graph_slam.kitti import discover_sequence, load_kitti_scan

@@ -70,11 +70,12 @@ def dense_scene(rng, n=8000):
 
 class TestPretracker:
     def test_first_cloud_gives_identity(self, rng):
+        # no pair to match: no guess, and the last motion stays identity
         pre = Pretracker()
         res = pre.pretrack(dense_scene(rng))
         assert res.phases_run == 0 and not res.degraded
-        terr, rerr = pose_error(res.guess, Pose.identity())
-        assert terr == 0.0 and rerr == 0.0
+        assert res.guess is None
+        np.testing.assert_array_equal(pre._last_motion.matrix(), np.eye(4))
 
     def test_estimates_motion_between_scans(self, rng):
         scene = dense_scene(rng)
@@ -116,11 +117,12 @@ class TestPretracker:
         pre.pretrack(scene)
         moved = scene.transformed(motion.inverse())
         pre.pretrack(moved)
-        # a garbage cloud with no overlap: fall back to the last motion
+        # a garbage cloud with no overlap: no guess, so the tracker falls
+        # back to its constant motion; the last match is kept
         garbage = PointCloud(rng.normal(size=(400, 3)) + 500.0)
         res = pre.pretrack(garbage)
-        assert res.degraded
-        terr, _ = pose_error(res.guess, motion)
+        assert res.degraded and res.guess is None
+        terr, _ = pose_error(pre._last_motion, motion)
         assert terr < 0.3
 
     def test_registration_call_budget(self, rng):
@@ -155,7 +157,11 @@ class TestPretracker:
         res = pre.pretrack(moved.transformed(turn_back))
         assert calls[0] < calls[1]            # phase 1 on the smaller cloud
         assert res.degraded and res.phases_run == 2
-        np.testing.assert_array_equal(res.guess.matrix(), first.guess.matrix())
+        # no guess; the last motion stays the last match's, phase 1's
+        # result is dropped
+        assert res.guess is None
+        np.testing.assert_array_equal(pre._last_motion.matrix(),
+                                      first.guess.matrix())
 
     @pytest.mark.parametrize("sizes", [(8000, 4000), (4000, 8000)],
                              ids=["large-then-small", "small-then-large"])
@@ -189,8 +195,11 @@ class TestSkipRule:
         assert [r.phases_run for r in results] == [0, 2, 0, 0, 0, 0]
         assert pre.registration_calls == 2
         assert not any(r.degraded for r in results)
-        for r in results[1:]:
-            np.testing.assert_array_equal(r.guess.matrix(), step.matrix())
+        # only the matched frame offers a guess; the skipped ones keep
+        # the step as the skip rule's seed
+        np.testing.assert_array_equal(results[1].guess.matrix(), step.matrix())
+        assert [r.guess for r in results[2:]] == [None] * 4
+        np.testing.assert_array_equal(pre._last_motion.matrix(), step.matrix())
 
     def test_only_matched_phase_clouds_get_normals(self, rng, monkeypatch):
         # the set-up above: frame 1 runs both phases, frame 2 skips them
@@ -229,9 +238,10 @@ class TestSkipRule:
     @pytest.mark.parametrize("n_points", [0, 5], ids=["empty", "five_points"])
     def test_tiny_cloud_keeps_the_last_motion(self, rng, n_points):
         # the seed is not scored against a cloud too small to score: the
-        # phases run, fail and fall back to the last motion, both on the
-        # tiny cloud and on the next one, which matches against it; no
-        # warning (an error under the test settings) is raised
+        # phases run and fail, both on the tiny cloud and on the next one,
+        # which matches against it, so neither gets a guess and the last
+        # motion is kept; no warning (an error under the test settings) is
+        # raised
         scene = dense_scene(rng)
         back = Pose(np.eye(3), [-0.5, 0.0, 0.0])
         pre = Pretracker()
@@ -242,7 +252,8 @@ class TestSkipRule:
         for cloud in (tiny, moved.transformed(back).transformed(back)):
             res = pre.pretrack(cloud)
             assert res.degraded and res.phases_run == 1
-            np.testing.assert_array_equal(res.guess.matrix(),
+            assert res.guess is None
+            np.testing.assert_array_equal(pre._last_motion.matrix(),
                                           first.guess.matrix())
 
 
@@ -257,7 +268,12 @@ class TestAccuracy:
         clouds, truth = render_sequence(make_world(xy, seed=4), traj)
         pre = Pretracker()
         pre.pretrack(clouds[0])
+        guessed = 0
         for i in range(1, len(clouds)):
             guess = pre.pretrack(clouds[i]).guess
+            if guess is None:
+                continue
+            guessed += 1
             terr, _ = pose_error(guess, truth[i - 1].inverse() @ truth[i])
             assert terr < 0.1, f"scan {i}: {terr:.3f} m"
+        assert guessed > 0

@@ -264,6 +264,38 @@ def voxel_reference_normals(points):
     return out
 
 
+class TestInvalidIsNotConverged:
+    """LoopDetector.verify refuses a match on ``not res.converged`` alone,
+    so every invalid result that align returns must be not converged."""
+
+    @pytest.mark.parametrize("exit_", [
+        "cloud_below_min_correspondences", "too_few_matches_at_an_iteration",
+        "no_matches_after_converging"])
+    def test_invalid_result_is_not_converged(self, rng, monkeypatch, exit_):
+        source, target, _ = make_pair(rng)
+        cfg = tight_config()
+        if exit_ == "cloud_below_min_correspondences":
+            source = PointCloud(source.points[:MIN_CORRESPONDENCES - 1])
+        elif exit_ == "too_few_matches_at_an_iteration":
+            source = source.transformed(Pose(np.eye(3), [100.0, 0, 0]))
+        else:
+            # a step that moves the source 100 m away and that the cost
+            # accepts, under an epsilon every step is below: the loop ends
+            # as converged after one iteration, and the final check then
+            # finds no match
+            monkeypatch.setattr(registration_module, "se3_exp",
+                                lambda step: Pose(np.eye(3), [100.0, 0, 0]))
+            monkeypatch.setattr(registration_module, "_gicp_cost",
+                                lambda *args: -np.inf)
+            cfg = RegistrationConfig(max_iterations=100,
+                                     transformation_epsilon=1e9)
+        res = align(source, target, cfg=cfg)
+        assert not res.valid
+        assert not res.converged
+        if exit_ == "no_matches_after_converging":
+            assert res.iterations_used == 1
+
+
 class TestGicpInternals:
     """Filtered clouds' normals come from NORMAL_CELL voxel moments."""
 

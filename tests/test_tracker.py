@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from lidar_graph_slam import pretracker as pretracker_module
 from lidar_graph_slam import tracker as tracker_module
 from lidar_graph_slam.geometry import PointCloud, Pose, so3_exp
-from lidar_graph_slam.registration import RegistrationConfig
-from lidar_graph_slam.tracker import (Keyframe, KeyframeCriteria, Tracker,
-                                      is_new_keyframe)
+from lidar_graph_slam.pretracker import Pretracker
+from lidar_graph_slam.registration import RegistrationConfig, RegistrationResult
+from lidar_graph_slam.tracker import KeyframeCriteria, Tracker, is_new_keyframe
 
 from conftest import box_surface_cloud, is_valid_pose, pose_error
 
@@ -112,13 +113,28 @@ class TestTracker:
 
 
 class TestSeedChoice:
-    """With a guess, the match starts from whichever of the guess seed and
-    the constant-motion seed fits the keyframe better; a tie goes to
-    constant motion.  The tracker's constant-motion seed is the identity
-    here: one keyframe, no step yet."""
+    """Each frame has one seed: the guess when the pre-tracker gives one,
+    and constant motion otherwise.  The tracker's constant-motion seed is
+    the identity in the guess cases: one keyframe, no step yet."""
 
-    def _seed_used(self, rng, monkeypatch, moved_by: Pose, guess: Pose,
-                   n_points=None):
+    # (the scene's motion, the guess, the points kept of the moved cloud)
+    TURN = Pose(so3_exp([0.0, 0.0, 0.05]), [1.5, 0.5, 0.0])
+    OFF = Pose(np.eye(3), [1.5, -1.0, 0.0])
+    FAR_X = Pose(np.eye(3), [500.0, 0.0, 0.0])
+    FAR_Y = Pose(np.eye(3), [0.0, 500.0, 0.0])
+
+    @pytest.mark.parametrize("moved_by, guess, n_points", [
+        (TURN, TURN, None),
+        # 1.8 m off a still scene, which constant motion fits exactly
+        (Pose.identity(), OFF, None),
+        # both seeds leave every point past the correspondence bound
+        (FAR_X, FAR_Y, None),
+        # 100 points, fewer than a strided sample could score
+        (Pose.identity(), OFF, 100),
+    ], ids=["fits_better", "fits_worse", "both_beyond_the_bound",
+            "too_small_to_score"])
+    def test_given_guess_is_the_seed(self, rng, monkeypatch, moved_by, guess,
+                                     n_points):
         scene = box_surface_cloud(rng, n=2000, size=20.0)
         tracker = Tracker(reg_cfg())
         tracker.track(PointCloud(scene.points, timestamp=0.0))
@@ -134,31 +150,36 @@ class TestSeedChoice:
         tracker.track(PointCloud(cloud.points[:n_points], timestamp=0.1),
                       guess)
         assert len(seeds) == 1
-        return seeds[0]
+        np.testing.assert_array_equal(seeds[0].matrix(), guess.matrix())
 
-    def test_off_guess_loses_to_constant_motion(self, rng, monkeypatch):
-        off = Pose(np.eye(3), np.array([1.5, -1.0, 0.0]))
-        seed = self._seed_used(rng, monkeypatch, Pose.identity(), off)
-        np.testing.assert_array_equal(seed.matrix(), np.eye(4))
+    def test_without_a_guess_the_seed_is_constant_motion(self, rng,
+                                                         monkeypatch):
+        # The pre-tracker matches frame 1 and skips frame 2 (the set-up of
+        # test_pretracker's TestSkipRule), so frame 2 gets no guess.  The
+        # tracker seeds it from its own last step, not from the
+        # pre-tracker's last match, though that match is the true motion
+        # here and the tracker's step is 0.25 m off.
+        step = Pose(np.eye(3), np.array([0.5, 0.25, 0.0]))
+        tracked = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
+        points = rng.integers(-160, 160, size=(4000, 3)) / 8.0
+        monkeypatch.setattr(
+            pretracker_module, "align",
+            lambda source, target, guess, cfg: RegistrationResult(step, 1,
+                                                                  True))
+        seeds = []
 
-    def test_guess_wins_when_constant_motion_is_off(self, rng, monkeypatch):
-        motion = Pose(so3_exp([0.0, 0.0, 0.05]), np.array([1.5, 0.5, 0.0]))
-        seed = self._seed_used(rng, monkeypatch, motion, motion)
-        np.testing.assert_array_equal(seed.matrix(), motion.matrix())
+        def tracking(source, target, seed, cfg):
+            seeds.append(seed)
+            return RegistrationResult(tracked, 1, True)
 
-    def test_cloud_too_small_to_score_keeps_the_guess(self, rng,
-                                                      monkeypatch):
-        # 100 points leave a sample of 7, too few to score: the guess seed
-        # is kept, though it would lose to constant motion on a full cloud
-        off = Pose(np.eye(3), np.array([1.5, -1.0, 0.0]))
-        seed = self._seed_used(rng, monkeypatch, Pose.identity(), off,
-                               n_points=100)
-        np.testing.assert_array_equal(seed.matrix(), off.matrix())
-
-    def test_tie_goes_to_constant_motion(self, rng, monkeypatch):
-        # both seeds leave every sampled point beyond the correspondence
-        # bound, so both fitness values are the capped maximum
-        far = Pose(np.eye(3), np.array([500.0, 0.0, 0.0]))
-        guess = Pose(np.eye(3), np.array([0.0, 500.0, 0.0]))
-        seed = self._seed_used(rng, monkeypatch, far, guess)
-        np.testing.assert_array_equal(seed.matrix(), np.eye(4))
+        monkeypatch.setattr(tracker_module, "align", tracking)
+        pretracker, tracker = Pretracker(), Tracker(reg_cfg())
+        guesses = []
+        for i in range(3):
+            cloud = PointCloud(points - i * step.translation, timestamp=0.1 * i)
+            guesses.append(pretracker.pretrack(cloud).guess)
+            tracker.track(cloud, guesses[-1])
+        np.testing.assert_array_equal(seeds[0].matrix(), step.matrix())
+        np.testing.assert_array_equal(seeds[1].matrix(),
+                                      (tracked @ tracked).matrix())
+        assert guesses[0] is None and guesses[2] is None
