@@ -68,14 +68,19 @@ class PipelineConfig:
     @staticmethod
     def from_dict(kv: Dict[str, str]) -> "PipelineConfig":
         """Build a config from file keys; every section is rebuilt through
-        its constructor, so its checks apply to values from a file too."""
+        its constructor, so its checks apply to values from a file too.  A
+        value its key's converter refuses raises a ValueError naming the
+        key."""
         unknown = set(kv) - set(_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         fields: Dict[Optional[str], Dict[str, object]] = {}
         for key, value in kv.items():
             section, name, convert = _KEYS[key]
-            fields.setdefault(section, {})[name] = convert(value)
+            try:
+                fields.setdefault(section, {})[name] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         default = PipelineConfig()
         sections = {section: replace(getattr(default, section), **values)
                     for section, values in fields.items() if section}

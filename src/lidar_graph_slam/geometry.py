@@ -304,8 +304,14 @@ def se3_adjoint(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
 
 class KdTree:
     """Exact nearest-neighbour index over (N, D) points, the package's one
-    cKDTree wrapper.  Its search bounds are inclusive: a query finds what
-    an unbounded search finds at ``max_distance`` or nearer.
+    cKDTree wrapper.  Its two distance rules are cKDTree's own, on squared
+    distances as cKDTree sums them (x² + y² + z², left to right, in 3-D):
+
+    - a bounded query is strict: it finds a neighbour only if its squared
+      distance is below ``max_distance**2``, so one at ``max_distance``
+      is missing;
+    - ``pairs_within`` is the closed ball: a pair counts if its squared
+      distance is at most ``radius**2``.
 
     The tree is built with the sliding-midpoint rule (cKDTree's
     ``balanced_tree=False``; Maneewongvatana & Mount, 1999): each node is
@@ -319,11 +325,6 @@ class KdTree:
     it.
     """
 
-    # cKDTree keeps only neighbours strictly inside its bound, so every
-    # bounded search reaches this relative margin past it; the exact
-    # inclusive test is applied to what it finds
-    _BOUND_MARGIN = 1.0 + 1e-9
-
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=np.float64)
         if len(points) == 0:
@@ -334,35 +335,19 @@ class KdTree:
                     max_distance: float = np.inf):
         """Vectorized k-nearest query; returns (indices, distances) arrays.
 
-        A neighbour beyond ``max_distance`` is missing: index N, distance
-        inf.  Runs on the calling thread: cKDTree's ``workers=-1`` starts
-        threads on every call, which costs more than it saves on
-        scan-sized queries.
+        A neighbour not strictly within ``max_distance`` is missing: index
+        N, distance inf.  Runs on the calling thread: cKDTree's
+        ``workers=-1`` starts threads on every call, which costs more than
+        it saves on scan-sized queries.
         """
         dist, idx = self._tree.query(np.asarray(queries, dtype=np.float64),
-                                     k=k, distance_upper_bound=max_distance
-                                     * self._BOUND_MARGIN)
-        beyond = dist > max_distance
-        idx[beyond] = self._tree.n
-        dist[beyond] = np.inf
+                                     k=k, distance_upper_bound=max_distance)
         return idx, dist
 
     def pairs_within(self, radius: float) -> np.ndarray:
-        """Every pair of indexed points at most ``radius`` apart.
-
-        Returns an (M, 2) int array of index pairs ``i < j``, in no set
-        order, whose squared distance, summed x² + y² + z² as cKDTree sums
-        it, is ≤ ``radius**2``: the closed-ball rule, exact even for points
-        an ulp from the radius.
-        """
-        pairs = self._tree.query_pairs(radius * self._BOUND_MARGIN,
-                                       output_type="ndarray")
-        pts = self._tree.data
-        diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-        sq = diff[:, 0] ** 2
-        for axis in range(1, pts.shape[1]):
-            sq += diff[:, axis] ** 2
-        return pairs[sq <= radius * radius]
+        """Every pair of indexed points at most ``radius`` apart: an (M, 2)
+        int array of index pairs ``i < j``, in no set order."""
+        return self._tree.query_pairs(radius, output_type="ndarray")
 
 
 # ---------------------------------------------------------------------------

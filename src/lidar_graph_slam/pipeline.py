@@ -262,9 +262,11 @@ class SlamPipeline:
     def run_realtime_sim(self, clouds) -> PipelineResult:
         """Track clouds on a simulated clock at their recorded rate, dropping
         those that arrive while ``streaming_queue_capacity`` frames wait."""
-        if self.cfg.streaming_queue_capacity < 1:
-            raise ValueError("streaming_queue_capacity must be positive")
-        return self._run(clouds, self.cfg.streaming_queue_capacity)
+        capacity = self.cfg.streaming_queue_capacity
+        if not isinstance(capacity, int) or capacity < 1:
+            raise ValueError("streaming_queue_capacity must be an int >= 1, "
+                             f"not {capacity!r}")
+        return self._run(clouds, capacity)
 
     def _run(self, clouds, capacity: float) -> PipelineResult:
         """Track ``clouds`` in order, with up to ``LOOKAHEAD`` frames (at

@@ -64,11 +64,10 @@ def remove_outliers(cloud: PointCloud, radius: float,
                     min_neighbors: int) -> PointCloud:
     """Keep points having >= min_neighbors other points within radius.
 
-    One ``KdTree.pairs_within`` query lists every pair of points whose
-    squared distance, summed as cKDTree sums it, is ≤ ``radius**2``; a
-    point passes iff it is in at least ``min_neighbors`` pairs.  So the
-    rule is a closed-ball neighbour count, exact even for points an ulp
-    from the radius, and a duplicate point counts as a neighbour.  A cloud
+    One ``KdTree.pairs_within`` query lists every pair of points within
+    ``radius`` by the closed-ball rule that :class:`~.geometry.KdTree`
+    states; a point passes iff it is in at least ``min_neighbors`` pairs,
+    so a duplicate point counts as a neighbour.  A cloud
     of at most ``min_neighbors`` points keeps nothing.  Retained points
     keep their coordinates and relative order.
     """

@@ -47,9 +47,8 @@ normals from each point's k nearest neighbours before it matches them
 (:mod:`.pretracker` says why).
 
 :func:`align` only estimates the transform.  Its kd-tree queries are
-bounded at ``max_correspondence_distance``, inclusive (see
-:class:`~.geometry.KdTree`), which finds the same matches as an unbounded
-search, and it ends by checking that at least
+bounded at ``max_correspondence_distance`` by the strict rule that
+:class:`~.geometry.KdTree` states, and it ends by checking that at least
 ``MIN_CORRESPONDENCES`` source points match at the final estimate.  How
 well the clouds fit there is a separate question, answered by
 :func:`score_alignment` (as PCL keeps ``align`` and ``getFitnessScore``
@@ -260,7 +259,7 @@ def _enough_matches(tree: KdTree, moved: np.ndarray,
     found = 0
     for part in (moved[:_CHECK_PREFIX], moved[_CHECK_PREFIX:]):
         _, dist = tree.query_batch(part, max_distance=max_distance)
-        found += int(np.count_nonzero(dist <= max_distance))
+        found += int(np.count_nonzero(np.isfinite(dist)))
         if found >= MIN_CORRESPONDENCES:
             return True
     return False
@@ -310,7 +309,7 @@ def align(source: PointCloud, target: PointCloud, guess: Optional[Pose] = None,
     for iterations in range(1, cfg.max_iterations + 1):
         moved = transform.apply(source.points)
         idx, dist = tree.query_batch(moved, max_distance=max_d)
-        mask = dist <= max_d
+        mask = np.isfinite(dist)
         if int(mask.sum()) < MIN_CORRESPONDENCES:
             return RegistrationResult(transform, iterations, False, False)
         src_sel = source.points[mask]

@@ -169,6 +169,20 @@ class TestRejection:
         assert code == 2
         assert err.startswith("error:") and "velodyne" not in err
 
+    @pytest.mark.parametrize("key, value", [("radius", "abc"),
+                                            ("min_neighbors", "2.5"),
+                                            ("floor_enabled", "maybe")])
+    def test_malformed_value_names_its_key(self, key, value, tmp_path,
+                                           capsys):
+        with pytest.raises(ValueError, match=f"^config key '{key}': "):
+            PipelineConfig.from_dict({key: value})
+        conf = tmp_path / "bad.conf"
+        conf.write_text(f"{key} = {value}\n")
+        code = cli_main(["run", "--config", str(conf), "--dataset",
+                         str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: config key '{key}': ")
+
     def test_cli_key_set_twice_exits_with_code_2(self, tmp_path, capsys):
         conf = tmp_path / "twice.conf"
         conf.write_text("radius = 0.8\nradius = 0.5\n")

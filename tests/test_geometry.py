@@ -266,15 +266,16 @@ class TestKdTree:
                 np.testing.assert_allclose(d_row, brute[order])
 
     @pytest.mark.parametrize("max_d", [0.7, 1.3, 2.0])
-    def test_max_distance_is_inclusive(self, max_d):
+    def test_max_distance_is_exclusive(self, max_d):
         # one query per target, each target alone within 10 m of it: at
         # max_d, an ulp inside it and an ulp outside it
         offsets = [max_d, np.nextafter(max_d, 0.0), np.nextafter(max_d, 4.0)]
         queries = np.array([[0.0, 20.0 * j, 0.0] for j in range(3)])
         targets = queries + np.array([[d, 0.0, 0.0] for d in offsets])
         idx, dist = KdTree(targets).query_batch(queries, max_distance=max_d)
-        np.testing.assert_array_equal(idx, [0, 1, 3])
-        assert dist[0] == max_d and dist[1] < max_d and dist[2] == np.inf
+        np.testing.assert_array_equal(idx, [3, 1, 3])
+        assert dist[0] == np.inf and np.isfinite(dist[1])
+        assert dist[2] == np.inf
 
     def test_empty_cloud_raises(self):
         with pytest.raises(ValueError):

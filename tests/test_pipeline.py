@@ -239,10 +239,14 @@ class TestRealtimeSim:
             assert tracked == list(range(10))
 
     def test_capacity_must_be_positive(self, straight_run):
-        cfg = PipelineConfig()
-        cfg.streaming_queue_capacity = 0
-        with pytest.raises(ValueError):
-            SlamPipeline(cfg).run_realtime_sim(straight_run[0][:2])
+        # an int >= 1, refused before any frame is admitted
+        for capacity in (0, 2.5, 2.0):
+            cfg = PipelineConfig()
+            cfg.streaming_queue_capacity = capacity
+            pipeline = SlamPipeline(cfg)
+            with pytest.raises(ValueError, match=repr(capacity)):
+                pipeline.run_realtime_sim(straight_run[0][:2])
+            assert not pipeline.keyframes and pipeline.dropped_frames == 0
 
 
 def _reference_schedule(arrivals, cost, capacity):

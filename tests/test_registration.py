@@ -152,8 +152,8 @@ class TestGicpStepRule:
 
 class TestBoundedSearch:
     """align's correspondence search is bounded at the maximum
-    correspondence distance, inclusive; it must find what an unbounded one
-    finds."""
+    correspondence distance, strictly in squared distance; it must find
+    what an unbounded search finds under that rule."""
 
     @staticmethod
     def boundary_pair(rng, max_d):
@@ -172,16 +172,24 @@ class TestBoundedSearch:
     def test_same_matches_and_score_as_unbounded_search(self, rng, max_d):
         source, target = self.boundary_pair(rng, max_d)
         reference = cKDTree(target.points)
+
+        def within(queries, nearest):
+            # squared distance summed x² + y² + z², strictly below max_d²
+            diff = queries - target.points[nearest]
+            sq = diff[:, 0] ** 2 + diff[:, 1] ** 2 + diff[:, 2] ** 2
+            return sq < max_d * max_d
+
         # the three boundary points: inside, at and just outside max_d
-        boundary, _ = reference.query(source.points[-3:])
-        assert list(boundary <= max_d) == [True, True, False]
+        _, boundary = reference.query(source.points[-3:])
+        assert list(within(source.points[-3:], boundary)) == \
+            [True, False, False]
         for transform in (Pose.identity(), random_pose(rng, 0.5, 0.2)):
             moved = transform.apply(source.points)
             ref_dist, ref_idx = reference.query(moved)
-            ref_mask = ref_dist <= max_d
+            ref_mask = within(moved, ref_idx)
             idx, dist = cloud_kdtree(target).query_batch(
                 moved, max_distance=max_d)
-            mask = dist <= max_d
+            mask = np.isfinite(dist)
             np.testing.assert_array_equal(mask, ref_mask)
             np.testing.assert_array_equal(idx[mask], ref_idx[ref_mask])
             np.testing.assert_array_equal(dist[mask], ref_dist[ref_mask])
